@@ -3,6 +3,7 @@ monotonicity patterns, and closed-form bound sandwiches."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,17 +249,15 @@ def first_order_tail(alpha: float, ell: int) -> float:
     return partial if alpha < 1.0 else -partial
 
 
-_second_order_cache: dict[tuple[float, int], np.ndarray] = {}
-
-
 def _second_order_values(alpha: float, length: int) -> np.ndarray:
     # block the capacity so index sweeps share one table per alpha
-    cap = max(128, length)
-    key = (alpha, cap)
-    tab = _second_order_cache.get(key)
-    if tab is None:
-        tab = closed_form_table(2, alpha, cap)
-        _second_order_cache[key] = tab
+    return _second_order_table(alpha, max(128, length))
+
+
+@functools.lru_cache(maxsize=64)
+def _second_order_table(alpha: float, cap: int) -> np.ndarray:
+    tab = closed_form_table(2, alpha, cap)
+    tab.setflags(write=False)  # one array is handed to every caller
     return tab
 
 

@@ -5,7 +5,7 @@ Taylor coefficients of W_p(z)**alpha, where W_p is the degree-p
 backward-difference generating polynomial W_p(z) = sum_{k=1..p} (1-z)^k / k.
 Two independent evaluation routes are provided: a power-of-a-series
 recurrence (fast, float64) and the explicit nested multinomial sums
-(exact rational arithmetic, used as a cross-check).
+(exact integer arithmetic over known denominators, used as a cross-check).
 """
 
 from __future__ import annotations
@@ -142,26 +142,41 @@ def expand_generating_function(p: int, alpha: float, length: int) -> Coefficient
 
 
 # ---------------------------------------------------------------------------
-# Explicit nested-sum route (exact rationals).
+# Explicit nested-sum route (exact integers over known denominators).
 #
-# The inner weights below depend only on p, never on alpha, so they are built
-# once per (p, capacity) and reused.  The nested sums carry catastrophic
-# cancellation for p >= 4 (term magnitudes up to ~1e21 at index 60 for p = 6),
-# hence exact Fraction arithmetic rather than floats.
+# The nested sums carry catastrophic cancellation for p >= 4 (term magnitudes
+# up to ~1e21 at index 60 for p = 6), hence exact arithmetic rather than
+# floats.  Every rational in them has a denominator known in advance, so each
+# sum is carried as one Python integer over that denominator instead of as
+# Fraction objects, which pay a gcd after every operation:
+#
+#   r_i = a_i / B            B = lcm of the ratio-chain denominators of W_p
+#   w_{1,j} = P_j / (j! d^j)  alpha = n / d exactly, P_j = prod_{i<=j} (i d - n - d)
+#
+# The one rounding is the final int / int true division, which CPython rounds
+# correctly, as float(Fraction) does for the same rational.  The inner weights
+# depend only on p, never on alpha, so they are built once per (p, capacity)
+# and reused.
 # ---------------------------------------------------------------------------
 
-_inner_cache: dict[int, tuple[int, list[list[Fraction]]]] = {}
+_inner_cache: dict[int, tuple[int, int, list[list[int]]]] = {}
 
 
-def _inner_weights(p: int, length: int) -> list[list[Fraction]]:
-    """C[l1][m1]: alpha-free part of the nested sums, first-order index m1."""
+def _inner_weights(p: int, length: int) -> tuple[int, list[list[int]]]:
+    """(B, C) with C[l1][m1] = B**l1 * (alpha-free part of the nested sums).
+
+    m1 is the first-order index.  Each term's ratio exponents sum to l1, so
+    scaling row l1 by B**l1 makes every term an integer.
+    """
     cached = _inner_cache.get(p)
     if cached is not None and cached[0] >= length:
-        return cached[1]
+        return cached[1], cached[2]
     r = _RATIO_CHAINS[p]
-    rp = [[q ** k for k in range(length + 1)] for q in r]
+    B = math.lcm(*(q.denominator for q in r))
+    rp = [[(q.numerator * (B // q.denominator)) ** k for k in range(length + 1)]
+          for q in r]
     fact = math.factorial
-    C: list[list[Fraction]] = [[Fraction(0)] * (length + 1) for _ in range(length + 1)]
+    C: list[list[int]] = [[0] * (l1 + 1) for l1 in range(length + 1)]
     for l1 in range(length + 1):
         if p == 2:
             C[l1][l1] = rp[0][l1]
@@ -199,32 +214,45 @@ def _inner_weights(p: int, length: int) -> list[list[Fraction]]:
                             C[l1][l1 - l2] += ((-1) ** l2 * rp[0][l1 - l2]
                                                * rp[1][l2 - l3] * rp[2][l3 - l4]
                                                * rp[3][l4 - l5] * rp[4][l5] * mult)
-    _inner_cache[p] = (length, C)
-    return C
-
-
-def _first_order_fractions(alpha: float, length: int) -> list[Fraction]:
-    a = Fraction(alpha)
-    w = [Fraction(1)]
-    for j in range(1, length + 1):
-        w.append(w[-1] * (1 - (a + 1) / j))
-    return w
+    _inner_cache[p] = (length, B, C)
+    return B, C
 
 
 def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
-    """All weights w_{p,0} .. w_{p,length} via the explicit nested sums."""
+    """All weights w_{p,0} .. w_{p,length} via the explicit nested sums.
+
+    w_{p,ell} = g_0**alpha * sum_{l1} inner[l1] * w_{1,ell-l1} with
+    inner[l1] = sum_{m} C[l1][m] * w_{1,m}, evaluated exactly; see the
+    comment block above for the integer scaling.
+    """
     if p not in _RATIO_CHAINS:
         raise ValueError(f"unsupported order p={p}, expected 2..{MAX_ORDER}")
     _validate_alpha(alpha)
-    C = _inner_weights(p, length)
-    w1 = _first_order_fractions(alpha, length)
-    inner = [sum((C[l1][m1] * w1[m1] for m1 in range(l1 + 1)), Fraction(0))
-             for l1 in range(length + 1)]
+    B, C = _inner_weights(p, length)
+    n, d = float(alpha).as_integer_ratio()
+    P = [1]
+    for i in range(1, length + 1):
+        P.append(P[-1] * (i * d - n - d))
+    # I[l1] = B**l1 * l1! * d**l1 * inner[l1]
+    I = []
+    for l1, row in enumerate(C[:length + 1]):
+        acc, scale = 0, 1  # scale = (l1! / m!) * d**(l1 - m)
+        for m in range(l1, -1, -1):
+            if row[m]:
+                acc += row[m] * P[m] * scale
+            scale *= m * d
+        I.append(acc)
     g0 = float(_GENERATOR_COEFFS[p][0]) ** alpha
     out = np.empty(length + 1)
+    Q = [P[k] * B ** k for k in range(length + 1)]
+    denom = 1  # B**ell * ell! * d**ell
     for ell in range(length + 1):
-        acc = sum((inner[l1] * w1[ell - l1] for l1 in range(ell + 1)), Fraction(0))
-        out[ell] = g0 * float(acc)
+        if ell:
+            denom *= B * ell * d
+        # num / denom = sum_{l1} inner[l1] * w_{1,ell-l1}, with Q = P * B**k
+        num = sum(math.comb(ell, l1) * I[l1] * Q[ell - l1]
+                  for l1 in range(ell + 1))
+        out[ell] = g0 * (num / denom)
     return out
 
 

@@ -195,7 +195,8 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
     h = (spec.b - spec.a) / M
     cosine = math.cos(math.pi * spec.alpha / 2.0)
     nu = spec.d_alpha / (2.0 * cosine * h ** spec.alpha)
-    assert nu >= 0.0
+    if not nu >= 0.0:
+        raise ValueError(f"fractional coefficient nu = {nu} must be nonnegative")
     compact, operator = _scheme_stencils(scheme, spec.d1, spec.d2, h)
     w = expand_generating_function(p, spec.alpha, M + 2).values
 

@@ -24,12 +24,18 @@ class AmplificationQuery:
     theta: float
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme '{self.scheme}'")
-        if min(self.h, self.tau, self.d1, self.d2, self.d_alpha) <= 0:
-            raise ValueError("step sizes and coefficients must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        _validate(self.scheme, self.alpha, self.h, self.tau, self.d1, self.d2,
+                  self.d_alpha)
+
+
+def _validate(scheme: str, alpha: float, h: float, tau: float,
+              d1: float, d2: float, d_alpha: float) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme '{scheme}'")
+    if not all(v > 0 for v in (h, tau, d1, d2, d_alpha)):
+        raise ValueError("step sizes and coefficients must be positive")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,7 @@ def stability_scan(scheme: str, alpha: float, h: float, tau: float,
                    d1: float, d2: float, d_alpha: float,
                    grid_size: int) -> StabilityReport:
     """Maximum growth factor over a uniform theta grid on [-pi, pi]."""
+    _validate(scheme, alpha, h, tau, d1, d2, d_alpha)
     if grid_size < 1024:
         raise ValueError("grid_size must be at least 1024")
     thetas = np.linspace(-math.pi, math.pi, grid_size)

@@ -7,9 +7,14 @@ convolution half, matching the production default.  Row j of a compact
 scheme samples the source at every node j + off its stencil reaches; for
 the five-point order6 stencil, rows 1 and M-1 reach the ghost nodes
 x_{-1} = a - h and x_{M+1} = b + h.
+
+`naive_closed_form_table` is the explicit nested-sum route in exact
+Fraction arithmetic, with its own copy of the generator constants; it is
+the oracle for the scaled-integer production route.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -148,3 +153,84 @@ NAIVE_STEPS = {
     "order4": naive_step_order4,
     "order6": naive_step_order6,
 }
+
+
+# Leading generator coefficients g_0 and ratio chains of the nested
+# factorization W_p/g_0 = (1-z) * (1 - r_1 z (1 - r_2 z (...))), p = 2..6.
+_G0 = {2: Fraction(3, 2), 3: Fraction(11, 6), 4: Fraction(25, 12),
+       5: Fraction(137, 60), 6: Fraction(147, 60)}
+_RATIO_CHAINS = {
+    2: (Fraction(1, 3),),
+    3: (Fraction(7, 11), Fraction(2, 7)),
+    4: (Fraction(23, 25), Fraction(13, 23), Fraction(3, 13)),
+    5: (Fraction(163, 137), Fraction(137, 163), Fraction(63, 137), Fraction(4, 21)),
+    6: (Fraction(213, 147), Fraction(237, 213), Fraction(163, 237),
+        Fraction(62, 163), Fraction(5, 31)),
+}
+
+
+def _naive_inner_weights(p, length):
+    r = _RATIO_CHAINS[p]
+    rp = [[q ** k for k in range(length + 1)] for q in r]
+    fact = math.factorial
+    C = [[Fraction(0)] * (length + 1) for _ in range(length + 1)]
+    for l1 in range(length + 1):
+        if p == 2:
+            C[l1][l1] = rp[0][l1]
+        elif p == 3:
+            for l2 in range(l1 // 2 + 1):
+                mult = fact(l1 - l2) // (fact(l2) * fact(l1 - 2 * l2))
+                C[l1][l1 - l2] += (-1) ** l2 * rp[0][l1 - l2] * rp[1][l2] * mult
+        elif p == 4:
+            for l2 in range((2 * l1) // 3 + 1):
+                for l3 in range(max(0, 2 * l2 - l1), l2 // 2 + 1):
+                    mult = fact(l1 - l2) // (
+                        fact(l3) * fact(l2 - 2 * l3) * fact(l1 + l3 - 2 * l2))
+                    C[l1][l1 - l2] += ((-1) ** l2 * rp[0][l1 - l2]
+                                       * rp[1][l2 - l3] * rp[2][l3] * mult)
+        elif p == 5:
+            for l2 in range((3 * l1) // 4 + 1):
+                for l3 in range(max(0, 2 * l2 - l1), (2 * l2) // 3 + 1):
+                    for l4 in range(max(0, 2 * l3 - l2), l3 // 2 + 1):
+                        mult = fact(l1 - l2) // (
+                            fact(l4) * fact(l3 - 2 * l4)
+                            * fact(l1 + l3 - 2 * l2) * fact(l2 + l4 - 2 * l3))
+                        C[l1][l1 - l2] += ((-1) ** l2 * rp[0][l1 - l2]
+                                           * rp[1][l2 - l3] * rp[2][l3 - l4]
+                                           * rp[3][l4] * mult)
+        else:
+            for l2 in range((4 * l1) // 5 + 1):
+                for l3 in range(max(0, 2 * l2 - l1), (3 * l2) // 4 + 1):
+                    for l4 in range(max(0, 2 * l3 - l2), (2 * l3) // 3 + 1):
+                        for l5 in range(max(0, 2 * l4 - l3), l4 // 2 + 1):
+                            mult = fact(l1 - l2) // (
+                                fact(l5) * fact(l4 - 2 * l5)
+                                * fact(l1 + l3 - 2 * l2)
+                                * fact(l2 + l4 - 2 * l3)
+                                * fact(l3 + l5 - 2 * l4))
+                            C[l1][l1 - l2] += ((-1) ** l2 * rp[0][l1 - l2]
+                                               * rp[1][l2 - l3] * rp[2][l3 - l4]
+                                               * rp[3][l4 - l5] * rp[4][l5] * mult)
+    return C
+
+
+def _naive_first_order_fractions(alpha, length):
+    a = Fraction(alpha)
+    w = [Fraction(1)]
+    for j in range(1, length + 1):
+        w.append(w[-1] * (1 - (a + 1) / j))
+    return w
+
+
+def naive_closed_form_table(p, alpha, length):
+    """Weights w_{p,0} .. w_{p,length} from the nested sums in Fractions."""
+    C = _naive_inner_weights(p, length)
+    w1 = _naive_first_order_fractions(alpha, length)
+    inner = [sum((C[l1][m1] * w1[m1] for m1 in range(l1 + 1)), Fraction(0))
+             for l1 in range(length + 1)]
+    g0 = float(_G0[p]) ** alpha
+    out = np.empty(length + 1)
+    for ell in range(length + 1):
+        acc = sum((inner[l1] * w1[ell - l1] for l1 in range(ell + 1)), Fraction(0))
+        out[ell] = g0 * float(acc)
+    return out

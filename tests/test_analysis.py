@@ -165,6 +165,29 @@ class TestBounds:
     def test_second_order_family(self):
         assert evaluate_bounds("second-pointwise", 0.3, 4).holds
 
+    def test_second_order_cache_is_bounded(self, monkeypatch):
+        import rieszkit.analysis as analysis
+        table = analysis._second_order_table
+        calls = []
+
+        def fake_table(p, alpha, length):
+            calls.append(length)
+            return np.ones(length + 1)
+
+        monkeypatch.setattr(analysis, "closed_form_table", fake_table)
+        table.cache_clear()
+        try:
+            # indices up to 128 share one block per alpha
+            for ell in (4, 50, 128):
+                evaluate_bounds("second-pointwise", 0.3, ell)
+            assert calls == [128]
+            cap = table.cache_info().maxsize
+            for k in range(cap + 20):
+                evaluate_bounds("second-pointwise", 0.3 + k * 1e-3, 4)
+            assert table.cache_info().currsize == cap
+        finally:
+            table.cache_clear()
+
     @pytest.mark.parametrize("family", bound_families())
     def test_each_family_spot(self, family):
         ell = 5

@@ -145,6 +145,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "line" in err and "3" in err
 
+    def test_stability_zero_step_is_usage_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path,
+                     "[stability]\nscheme = order2\nalpha = 0.5\n"
+                     "h = 0, 0.1\ntau = 0.1\ntheta_grid = 1024\n")
+        assert _run(["stability", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "positive" in capsys.readouterr().err
+
     def test_unknown_bound_family(self, tmp_path):
         cfg = _write(tmp_path,
                      "[bounds]\nfamily = nope\nalpha = 0.5\n")

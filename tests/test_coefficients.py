@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from naive_reference import naive_closed_form_table
 from rieszkit import (
     closed_form_coeff,
     closed_form_table,
@@ -145,6 +146,18 @@ class TestRouteEquivalence:
         series = expand_generating_function(p, alpha, length).values
         closed = closed_form_table(p, alpha, length)
         assert np.max(np.abs(series - closed)) < 1e-10
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("alpha", [0.25, 0.625, 1.5, 1.875,
+                                       0.3, 0.77, 1.1, 1.63,
+                                       1e-3, 1.999, 0.123456789])
+    def test_nested_sums_bitwise_equal_fraction_oracle(self, p, alpha):
+        got = closed_form_table(p, alpha, 24)
+        assert np.array_equal(got, naive_closed_form_table(p, alpha, 24))
+
+    def test_nested_sums_bitwise_equal_fraction_oracle_long(self):
+        got = closed_form_table(2, 0.37, 128)
+        assert np.array_equal(got, naive_closed_form_table(2, 0.37, 128))
 
     def test_cross_check_example(self):
         got = closed_form_coeff(4, 0.4, 5)

@@ -65,6 +65,13 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble("order9", spec, 16, 0.1)
 
+    def test_non_finite_fractional_coefficient(self):
+        import dataclasses
+        spec = dataclasses.replace(builtin_problem("example2", 0.5),
+                                   d_alpha=math.nan)
+        with pytest.raises(ValueError, match="nu"):
+            assemble("order2", spec, 16, 0.1)
+
 
 class TestStepOracle:
     @pytest.mark.parametrize("scheme,problem,M", [("order2", "example2", 12),

@@ -77,6 +77,20 @@ class TestScan:
         with pytest.raises(ValueError):
             stability_scan("order2", 0.5, 0.1, 0.1, 1, 1, 1, 100)
 
+    @pytest.mark.parametrize("args", [
+        ("order3", 0.5, 0.1, 0.1, 1, 1, 1),
+        ("order2", 0.5, 0.0, 0.1, 1, 1, 1),
+        ("order2", 0.5, 0.1, 0.0, 1, 1, 1),
+        ("order4", 0.5, 0.1, 0.1, 0, 1, 1),
+        ("order4", 0.5, 0.1, 0.1, 1, -1, 1),
+        ("order6", 0.5, 0.1, 0.1, 1, 1, 0),
+        ("order2", 0.5, math.nan, 0.1, 1, 1, 1),
+        ("order2", 1.5, 0.1, 0.1, 1, 1, 1),
+    ])
+    def test_input_validation(self, args):
+        with pytest.raises(ValueError):
+            stability_scan(*args, 1024)
+
 
 class TestPeriodicCompanionSpectrum:
     def test_order2_matches_matrix_eigenvalues(self):
