@@ -20,9 +20,7 @@ from .coefficients import (
     closed_form_coeff,
     closed_form_table,
     expand_generating_function,
-    first_order_coeff,
     first_order_sequence,
-    gamma_real,
     generator_polynomial,
 )
 from .reports import ConvergenceReport, ConvergenceRow

@@ -3,7 +3,6 @@ monotonicity patterns, and closed-form bound sandwiches."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +63,16 @@ class LowerBoundComparison:
         return self.tail_plain < self.tail_damped
 
 
+def _generator_on_circle(p: int, thetas: np.ndarray) -> np.ndarray:
+    """W_p(e^{i theta}) by Horner's rule."""
+    g = generator_polynomial(p).as_floats()
+    z = np.exp(1j * thetas)
+    w = np.full(z.shape, complex(g[p]))
+    for i in range(p - 1, -1, -1):
+        w = w * z + g[i]
+    return w
+
+
 def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
     """Re[W_p(e^{i theta})**alpha], vectorized over theta.
 
@@ -72,11 +81,7 @@ def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
     artifact of 0**alpha on a near-zero complex base.
     """
     thetas = np.asarray(thetas, dtype=float)
-    g = generator_polynomial(p).as_floats()
-    z = np.exp(1j * thetas)
-    w = np.full(z.shape, complex(g[p]))
-    for i in range(p - 1, -1, -1):
-        w = w * z + g[i]
+    w = _generator_on_circle(p, thetas)
     out = np.real(np.power(w, alpha))
     return np.where(thetas == 0.0, 0.0, out)
 
@@ -118,13 +123,8 @@ def symbol_angle_extreme(p: int, grid_size: int = 1 << 16) -> float:
     tracked continuously from theta = 0; it stays nonnegative for every
     theta exactly when alpha * |phi| never exceeds pi/2.
     """
-    g = generator_polynomial(p).as_floats()
     thetas = np.linspace(1e-9, math.pi, grid_size)
-    z = np.exp(1j * thetas)
-    w = np.full(z.shape, complex(g[p]))
-    for i in range(p - 1, -1, -1):
-        w = w * z + g[i]
-    phi = np.unwrap(np.angle(w))
+    phi = np.unwrap(np.angle(_generator_on_circle(p, thetas)))
     return float(np.min(phi))
 
 
@@ -242,35 +242,33 @@ def _b2_shifted_bounds(a: float, ell: int) -> tuple[float, float]:
     return lower, upper
 
 
-def first_order_tail(alpha: float, ell: int) -> float:
-    """sum_{k>=ell} |w_{1,k}^{(alpha)}| via the zero-sum identity."""
-    w = first_order_sequence(alpha, ell - 1)
-    partial = float(np.sum(w))
+def _zero_sum_tail(w: np.ndarray, alpha: float, ell: int) -> float:
+    partial = float(np.sum(w[:ell]))
     return partial if alpha < 1.0 else -partial
 
 
-def _second_order_values(alpha: float, length: int) -> np.ndarray:
-    # block the capacity so index sweeps share one table per alpha
-    return _second_order_table(alpha, max(128, length))
+def first_order_tail(alpha: float, ell: int) -> float:
+    """sum_{k>=ell} |w_{1,k}^{(alpha)}| via the zero-sum identity."""
+    if ell < 1:
+        raise ValueError("ell must be at least 1")
+    return _zero_sum_tail(first_order_sequence(alpha, ell - 1), alpha, ell)
 
 
-@functools.lru_cache(maxsize=64)
-def _second_order_table(alpha: float, cap: int) -> np.ndarray:
-    tab = closed_form_table(2, alpha, cap)
-    tab.setflags(write=False)  # one array is handed to every caller
-    return tab
+def _pair(lower, upper):
+    return lambda a, ell: (lower(a, ell), upper(a, ell))
 
 
-# family tag -> (min ell, evaluator returning (lower, observed, upper))
+# family tag -> (min ell, order shift, observed quantity, (lower, upper) bounds)
 _BOUND_FAMILIES = {
-    "first-pointwise": 3,
-    "first-pointwise-damped": 3,
-    "first-tail": 3,
-    "first-tail-damped": 3,
-    "first-shifted-pointwise": 4,
-    "first-shifted-tail": 4,
-    "second-pointwise": 4,
-    "second-shifted-pointwise": 4,
+    "first-pointwise": (3, 0.0, "first", _pair(_b1_lower, _b1_upper)),
+    "first-pointwise-damped": (3, 0.0, "first", _pair(_b1_lower_damped, _b1_upper)),
+    "first-tail": (3, 0.0, "tail", _pair(_s1_lower, _s1_upper)),
+    "first-tail-damped": (3, 0.0, "tail", _pair(_s1_lower_damped, _s1_upper)),
+    "first-shifted-pointwise": (4, 1.0, "first",
+                                _pair(_shifted_b_lower, _shifted_b_upper)),
+    "first-shifted-tail": (4, 1.0, "tail", _pair(_shifted_s_lower, _shifted_s_upper)),
+    "second-pointwise": (4, 0.0, "second", _b2_bounds),
+    "second-shifted-pointwise": (4, 1.0, "second", _b2_shifted_bounds),
 }
 
 
@@ -278,50 +276,41 @@ def bound_families() -> tuple[str, ...]:
     return tuple(_BOUND_FAMILIES)
 
 
-def evaluate_bounds(family: str, alpha: float, ell: int) -> BoundCheckRecord:
-    """Evaluate one lower < observed < upper sandwich.
+def evaluate_bounds(family: str, alpha: float, ell_min: int,
+                    ell_max: int) -> list[BoundCheckRecord]:
+    """Evaluate the lower < observed < upper sandwich for ell_min..ell_max.
 
     Families cover the first-order weights (plain and exponentially damped
     lower bounds, pointwise and tail), the order-(1+alpha) variants, and
     the second-order weights at orders alpha and 1+alpha.  `alpha` is the
-    fractional part in (0, 1) throughout.
+    fractional part in (0, 1) throughout.  The weights depend on alpha
+    only, so one sequence of length ell_max serves every index; the records
+    come in ell order.
     """
     if family not in _BOUND_FAMILIES:
         raise ValueError(f"unknown bound family '{family}'")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    min_ell = _BOUND_FAMILIES[family]
-    if ell < min_ell:
+    min_ell, shift, observed, bounds = _BOUND_FAMILIES[family]
+    if ell_min < min_ell:
         raise ValueError(f"family '{family}' requires ell >= {min_ell}")
+    if ell_max < ell_min:
+        raise ValueError("ell_max must be at least ell_min")
 
-    if family == "first-pointwise":
-        lo, up = _b1_lower(alpha, ell), _b1_upper(alpha, ell)
-        obs = abs(first_order_sequence(alpha, ell)[ell])
-    elif family == "first-pointwise-damped":
-        lo, up = _b1_lower_damped(alpha, ell), _b1_upper(alpha, ell)
-        obs = abs(first_order_sequence(alpha, ell)[ell])
-    elif family == "first-tail":
-        lo, up = _s1_lower(alpha, ell), _s1_upper(alpha, ell)
-        obs = first_order_tail(alpha, ell)
-    elif family == "first-tail-damped":
-        lo, up = _s1_lower_damped(alpha, ell), _s1_upper(alpha, ell)
-        obs = first_order_tail(alpha, ell)
-    elif family == "first-shifted-pointwise":
-        lo, up = _shifted_b_lower(alpha, ell), _shifted_b_upper(alpha, ell)
-        obs = abs(first_order_sequence(1.0 + alpha, ell)[ell])
-    elif family == "first-shifted-tail":
-        lo, up = _shifted_s_lower(alpha, ell), _shifted_s_upper(alpha, ell)
-        obs = first_order_tail(1.0 + alpha, ell)
-    elif family == "second-pointwise":
-        lo, up = _b2_bounds(alpha, ell)
-        obs = abs(_second_order_values(alpha, ell)[ell])
+    order = shift + alpha
+    if observed == "second":
+        w = closed_form_table(2, order, ell_max)
     else:
-        lo, up = _b2_shifted_bounds(alpha, ell)
-        obs = abs(_second_order_values(1.0 + alpha, ell)[ell])
-
-    return BoundCheckRecord(family=family, alpha=alpha, ell=ell,
-                            lower=lo, observed=obs, upper=up,
-                            holds=bool(lo < obs < up))
+        w = first_order_sequence(order, ell_max)
+    records = []
+    for ell in range(ell_min, ell_max + 1):
+        lo, up = bounds(alpha, ell)
+        # one sum per tail, not a cumsum, which rounds differently
+        obs = _zero_sum_tail(w, order, ell) if observed == "tail" else abs(w[ell])
+        records.append(BoundCheckRecord(family=family, alpha=alpha, ell=ell,
+                                        lower=lo, observed=obs, upper=up,
+                                        holds=bool(lo < obs < up)))
+    return records
 
 
 def compare_lower_bounds(alpha: float, ell: int) -> LowerBoundComparison:

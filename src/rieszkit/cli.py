@@ -1,6 +1,6 @@
 """Benchmark command line: deterministic CSV and text reports.
 
-    rieszkit <subcommand> --config <path> [--out <dir>] [--threads <n>]
+    rieszkit <subcommand> --config <path> [--out <dir>]
 
 Subcommands: coeffs, symbol, bounds, monotonicity, riesz, solve,
 convergence, stability.  Exit codes: 0 success, 1 usage or configuration
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +52,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _map_ordered(fn, cells, threads: int):
-    """Apply fn over cells, optionally in a worker pool, results in cell order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(cell) for cell in cells]
-
-
 def _write_outputs(out: Path, name: str, header, csv_rows, text: str,
                    manifest: list[str]) -> None:
     out.mkdir(parents=True, exist_ok=True)
@@ -71,7 +62,7 @@ def _write_outputs(out: Path, name: str, header, csv_rows, text: str,
     print(f"wrote {out / f'{name}.txt'}")
 
 
-def _cmd_coeffs(cfg, out: Path, threads: int) -> None:
+def _cmd_coeffs(cfg, out: Path) -> None:
     sec = section(cfg, "coeffs")
     p = parse_int(sec.get("p", ""), "p")
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
@@ -89,7 +80,7 @@ def _cmd_coeffs(cfg, out: Path, threads: int) -> None:
                     f"p = {p}", f"alpha = {alphas}", f"length = {length}"])
 
 
-def _cmd_symbol(cfg, out: Path, threads: int) -> None:
+def _cmd_symbol(cfg, out: Path) -> None:
     sec = section(cfg, "symbol")
     p = parse_int(sec.get("p", ""), "p")
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
@@ -112,7 +103,7 @@ def _cmd_symbol(cfg, out: Path, threads: int) -> None:
                     f"p = {p}", f"alpha = {alphas}", f"theta_grid = {grid}"])
 
 
-def _cmd_bounds(cfg, out: Path, threads: int) -> None:
+def _cmd_bounds(cfg, out: Path) -> None:
     sec = section(cfg, "bounds")
     family = sec.get("family", "").strip()
     if family not in bound_families():
@@ -121,8 +112,8 @@ def _cmd_bounds(cfg, out: Path, threads: int) -> None:
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     ell_min = parse_int(sec.get("ell_min", "3"), "ell_min")
     ell_max = parse_int(sec.get("ell_max", "100"), "ell_max")
-    cells = [(a, ell) for a in alphas for ell in range(ell_min, ell_max + 1)]
-    records = _map_ordered(lambda c: evaluate_bounds(family, *c), cells, threads)
+    records = [r for a in alphas
+               for r in evaluate_bounds(family, a, ell_min, ell_max)]
     rows = [[r.family, fmt(r.alpha), str(r.ell), fmt(r.lower), fmt(r.observed),
              fmt(r.upper), "1" if r.holds else "0"] for r in records]
     fails = [r for r in records if not r.holds]
@@ -139,7 +130,7 @@ def _cmd_bounds(cfg, out: Path, threads: int) -> None:
                     f"ell = {ell_min}..{ell_max}"])
 
 
-def _cmd_monotonicity(cfg, out: Path, threads: int) -> None:
+def _cmd_monotonicity(cfg, out: Path) -> None:
     sec = section(cfg, "monotonicity")
     p = parse_int(sec.get("p", ""), "p")
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
@@ -159,14 +150,13 @@ def _cmd_monotonicity(cfg, out: Path, threads: int) -> None:
                     f"p = {p}", f"alpha = {alphas}", f"length = {length}"])
 
 
-def _cmd_riesz(cfg, out: Path, threads: int) -> None:
+def _cmd_riesz(cfg, out: Path) -> None:
     sec = section(cfg, "riesz")
     p = parse_int(sec.get("p", ""), "p")
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     hs = parse_float_list(sec.get("h", ""), "h")
     metric = sec.get("metric", "midpoint").strip()
-    reports = _map_ordered(
-        lambda a: operator_convergence(p, a, hs, metric=metric), alphas, threads)
+    reports = [operator_convergence(p, a, hs, metric=metric) for a in alphas]
     rows = [row for rep in reports for row in rep.csv_rows()]
     _write_outputs(out, "riesz", CONVERGENCE_HEADER, rows,
                    convergence_text(reports),
@@ -174,14 +164,14 @@ def _cmd_riesz(cfg, out: Path, threads: int) -> None:
                     f"alpha = {alphas}", f"h = {hs}", f"metric = {metric}"])
 
 
-def _cmd_solve(cfg, out: Path, threads: int) -> None:
+def _cmd_solve(cfg, out: Path) -> None:
     sec = section(cfg, "solve")
     scheme = sec.get("scheme", "").strip()
     problem = sec.get("problem", "").strip()
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     require_alpha_open_unit(alphas)
-    M = parse_int(sec.get("m", sec.get("M", "")), "M")
-    N = parse_int(sec.get("n", sec.get("N", "")), "N")
+    M = parse_int(sec.get("m", ""), "M")
+    N = parse_int(sec.get("n", ""), "N")
     rows, text_rows = [], []
     for a in alphas:
         spec = builtin_problem(problem, a)
@@ -204,15 +194,14 @@ def _cmd_solve(cfg, out: Path, threads: int) -> None:
                     f"alpha = {alphas}", f"M = {M}", f"N = {N}"])
 
 
-def _cmd_convergence(cfg, out: Path, threads: int) -> None:
+def _cmd_convergence(cfg, out: Path) -> None:
     sec = section(cfg, "convergence")
     scheme = sec.get("scheme", "").strip()
     problem = sec.get("problem", "").strip()
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     require_alpha_open_unit(alphas)
     ladder = parse_ladder(sec.get("ladder", ""))
-    reports = _map_ordered(
-        lambda a: convergence_study(scheme, problem, a, ladder), alphas, threads)
+    reports = [convergence_study(scheme, problem, a, ladder) for a in alphas]
     rows = [row for rep in reports for row in rep.csv_rows()]
     _write_outputs(out, "convergence", CONVERGENCE_HEADER, rows,
                    convergence_text(reports),
@@ -221,7 +210,7 @@ def _cmd_convergence(cfg, out: Path, threads: int) -> None:
                     f"alpha = {alphas}", f"ladder = {ladder}"])
 
 
-def _cmd_stability(cfg, out: Path, threads: int) -> None:
+def _cmd_stability(cfg, out: Path) -> None:
     sec = section(cfg, "stability")
     scheme = sec.get("scheme", "").strip()
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
@@ -232,10 +221,8 @@ def _cmd_stability(cfg, out: Path, threads: int) -> None:
     d2 = parse_float(sec.get("d2", "1"), "d2")
     d_alpha = parse_float(sec.get("d_alpha", "1"), "d_alpha")
     grid = parse_int(sec.get("theta_grid", "4096"), "theta_grid")
-    cells = [(a, h, t) for a in alphas for h in hs for t in taus]
-    scans = _map_ordered(
-        lambda c: stability_scan(scheme, c[0], c[1], c[2], d1, d2, d_alpha, grid),
-        cells, threads)
+    scans = [s for a in alphas
+             for s in stability_scan(scheme, a, hs, taus, d1, d2, d_alpha, grid)]
     rows = [[s.scheme, fmt(s.alpha), fmt(s.h), fmt(s.tau), fmt(s.max_abs),
              fmt(s.theta_at_max), "1" if s.passed else "0"] for s in scans]
     text = text_table(
@@ -270,7 +257,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int, default=1)
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
@@ -279,9 +265,7 @@ def main(argv=None) -> int:
         if out_dir is None and cfg.has_section(sec_name):
             out_dir = cfg[sec_name].get("out", None)
         out = Path(out_dir) if out_dir else Path("rieszkit-out")
-        if args.threads < 1:
-            raise UsageError("--threads must be at least 1")
-        _COMMANDS[args.command](cfg, out, args.threads)
+        _COMMANDS[args.command](cfg, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -77,13 +77,6 @@ class CoefficientTable:
         return len(self.values) - 1
 
 
-def gamma_real(x: float) -> float:
-    """Gamma function on the positive real axis."""
-    if x <= 0:
-        raise ValueError(f"gamma_real requires x > 0, got {x}")
-    return math.gamma(x)
-
-
 def generator_polynomial(p: int) -> GeneratorPolynomial:
     """Exact coefficients of W_p, p = 1..6."""
     if p not in _GENERATOR_COEFFS:
@@ -91,18 +84,11 @@ def generator_polynomial(p: int) -> GeneratorPolynomial:
     return GeneratorPolynomial(order=p, coeffs=_GENERATOR_COEFFS[p])
 
 
-def first_order_coeff(alpha: float, j: int) -> float:
-    """Weight w_{1,j} = (-1)^j C(alpha, j), via the pole-free recurrence."""
-    if j < 0:
-        raise ValueError("index must be nonnegative")
-    w = 1.0
-    for k in range(1, j + 1):
-        w *= 1.0 - (alpha + 1.0) / k
-    return w
-
-
 def first_order_sequence(alpha: float, length: int) -> np.ndarray:
-    """Weights w_{1,0} .. w_{1,length} as an array."""
+    """Weights w_{1,j} = (-1)^j C(alpha, j), j = 0..length, by the pole-free
+    recurrence w_j = w_{j-1} (1 - (alpha + 1) / j)."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     w = np.empty(length + 1)
     w[0] = 1.0
     for j in range(1, length + 1):
@@ -228,6 +214,8 @@ def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
     if p not in _RATIO_CHAINS:
         raise ValueError(f"unsupported order p={p}, expected 2..{MAX_ORDER}")
     _validate_alpha(alpha)
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     B, C = _inner_weights(p, length)
     n, d = float(alpha).as_integer_ratio()
     P = [1]

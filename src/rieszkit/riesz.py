@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientTable, expand_generating_function, gamma_real
+from .coefficients import CoefficientTable, expand_generating_function
 from .reports import ConvergenceReport, ConvergenceRow
 
 
@@ -89,7 +89,7 @@ def reference_riesz(p: int, alpha: float, x: float) -> float:
     for ell in range(p + 1):
         coef = ((-1) ** ell * math.factorial(p) * math.factorial(p + ell)
                 / (math.factorial(ell) * math.factorial(p - ell)
-                   * gamma_real(p + ell + 1 - alpha)))
+                   * math.gamma(p + ell + 1 - alpha)))
         s += coef * (x ** (p + ell - alpha) + (1.0 - x) ** (p + ell - alpha))
     return -s / (2.0 * math.cos(math.pi * alpha / 2.0))
 

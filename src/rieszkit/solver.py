@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .analysis import alpha_limit_order4
-from .coefficients import expand_generating_function, gamma_real
+from .coefficients import expand_generating_function
 from .reports import ConvergenceReport, ConvergenceRow
 
 SCHEMES = ("order2", "order4", "order6")
@@ -300,8 +300,8 @@ def _fractional_source_sum(binomials, base_power: int, alpha: float):
     profile.  The positive parts y_+ = max(y, 0) drop the side whose
     support lies beyond x, so the sum stays finite at the ghost nodes.
     """
-    terms = [(c * (gamma_real(base_power + 1 + k)
-                   / gamma_real(base_power + 1 + k - alpha)),
+    terms = [(c * (math.gamma(base_power + 1 + k)
+                   / math.gamma(base_power + 1 + k - alpha)),
               base_power + k - alpha)
              for k, c in enumerate(binomials)]
 

@@ -51,34 +51,35 @@ class StabilityReport:
     passed: bool
 
 
+# symbol order of each scheme's fractional weights
+_SYMBOL_ORDER = {"order2": 2, "order4": 4, "order6": 6}
+
+
 def _amplification(scheme: str, alpha: float, h: float, tau: float,
-                   d1: float, d2: float, d_alpha: float,
-                   thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   d1: float, d2: float, d_alpha: float, thetas: np.ndarray,
+                   f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode growth factors and the real stability group.
 
-    The weight series in each factor is summed exactly through the symbol
-    (complex power evaluation) rather than by truncation.  The numerator
-    and denominator share one imaginary group with opposite signs, so
-    |xi| <= 1 exactly when the real group is nonnegative.
+    `f` is the scheme's symbol at `thetas`: the weight series in each
+    factor is summed exactly through it (complex power evaluation) rather
+    than by truncation.  The numerator and denominator share one imaginary
+    group with opposite signs, so |xi| <= 1 exactly when the real group is
+    nonnegative.
     """
-    thetas = np.asarray(thetas, dtype=float)
     nu = d_alpha / (2.0 * math.cos(math.pi * alpha / 2.0) * h ** alpha)
     s2 = np.sin(thetas / 2.0) ** 2
     sin_t = np.sin(thetas)
     if scheme == "order2":
-        f = symbol_values(2, alpha, thetas)
         x_part = 2.0 * h / tau
         group = 4.0 * d2 / h * s2 + 2.0 * nu * h * f
         imag = d1 * sin_t
     elif scheme == "order4":
-        f = symbol_values(4, alpha, thetas)
         x_part = (2.0 / tau) * (1.0 - s2 / 3.0)
         group = 2.0 * s2 * (2.0 * d2 / h ** 2 + d1 ** 2 / (6.0 * d2)) \
             + 2.0 * (1.0 - s2 / 3.0) * f * nu
         s4 = (d1 * h / (6.0 * tau * d2) + d1 / h) - d1 * h / (6.0 * d2) * f
         imag = s4 * nu * sin_t
     else:
-        f = symbol_values(6, alpha, thetas)
         x_part = (2.0 / (45.0 * tau)) * (45.0 - 8.0 * s2 ** 2)
         group = (2.0 * d2 / (3.0 * h ** 2)) * (7.0 - np.cos(thetas)) * s2 \
             + 16.0 * d1 ** 2 / (45.0 * d2) * s2 ** 2 \
@@ -92,24 +93,40 @@ def _amplification(scheme: str, alpha: float, h: float, tau: float,
 
 
 def amplification_factor(q: AmplificationQuery) -> complex:
+    thetas = np.array([q.theta], dtype=float)
+    f = symbol_values(_SYMBOL_ORDER[q.scheme], q.alpha, thetas)
     xi, _ = _amplification(q.scheme, q.alpha, q.h, q.tau, q.d1, q.d2,
-                           q.d_alpha, np.array([q.theta]))
+                           q.d_alpha, thetas, f)
     return complex(xi[0])
 
 
-def stability_scan(scheme: str, alpha: float, h: float, tau: float,
+def stability_scan(scheme: str, alpha: float, hs, taus,
                    d1: float, d2: float, d_alpha: float,
-                   grid_size: int) -> StabilityReport:
-    """Maximum growth factor over a uniform theta grid on [-pi, pi]."""
-    _validate(scheme, alpha, h, tau, d1, d2, d_alpha)
+                   grid_size: int) -> list[StabilityReport]:
+    """Maximum growth factor over a uniform theta grid on [-pi, pi], for
+    every (h, tau) in hs x taus: h outer, tau inner.
+
+    The symbol depends on alpha only, so it is evaluated once per scan.
+    """
+    if len(hs) == 0 or len(taus) == 0:
+        raise ValueError("hs and taus must not be empty")
+    for h in hs:
+        for tau in taus:
+            _validate(scheme, alpha, h, tau, d1, d2, d_alpha)
     if grid_size < 1024:
         raise ValueError("grid_size must be at least 1024")
     thetas = np.linspace(-math.pi, math.pi, grid_size)
-    xi, group = _amplification(scheme, alpha, h, tau, d1, d2, d_alpha, thetas)
-    mags = np.abs(xi)
-    k = int(np.argmax(mags))
-    return StabilityReport(scheme=scheme, alpha=alpha, h=h, tau=tau,
-                           grid_size=grid_size, max_abs=float(mags[k]),
-                           theta_at_max=float(thetas[k]),
-                           min_real_group=float(np.min(group)),
-                           passed=bool(mags[k] <= 1.0 + 1e-12))
+    f = symbol_values(_SYMBOL_ORDER[scheme], alpha, thetas)
+    reports = []
+    for h in hs:
+        for tau in taus:
+            xi, group = _amplification(scheme, alpha, h, tau, d1, d2, d_alpha,
+                                       thetas, f)
+            mags = np.abs(xi)
+            k = int(np.argmax(mags))
+            reports.append(StabilityReport(
+                scheme=scheme, alpha=alpha, h=h, tau=tau, grid_size=grid_size,
+                max_abs=float(mags[k]), theta_at_max=float(thetas[k]),
+                min_real_group=float(np.min(group)),
+                passed=bool(mags[k] <= 1.0 + 1e-12)))
+    return reports

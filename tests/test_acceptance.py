@@ -416,8 +416,7 @@ def test_criterion_09_symbols_and_bounds():
     for family in bound_families():
         ell_min = 4 if ("shifted" in family or family.startswith("second")) else 3
         for alpha in ALPHA_GRID_19:
-            for ell in range(ell_min, 101):
-                rec = evaluate_bounds(family, alpha, ell)
+            for rec in evaluate_bounds(family, alpha, ell_min, 100):
                 if not rec.holds:
                     bad.append(f"{family} a={alpha} ell={ell}: "
                                f"{rec.lower:.3e} !< {rec.observed:.3e} "
@@ -439,17 +438,16 @@ def test_criterion_10_stability():
               "order6": SYMBOL_LIMIT[6]}
     for scheme in ("order2", "order4", "order6"):
         for alpha in alphas:
-            for h in grid:
-                for tau in grid:
-                    rep = stability_scan(scheme, alpha, h, tau, 1.0, 1.0, 1.0,
-                                         4096)
-                    if rep.passed != (rep.min_real_group >= 0.0):
-                        bad.append(f"{scheme} a={alpha} h={h} tau={tau}: "
-                                   f"passed={rep.passed} but real group "
-                                   f"min {rep.min_real_group:.3e}")
-                    if alpha <= limits[scheme] and not rep.passed:
-                        bad.append(f"{scheme} a={alpha} h={h} tau={tau}: "
-                                   f"max|xi|={rep.max_abs:.6f}")
+            for rep in stability_scan(scheme, alpha, grid, grid, 1.0, 1.0, 1.0,
+                                      4096):
+                h, tau = rep.h, rep.tau
+                if rep.passed != (rep.min_real_group >= 0.0):
+                    bad.append(f"{scheme} a={alpha} h={h} tau={tau}: "
+                               f"passed={rep.passed} but real group "
+                               f"min {rep.min_real_group:.3e}")
+                if alpha <= limits[scheme] and not rep.passed:
+                    bad.append(f"{scheme} a={alpha} h={h} tau={tau}: "
+                               f"max|xi|={rep.max_abs:.6f}")
         from rieszkit import AmplificationQuery, amplification_factor
         q = AmplificationQuery(scheme, 0.5, 0.1, 0.1, 1.0, 1.0, 1.0, 0.0)
         if amplification_factor(q) != 1.0 + 0.0j:

@@ -152,46 +152,48 @@ class TestLemmaInequalities:
 
 class TestBounds:
     def test_frozen_example(self):
-        rec = evaluate_bounds("first-pointwise", 0.5, 4)
+        [rec] = evaluate_bounds("first-pointwise", 0.5, 4, 4)
         assert abs(rec.lower - 0.015625) < 1e-12
         assert abs(rec.observed - 0.0390625) < 1e-12
         assert abs(rec.upper - 0.126491) < 1e-6
         assert rec.holds
 
     def test_tail_family_holds_across_indices(self):
-        for ell in range(3, 101):
-            assert evaluate_bounds("first-tail", 0.5, ell).holds
+        records = evaluate_bounds("first-tail", 0.5, 3, 100)
+        assert [r.ell for r in records] == list(range(3, 101))
+        assert all(r.holds for r in records)
 
     def test_second_order_family(self):
-        assert evaluate_bounds("second-pointwise", 0.3, 4).holds
+        assert evaluate_bounds("second-pointwise", 0.3, 4, 4)[0].holds
 
-    def test_second_order_cache_is_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("family", bound_families())
+    def test_range_equals_single_index(self, family):
+        # one weight sequence per alpha gives the records of per-index
+        # evaluation, across the old 128-entry table block
+        lo = 4 if ("shifted" in family or family.startswith("second")) else 3
+        for alpha in (0.05, 0.37, 0.91):
+            records = evaluate_bounds(family, alpha, lo, 140)
+            assert [r.ell for r in records] == list(range(lo, 141))
+            for ell in (lo, lo + 1, 60, 127, 128, 129, 140):
+                assert records[ell - lo] == evaluate_bounds(family, alpha, ell, ell)[0]
+
+    def test_second_order_table_once_per_alpha(self, monkeypatch):
         import rieszkit.analysis as analysis
-        table = analysis._second_order_table
         calls = []
 
         def fake_table(p, alpha, length):
-            calls.append(length)
+            calls.append((p, alpha, length))
             return np.ones(length + 1)
 
         monkeypatch.setattr(analysis, "closed_form_table", fake_table)
-        table.cache_clear()
-        try:
-            # indices up to 128 share one block per alpha
-            for ell in (4, 50, 128):
-                evaluate_bounds("second-pointwise", 0.3, ell)
-            assert calls == [128]
-            cap = table.cache_info().maxsize
-            for k in range(cap + 20):
-                evaluate_bounds("second-pointwise", 0.3 + k * 1e-3, 4)
-            assert table.cache_info().currsize == cap
-        finally:
-            table.cache_clear()
+        evaluate_bounds("second-pointwise", 0.3, 4, 160)
+        evaluate_bounds("second-shifted-pointwise", 0.3, 4, 50)
+        assert calls == [(2, 0.3, 160), (2, 1.3, 50)]
 
     @pytest.mark.parametrize("family", bound_families())
     def test_each_family_spot(self, family):
         ell = 5
-        rec = evaluate_bounds(family, 0.45, ell)
+        [rec] = evaluate_bounds(family, 0.45, ell, ell)
         assert rec.lower < rec.upper
         assert rec.holds
 
@@ -209,15 +211,21 @@ class TestBounds:
                 remainder = ident - brute
                 assert 0.0 < remainder < 2.0 * (2.0 / (K + ell)) ** alpha
 
+    def test_tail_index_validation(self):
+        with pytest.raises(ValueError):
+            first_order_tail(0.5, 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            evaluate_bounds("no-such-family", 0.5, 5)
+            evaluate_bounds("no-such-family", 0.5, 5, 5)
         with pytest.raises(ValueError):
-            evaluate_bounds("first-pointwise", 0.5, 2)
+            evaluate_bounds("first-pointwise", 0.5, 2, 5)
         with pytest.raises(ValueError):
-            evaluate_bounds("second-pointwise", 0.5, 3)
+            evaluate_bounds("second-pointwise", 0.5, 3, 5)
         with pytest.raises(ValueError):
-            evaluate_bounds("first-pointwise", 1.2, 5)
+            evaluate_bounds("first-pointwise", 1.2, 5, 5)
+        with pytest.raises(ValueError):
+            evaluate_bounds("first-pointwise", 0.5, 6, 5)
 
 
 class TestLowerBoundComparison:

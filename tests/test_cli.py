@@ -2,6 +2,8 @@
 
 import filecmp
 
+import pytest
+
 from rieszkit.cli import main
 from rieszkit.reports import read_convergence_csv
 
@@ -93,27 +95,26 @@ class TestSubcommands:
         assert rows[0].endswith(",1")
 
 
-class TestDeterminism:
-    def test_repeated_runs_byte_identical(self, tmp_path):
-        cfg = _write(tmp_path,
-                     "[convergence]\nscheme = order2\nproblem = example2\n"
-                     "alpha = 0.3, 0.5\nladder = 10:10, 20:20\n")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert _run(["convergence", "--config", cfg, "--out", str(out1)]) == 0
-        assert _run(["convergence", "--config", cfg, "--out", str(out2)]) == 0
-        for name in ("convergence.csv", "convergence.txt", "manifest.txt"):
-            assert filecmp.cmp(out1 / name, out2 / name, shallow=False)
+DETERMINISM_CONFIGS = {
+    "convergence": "[convergence]\nscheme = order2\nproblem = example2\n"
+                   "alpha = 0.3, 0.5\nladder = 10:10, 20:20\n",
+    "stability": "[stability]\nscheme = order4\nalpha = 0.2, 0.4\n"
+                 "h = 0.1, 1\ntau = 0.1, 0.01\nd1 = 0.5\nd_alpha = 2\n"
+                 "theta_grid = 1024\n",
+    "bounds": "[bounds]\nfamily = second-pointwise\nalpha = 0.3, 0.55\n"
+              "ell_min = 4\nell_max = 40\n",
+}
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = _write(tmp_path,
-                     "[stability]\nscheme = order4\nalpha = 0.2, 0.4\n"
-                     "h = 0.1, 1\ntau = 0.1\ntheta_grid = 1024\n")
+
+class TestDeterminism:
+    @pytest.mark.parametrize("command", sorted(DETERMINISM_CONFIGS))
+    def test_repeated_runs_byte_identical(self, tmp_path, command):
+        cfg = _write(tmp_path, DETERMINISM_CONFIGS[command])
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert _run(["stability", "--config", cfg, "--out", str(out1)]) == 0
-        assert _run(["stability", "--config", cfg, "--out", str(out2),
-                     "--threads", "4"]) == 0
-        assert filecmp.cmp(out1 / "stability.csv", out2 / "stability.csv",
-                           shallow=False)
+        assert _run([command, "--config", cfg, "--out", str(out1)]) == 0
+        assert _run([command, "--config", cfg, "--out", str(out2)]) == 0
+        for name in (f"{command}.csv", f"{command}.txt", "manifest.txt"):
+            assert filecmp.cmp(out1 / name, out2 / name, shallow=False)
 
 
 class TestErrors:
@@ -173,3 +174,17 @@ class TestErrors:
 
     def test_usage_error_from_argparse(self):
         assert _run(["frobnicate", "--config", "x"]) == 1
+
+    def test_threads_option_is_gone(self, tmp_path):
+        cfg = _write(tmp_path,
+                     "[stability]\nscheme = order2\nalpha = 0.5\n"
+                     "h = 0.1\ntau = 0.1\ntheta_grid = 1024\n")
+        assert _run(["stability", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--threads", "2"]) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_bound_range_is_error(self, tmp_path):
+        cfg = _write(tmp_path,
+                     "[bounds]\nfamily = first-tail\nalpha = 0.5\n"
+                     "ell_min = 10\nell_max = 9\n")
+        assert _run(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

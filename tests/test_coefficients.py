@@ -1,20 +1,16 @@
 """Weight-generation tests: both evaluation routes, signs, zero sums."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.special
 
 from naive_reference import naive_closed_form_table
 from rieszkit import (
     closed_form_coeff,
     closed_form_table,
     expand_generating_function,
-    first_order_coeff,
     first_order_sequence,
-    gamma_real,
     generator_polynomial,
 )
 
@@ -22,50 +18,34 @@ ALPHAS_LT1 = [0.1, 0.3, 0.5, 0.7, 0.9]
 ALPHAS_GT1 = [1.1, 1.4, 1.6, 1.9]
 
 
-class TestGammaReal:
-    def test_known_values(self):
-        assert gamma_real(1.0) == 1.0
-        assert abs(gamma_real(0.5) - math.sqrt(math.pi)) < 1e-15
-        assert gamma_real(6.0) == 120.0
-
-    def test_relative_error_against_scipy(self):
-        xs = np.linspace(0.05, 50.0, 400)
-        for x in xs:
-            ref = float(scipy.special.gamma(x))
-            assert abs(gamma_real(float(x)) - ref) <= 1e-12 * abs(ref)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            gamma_real(0.0)
-        with pytest.raises(ValueError):
-            gamma_real(-2.5)
-
-
 class TestFirstOrder:
     @pytest.mark.parametrize("alpha", ALPHAS_LT1 + ALPHAS_GT1)
     def test_first_terms(self, alpha):
-        assert first_order_coeff(alpha, 0) == 1.0
-        assert abs(first_order_coeff(alpha, 1) + alpha) < 1e-15
+        w = first_order_sequence(alpha, 1)
+        assert w[0] == 1.0
+        assert abs(w[1] + alpha) < 1e-15
 
     def test_half_alpha_index_two(self):
-        assert first_order_coeff(0.5, 2) == -0.125
+        assert first_order_sequence(0.5, 2)[2] == -0.125
 
     def test_matches_exact_binomial_product(self):
         # oracle: exact rational product (1 - (a+1)/k) with a = Fraction(0.3)
+        seq = first_order_sequence(0.3, 30)
         a = Fraction(0.3)
         w = Fraction(1)
         for j in range(1, 31):
             w *= 1 - (a + 1) / j
-            assert abs(first_order_coeff(0.3, j) - float(w)) < 1e-15
+            assert abs(seq[j] - float(w)) < 1e-15
 
     def test_sequence_matches_scalar(self):
+        # each entry is the single-index value: it does not depend on length
         seq = first_order_sequence(0.7, 20)
         for j in range(21):
-            assert seq[j] == first_order_coeff(0.7, j)
+            assert seq[j] == first_order_sequence(0.7, j)[j]
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            first_order_coeff(0.5, -1)
+            first_order_sequence(0.5, -1)
 
 
 class TestGeneratorPolynomial:
@@ -180,6 +160,10 @@ class TestRouteEquivalence:
             closed_form_coeff(7, 0.5, 3)
         with pytest.raises(ValueError):
             closed_form_coeff(2, 0.5, -2)
+
+    def test_negative_length(self):
+        with pytest.raises(ValueError):
+            closed_form_table(2, 0.5, -1)
 
 
 class TestSignsAndSums:

@@ -226,6 +226,26 @@ class TestSolve:
         with pytest.raises(SolverError, match="order2"):
             solve("order2", spec, 8, 4)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_interior_blow_up_stops_at_its_step(self):
+        # lu_solve rejects a non-finite right-hand side, so an interior inf
+        # at step 3 ends the march there instead of after all N steps
+        calls = []
+
+        def source(x, t):
+            calls.append(t)
+            s = np.zeros_like(x)
+            if len(calls) == 3:
+                s[len(x) // 2] = np.inf
+            return s
+
+        spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
+                           a=0.0, b=1.0, T=1.0, source=source,
+                           initial=lambda x: np.zeros_like(x))
+        with pytest.raises(SolverError, match="order2"):
+            solve("order2", spec, 8, 4096)
+        assert len(calls) == 3
+
 
 class TestConvergenceStudy:
     def test_reference_orders_order2(self):

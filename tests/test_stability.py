@@ -10,6 +10,7 @@ from rieszkit import (
     amplification_factor,
     expand_generating_function,
     stability_scan,
+    symbol_values,
 )
 from rieszkit.stability import _amplification
 
@@ -47,45 +48,52 @@ class TestScan:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.8])
     @pytest.mark.parametrize("h", GRID)
     def test_order2_unconditional(self, alpha, h):
-        for tau in GRID:
-            rep = stability_scan("order2", alpha, h, tau, 1, 1, 1, 1024)
+        for rep in stability_scan("order2", alpha, [h], GRID, 1, 1, 1, 1024):
             assert rep.passed
             # structural identity: the real group's sign decides the bound
             assert rep.min_real_group >= -1e-12
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_order4_within_limit(self, alpha):
-        for h in GRID:
-            for tau in GRID:
-                assert stability_scan("order4", alpha, h, tau, 1, 1, 1, 1024).passed
+        for rep in stability_scan("order4", alpha, GRID, GRID, 1, 1, 1, 1024):
+            assert rep.passed
 
     @pytest.mark.parametrize("alpha", [0.1, 0.4, 0.7])
     def test_order6_moderate_orders(self, alpha):
-        for h in GRID:
-            for tau in GRID:
-                assert stability_scan("order6", alpha, h, tau, 1, 1, 1, 1024).passed
+        for rep in stability_scan("order6", alpha, GRID, GRID, 1, 1, 1, 1024):
+            assert rep.passed
 
     def test_order6_large_alpha_coarse_mesh_grows(self):
         # the symbol turns negative above alpha ~ 0.555 for the six-point
         # weights; with h = 1 the fractional term dominates and the scan
         # correctly reports growth
-        rep = stability_scan("order6", 0.8, 1.0, 0.1, 1, 1, 1, 2048)
+        [rep] = stability_scan("order6", 0.8, [1.0], [0.1], 1, 1, 1, 2048)
         assert not rep.passed
         assert rep.min_real_group < 0.0
 
+    def test_cells_h_outer_tau_inner(self):
+        hs, taus = [0.5, 0.01], [0.2, 1.0, 0.003]
+        reps = stability_scan("order4", 0.6, hs, taus, 0.3, 2.0, 0.7, 1024)
+        assert [(r.h, r.tau) for r in reps] == [(h, t) for h in hs for t in taus]
+        for r in reps:
+            q = AmplificationQuery("order4", 0.6, r.h, r.tau, 0.3, 2.0, 0.7,
+                                   r.theta_at_max)
+            assert abs(abs(amplification_factor(q)) - r.max_abs) < 1e-14
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            stability_scan("order2", 0.5, 0.1, 0.1, 1, 1, 1, 100)
+            stability_scan("order2", 0.5, [0.1], [0.1], 1, 1, 1, 100)
 
     @pytest.mark.parametrize("args", [
-        ("order3", 0.5, 0.1, 0.1, 1, 1, 1),
-        ("order2", 0.5, 0.0, 0.1, 1, 1, 1),
-        ("order2", 0.5, 0.1, 0.0, 1, 1, 1),
-        ("order4", 0.5, 0.1, 0.1, 0, 1, 1),
-        ("order4", 0.5, 0.1, 0.1, 1, -1, 1),
-        ("order6", 0.5, 0.1, 0.1, 1, 1, 0),
-        ("order2", 0.5, math.nan, 0.1, 1, 1, 1),
-        ("order2", 1.5, 0.1, 0.1, 1, 1, 1),
+        ("order3", 0.5, [0.1], [0.1], 1, 1, 1),
+        ("order2", 0.5, [0.1, 0.0], [0.1], 1, 1, 1),
+        ("order2", 0.5, [0.1], [0.1, 0.0], 1, 1, 1),
+        ("order4", 0.5, [0.1], [0.1], 0, 1, 1),
+        ("order4", 0.5, [0.1], [0.1], 1, -1, 1),
+        ("order6", 0.5, [0.1], [0.1], 1, 1, 0),
+        ("order2", 0.5, [math.nan], [0.1], 1, 1, 1),
+        ("order2", 1.5, [0.1], [0.1], 1, 1, 1),
+        ("order2", 0.5, [], [0.1], 1, 1, 1),
     ])
     def test_input_validation(self, args):
         with pytest.raises(ValueError):
@@ -121,7 +129,8 @@ class TestPeriodicCompanionSpectrum:
         eigs = np.linalg.eigvals(np.linalg.solve(A, B))
         thetas = 2 * math.pi * np.arange(M) / M
         thetas = np.where(thetas > math.pi, thetas - 2 * math.pi, thetas)
-        xi, _ = _amplification("order2", alpha, h, tau, d1, d2, da, thetas)
+        xi, _ = _amplification("order2", alpha, h, tau, d1, d2, da, thetas,
+                               symbol_values(2, alpha, thetas))
         got = np.sort(np.abs(eigs))
         ref = np.sort(np.abs(xi))
         assert np.max(np.abs(got - ref)) < 5e-4
