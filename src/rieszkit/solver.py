@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lu_factor, lu_solve
 
 from .analysis import alpha_limit_order4
@@ -129,14 +130,12 @@ def _scheme_stencils(scheme: str, d1: float, d2: float, h: float):
     return compact, operator
 
 
-def _stencil_matrix(M: int, stencil) -> np.ndarray:
-    S = np.zeros((M - 1, M - 1))
-    for j in range(1, M):
-        for off, c in stencil:
-            m = j + off
-            if 1 <= m <= M - 1:
-                S[j - 1, m - 1] += c
-    return S
+def _diagonal(X: np.ndarray, k: int) -> np.ndarray:
+    """Writable view of the k-th diagonal, X[r, r + k], of a C-contiguous array."""
+    rows, cols = X.shape
+    start = k if k >= 0 else -k * cols
+    count = min(rows + min(k, 0), cols - max(k, 0))
+    return X.reshape(-1)[start::cols + 1][:count]
 
 
 def _convolution_matrix(M: int, w: np.ndarray, compact, reflect_right: bool) -> np.ndarray:
@@ -147,20 +146,42 @@ def _convolution_matrix(M: int, w: np.ndarray, compact, reflect_right: bool) -> 
     on the forward-looking half; this reproduces the published benchmark
     tables, whereas the operator-consistent orientation keeps the same
     stencil on both halves.
+
+    Row r = j - 1 and column m - 1 of the left half collect
+    w[j - m + off] * c_off over the compact offsets, for 0 <= j - m + off <= j;
+    the right half collects w[m - j - off] * c_off over its offsets, for
+    0 <= m - j - off <= M - j.  So each half is a sum of Toeplitz matrices
+    apart from one edge column: offset +2 of the left half drops column 0
+    and offset -2 of the right half drops column M - 2.  Each term is a
+    strided Toeplitz view of one zero-padded copy of w, multiplied and added
+    in place.  Every entry receives its terms in the order of the
+    entry-by-entry loop kept as the test oracle: left offsets ascending,
+    then right offsets descending, which is ascending ell on both halves.
+    K starts at +0.0 and no partial sum is -0.0, so the zero terms of the
+    padding change no bit, and K is bitwise that loop's.
     """
-    K = np.zeros((M - 1, M - 1))
+    n = M - 1
+    # wp[n + 1 + i] = w[i]; the n + 1 leading zeros stand for i < 0
+    wp = np.concatenate((np.zeros(n + 1), w[:M + 1]))
+    windows = sliding_window_view(wp, n)
+
+    def toeplitz(s):
+        # T[r, col] = wp[s + r - col]
+        return windows[s - n + 1:s + 1, ::-1]
+
     right = tuple((-off, c) for off, c in compact) if reflect_right else compact
-    for j in range(1, M):
-        for ell in range(0, j + 1):
-            for off, c in compact:
-                m = j - ell + off
-                if 1 <= m <= M - 1:
-                    K[j - 1, m - 1] += w[ell] * c
-        for ell in range(0, M - j + 1):
-            for off, c in right:
-                m = j + ell + off
-                if 1 <= m <= M - 1:
-                    K[j - 1, m - 1] += w[ell] * c
+    K = np.zeros((n, n))
+    tmp = np.empty((n, n))
+    for off, c in compact:
+        lo = max(0, off - 1)
+        V = toeplitz(n + 1 + off)[:, lo:]
+        np.multiply(V, c, out=tmp[:, lo:])
+        np.add(K[:, lo:], tmp[:, lo:], out=K[:, lo:])
+    for off, c in sorted(right, reverse=True):
+        hi = min(n, n + off + 1)
+        V = toeplitz(n + 1 - off).T[:, :hi]
+        np.multiply(V, c, out=tmp[:, :hi])
+        np.add(K[:, :hi], tmp[:, :hi], out=K[:, :hi])
     return K
 
 
@@ -175,6 +196,18 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
     the source there as well: ``source_matrix`` has one column per entry
     of ``source_x``, the nodes a + j h for j = -g..M+g, with g = 1 for
     order6 and g = 0 otherwise.
+
+    Assembly is array code throughout.  The convolution K is a sum of
+    Toeplitz terms apart from one edge column per half, accumulated in the
+    order of the entry loop (see :func:`_convolution_matrix`).  The compact
+    matrix C, the operator matrix D and the source matrix hold one stencil
+    term per entry, so they are written diagonal by diagonal, and
+    A = (2/tau) C - D + nu K and B = (2/tau) C + D - nu K are formed from
+    nu K plus those bands with the same elementwise operations as the dense
+    sums.  A, B and ``source_matrix`` are therefore bitwise equal to the
+    entry loops that ``tests/naive_reference.py`` keeps as the oracle.
+    Building K takes O(M^2) array operations per stencil offset and two
+    (M-1) x (M-1) buffers.
     """
     order = {"order2": 2, "order4": 4, "order6": 6}
     if scheme not in order:
@@ -200,18 +233,29 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
     compact, operator = _scheme_stencils(scheme, spec.d1, spec.d2, h)
     w = expand_generating_function(p, spec.alpha, M + 2).values
 
-    C = _stencil_matrix(M, compact)
-    D = _stencil_matrix(M, operator)
     K = _convolution_matrix(M, w, compact, reflect_right)
-    A = (2.0 / tau) * C - D + nu * K
-    B = (2.0 / tau) * C + D - nu * K
+    np.multiply(K, nu, out=K)
+    # A = (s C - D) + nu K and B = (s C + D) - nu K elementwise, with the
+    # banded C and D kept as one stencil term per diagonal (an entry of C
+    # is 0.0 + c).  Off the bands s C -+ D is the scalar s * 0.0 -+ 0.0,
+    # and adding it turns a -0.0 of nu K into +0.0, as the dense sum does.
+    s = 2.0 / tau
+    A = np.add(s * 0.0 - 0.0, K)
+    B = np.subtract(s * 0.0 + 0.0, K)
+    cw, dw = dict(compact), dict(operator)
+    for off in cw.keys() | dw.keys():
+        sc = s * (0.0 + cw.get(off, 0.0))
+        dv = 0.0 + dw.get(off, 0.0)
+        nuk = _diagonal(K, off)
+        _diagonal(A, off)[:] = (sc - dv) + nuk
+        _diagonal(B, off)[:] = (sc + dv) - nuk
 
     # nodes beyond [a, b] that the compact stencil of rows 1 and M-1 reaches
     ghost = max(0, compact[-1][0] - 1)
     S = np.zeros((M - 1, M + 1 + 2 * ghost))
-    for j in range(1, M):
-        for off, c in compact:
-            S[j - 1, j + off + ghost] += 2.0 * c
+    for off, c in compact:
+        # row j samples the source at node j + off, column j + off + ghost
+        _diagonal(S, 1 + off + ghost)[:] = 0.0 + 2.0 * c
 
     mats = SchemeMatrices(scheme=scheme, M=M, tau=tau, h=h, nu=nu,
                           compact_weights=tuple(c for _, c in compact),
@@ -262,17 +306,20 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int,
     values[0, M] = 0.0
     u = values[0, 1:M].copy()
     worst = 0.0
-    for k in range(N):
-        s = spec.source(xs, (k + 0.5) * tau)
-        if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
-            raise SolverError(
-                f"non-finite source at an end node (x = {xs[0]:g} or "
-                f"{xs[-1]:g}) in scheme={scheme}, M={M}, t={(k + 0.5) * tau:g}")
-        u = step(mats, u, s)
-        values[k + 1, 1:M] = u
-        if spec.exact is not None:
-            ue = spec.exact(x[1:M], (k + 1) * tau)
-            worst = max(worst, float(np.max(np.abs(u - ue))))
+    # an interior inf source makes inf * 0 in step's matvec; lu_solve then
+    # rejects the right-hand side, so SolverError is the only report of it
+    with np.errstate(invalid="ignore"):
+        for k in range(N):
+            s = spec.source(xs, (k + 0.5) * tau)
+            if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
+                raise SolverError(
+                    f"non-finite source at an end node (x = {xs[0]:g} or "
+                    f"{xs[-1]:g}) in scheme={scheme}, M={M}, t={(k + 0.5) * tau:g}")
+            u = step(mats, u, s)
+            values[k + 1, 1:M] = u
+            if spec.exact is not None:
+                ue = spec.exact(x[1:M], (k + 1) * tau)
+                worst = max(worst, float(np.max(np.abs(u - ue))))
     if not np.isfinite(values).all():
         raise SolverError(
             f"non-finite values in scheme={scheme}, M={M}, N={N}, "

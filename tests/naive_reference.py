@@ -8,6 +8,10 @@ scheme samples the source at every node j + off its stencil reaches; for
 the five-point order6 stencil, rows 1 and M-1 reach the ghost nodes
 x_{-1} = a - h and x_{M+1} = b + h.
 
+`naive_assembly_matrices` keeps the entry loops that filled the matrices
+of `rieszkit.solver.assemble` before it moved to Toeplitz views; the
+production matrices must equal them byte for byte.
+
 `naive_closed_form_table` is the explicit nested-sum route in exact
 Fraction arithmetic, with its own copy of the generator constants; it is
 the oracle for the scaled-integer production route.
@@ -19,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from rieszkit import expand_generating_function
+from rieszkit.solver import _scheme_stencils
 
 
 def _weights(p, alpha, length):
@@ -153,6 +158,56 @@ NAIVE_STEPS = {
     "order4": naive_step_order4,
     "order6": naive_step_order6,
 }
+
+
+def _naive_stencil_matrix(M, stencil):
+    S = np.zeros((M - 1, M - 1))
+    for j in range(1, M):
+        for off, c in stencil:
+            m = j + off
+            if 1 <= m <= M - 1:
+                S[j - 1, m - 1] += c
+    return S
+
+
+def _naive_convolution_matrix(M, w, compact, reflect_right):
+    K = np.zeros((M - 1, M - 1))
+    right = tuple((-off, c) for off, c in compact) if reflect_right else compact
+    for j in range(1, M):
+        for ell in range(0, j + 1):
+            for off, c in compact:
+                m = j - ell + off
+                if 1 <= m <= M - 1:
+                    K[j - 1, m - 1] += w[ell] * c
+        for ell in range(0, M - j + 1):
+            for off, c in right:
+                m = j + ell + off
+                if 1 <= m <= M - 1:
+                    K[j - 1, m - 1] += w[ell] * c
+    return K
+
+
+def naive_assembly_matrices(scheme, spec, M, tau, reflect_right=True):
+    """(A, B, source_matrix) of `assemble`, filled entry by entry."""
+    p = {"order2": 2, "order4": 4, "order6": 6}[scheme]
+    h = (spec.b - spec.a) / M
+    cosine = math.cos(math.pi * spec.alpha / 2.0)
+    nu = spec.d_alpha / (2.0 * cosine * h ** spec.alpha)
+    compact, operator = _scheme_stencils(scheme, spec.d1, spec.d2, h)
+    w = expand_generating_function(p, spec.alpha, M + 2).values
+
+    C = _naive_stencil_matrix(M, compact)
+    D = _naive_stencil_matrix(M, operator)
+    K = _naive_convolution_matrix(M, w, compact, reflect_right)
+    A = (2.0 / tau) * C - D + nu * K
+    B = (2.0 / tau) * C + D - nu * K
+
+    ghost = max(0, compact[-1][0] - 1)
+    S = np.zeros((M - 1, M + 1 + 2 * ghost))
+    for j in range(1, M):
+        for off, c in compact:
+            S[j - 1, j + off + ghost] += 2.0 * c
+    return A, B, S
 
 
 # Leading generator coefficients g_0 and ratio chains of the nested

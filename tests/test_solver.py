@@ -5,18 +5,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
-from naive_reference import NAIVE_STEPS
+from naive_reference import NAIVE_STEPS, naive_assembly_matrices
 from rieszkit import (
     ProblemSpec,
     SolverError,
     assemble,
     builtin_problem,
     convergence_study,
+    expand_generating_function,
     reference_riesz,
     solve,
     step,
 )
+from rieszkit.solver import _convolution_matrix, _scheme_stencils
 
 LADDER_T6 = [(10, 10), (20, 20), (40, 40), (80, 80)]
 
@@ -71,6 +76,61 @@ class TestAssemble:
                                    d_alpha=math.nan)
         with pytest.raises(ValueError, match="nu"):
             assemble("order2", spec, 16, 0.1)
+
+
+class TestAssemblyOracle:
+    @pytest.mark.filterwarnings("ignore:order4 stability:UserWarning")
+    @given(scheme=st.sampled_from(["order2", "order4", "order6"]),
+           M=st.integers(4, 80),
+           alpha=st.floats(0.01, 0.99),
+           d1=st.floats(0.01, 50.0),
+           d2=st.floats(0.01, 50.0),
+           d_alpha=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+           tau=st.floats(1e-4, 1.0),
+           reflect_right=st.booleans())
+    # q = d1 h / d2 = 1 makes the order6 compact weight -(1 - q)/90 = -0.0,
+    # and d_alpha = 0 makes nu K hold -0.0 wherever K < 0
+    @example(scheme="order6", M=8, alpha=0.4, d1=8.0, d2=1.0, d_alpha=0.0,
+             tau=0.05, reflect_right=False)
+    def test_matrices_bitwise_equal_entry_loops(self, scheme, M, alpha, d1, d2,
+                                                d_alpha, tau, reflect_right):
+        assume(scheme != "order6" or M >= 6)
+        spec = ProblemSpec(d1=d1, d2=d2, d_alpha=d_alpha, alpha=alpha,
+                           a=0.0, b=1.0, T=1.0, source=lambda x, t: x,
+                           initial=lambda x: x)
+        mats = assemble(scheme, spec, M, tau, reflect_right=reflect_right)
+        A, B, S = naive_assembly_matrices(scheme, spec, M, tau, reflect_right)
+        assert mats.A.tobytes() == A.tobytes()
+        assert mats.B.tobytes() == B.tobytes()
+        assert mats.source_matrix.tobytes() == S.tobytes()
+
+    @pytest.mark.parametrize("reflect_right", [True, False])
+    def test_order2_convolution_is_two_toeplitz_halves(self, reflect_right):
+        # M = 1024 is beyond what the entry loops finish in test time
+        M = 1024
+        w = expand_generating_function(2, 0.37, M + 2).values
+        compact, _ = _scheme_stencils("order2", 1.0, 1.0, 1.0 / M)
+        K = _convolution_matrix(M, w, compact, reflect_right)
+        T = toeplitz(w[:M - 1], np.zeros(M - 1))
+        assert np.array_equal(K, T + T.T)
+
+    @pytest.mark.parametrize("scheme", ["order4", "order6"])
+    @pytest.mark.parametrize("reflect_right", [True, False])
+    def test_compact_convolution_is_toeplitz_off_the_edge_columns(
+            self, scheme, reflect_right):
+        M = 1024
+        w = expand_generating_function(int(scheme[-1]), 0.37, M + 2).values
+        compact, _ = _scheme_stencils(scheme, 2.0, 1.0, 1.0 / M)
+        K = _convolution_matrix(M, w, compact, reflect_right)
+        if scheme == "order4":
+            assert np.array_equal(K[1:, 1:], K[:-1, :-1])
+            return
+        # offset +2 of the left half misses column 0, and offset -2 of the
+        # right half misses column M - 2; every other column is Toeplitz
+        inner = K[:, 1:-1]
+        assert np.array_equal(inner[1:, 1:], inner[:-1, :-1])
+        assert np.all(K[1:, 1] != K[:-1, 0])
+        assert np.all(K[:-1, -2] != K[1:, -1])
 
 
 class TestStepOracle:
@@ -226,10 +286,10 @@ class TestSolve:
         with pytest.raises(SolverError, match="order2"):
             solve("order2", spec, 8, 4)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_interior_blow_up_stops_at_its_step(self):
         # lu_solve rejects a non-finite right-hand side, so an interior inf
-        # at step 3 ends the march there instead of after all N steps
+        # at step 3 ends the march there instead of after all N steps; with
+        # every warning an error, SolverError is still what escapes
         calls = []
 
         def source(x, t):
@@ -242,8 +302,10 @@ class TestSolve:
         spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
                            a=0.0, b=1.0, T=1.0, source=source,
                            initial=lambda x: np.zeros_like(x))
-        with pytest.raises(SolverError, match="order2"):
-            solve("order2", spec, 8, 4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="order2"):
+                solve("order2", spec, 8, 4096)
         assert len(calls) == 3
 
 
