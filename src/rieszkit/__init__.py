@@ -3,7 +3,6 @@ Crank-Nicolson schemes for the fractional turbulent diffusion equation."""
 
 from .analysis import (
     BoundCheckRecord,
-    SymbolSample,
     SymbolScan,
     alpha_limit_order4,
     bound_families,

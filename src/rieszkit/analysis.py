@@ -17,12 +17,6 @@ from .coefficients import (
 
 
 @dataclass(frozen=True)
-class SymbolSample:
-    theta: float
-    value: float
-
-
-@dataclass(frozen=True)
 class SymbolScan:
     p: int
     alpha: float

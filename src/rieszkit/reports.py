@@ -33,6 +33,11 @@ class ConvergenceReport:
     norm: str
     rows: tuple[ConvergenceRow, ...]
 
+    def __post_init__(self):
+        # write_csv leaves a bare "\r" unquoted; it would read back as a row end
+        if any("\r" in text for text in (self.study, self.problem, self.norm)):
+            raise ValueError("carriage return in a report text field")
+
     def csv_rows(self) -> list[list[str]]:
         out = []
         for r in self.rows:

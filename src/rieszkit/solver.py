@@ -23,7 +23,9 @@ from .analysis import alpha_limit_order4
 from .coefficients import expand_generating_function
 from .reports import ConvergenceReport, ConvergenceRow
 
-SCHEMES = ("order2", "order4", "order6")
+# scheme -> order p of its fractional weights
+_WEIGHT_ORDER = {"order2": 2, "order4": 4, "order6": 6}
+SCHEMES = tuple(_WEIGHT_ORDER)
 
 
 class SolverError(RuntimeError):
@@ -130,6 +132,13 @@ def _scheme_stencils(scheme: str, d1: float, d2: float, h: float):
     return compact, operator
 
 
+def _right_compact(compact, reflect_right: bool):
+    """Compact stencil of the forward-looking convolution half: mirrored with
+    reflect_right, which reproduces the published benchmark tables, else the
+    backward half's (the operator-consistent orientation)."""
+    return tuple((-off, c) for off, c in compact) if reflect_right else compact
+
+
 def _diagonal(X: np.ndarray, k: int) -> np.ndarray:
     """Writable view of the k-th diagonal, X[r, r + k], of a C-contiguous array."""
     rows, cols = X.shape
@@ -141,11 +150,8 @@ def _diagonal(X: np.ndarray, k: int) -> np.ndarray:
 def _convolution_matrix(M: int, w: np.ndarray, compact, reflect_right: bool) -> np.ndarray:
     """Two-sided weight convolution composed with the compact stencil.
 
-    Out-of-range indices contribute zero (homogeneous boundary data).  With
-    reflect_right the compact weights are applied in mirrored orientation
-    on the forward-looking half; this reproduces the published benchmark
-    tables, whereas the operator-consistent orientation keeps the same
-    stencil on both halves.
+    Out-of-range indices contribute zero (homogeneous boundary data).  The
+    forward-looking half applies :func:`_right_compact`.
 
     Row r = j - 1 and column m - 1 of the left half collect
     w[j - m + off] * c_off over the compact offsets, for 0 <= j - m + off <= j;
@@ -169,7 +175,7 @@ def _convolution_matrix(M: int, w: np.ndarray, compact, reflect_right: bool) -> 
         # T[r, col] = wp[s + r - col]
         return windows[s - n + 1:s + 1, ::-1]
 
-    right = tuple((-off, c) for off, c in compact) if reflect_right else compact
+    right = _right_compact(compact, reflect_right)
     K = np.zeros((n, n))
     tmp = np.empty((n, n))
     for off, c in compact:
@@ -209,10 +215,9 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
     Building K takes O(M^2) array operations per stencil offset and two
     (M-1) x (M-1) buffers.
     """
-    order = {"order2": 2, "order4": 4, "order6": 6}
-    if scheme not in order:
+    if scheme not in _WEIGHT_ORDER:
         raise ValueError(f"unknown scheme '{scheme}', expected one of {SCHEMES}")
-    p = order[scheme]
+    p = _WEIGHT_ORDER[scheme]
     if M < (6 if scheme == "order6" else 4):
         raise ValueError(f"{scheme} requires a finer mesh than M={M}")
     if tau <= 0:

@@ -1,5 +1,5 @@
-"""Amplification factors of the three schemes and von Neumann stability
-scans over the phase angle."""
+"""Amplification factors of the three schemes, derived from the stencils
+that assemble them, and von Neumann stability scans over the phase angle."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import symbol_values
-from .solver import SCHEMES
+from .analysis import _generator_on_circle
+from .solver import SCHEMES, _WEIGHT_ORDER, _right_compact, _scheme_stencils
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ def _validate(scheme: str, alpha: float, h: float, tau: float,
               d1: float, d2: float, d_alpha: float) -> None:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
-    if not all(v > 0 for v in (h, tau, d1, d2, d_alpha)):
-        raise ValueError("step sizes and coefficients must be positive")
+    if not all(0 < v < math.inf for v in (h, tau, d1, d2, d_alpha)):
+        raise ValueError("step sizes and coefficients must be positive and finite")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
 
@@ -51,52 +51,46 @@ class StabilityReport:
     passed: bool
 
 
-# symbol order of each scheme's fractional weights
-_SYMBOL_ORDER = {"order2": 2, "order4": 4, "order6": 6}
+def _growth_factors(scheme: str, alpha: float, hs, taus, d1: float,
+                    d2: float, d_alpha: float, thetas: np.ndarray,
+                    reflect_right: bool = True):
+    """Growth factors xi and real groups of the scheme that `assemble`
+    builds, per (h, tau) in hs x taus, h outer and tau inner.
 
-
-def _amplification(scheme: str, alpha: float, h: float, tau: float,
-                   d1: float, d2: float, d_alpha: float, thetas: np.ndarray,
-                   f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode growth factors and the real stability group.
-
-    `f` is the scheme's symbol at `thetas`: the weight series in each
-    factor is summed exactly through it (complex power evaluation) rather
-    than by truncation.  The numerator and denominator share one imaginary
-    group with opposite signs, so |xi| <= 1 exactly when the real group is
-    nonnegative.
+    Each stencil of `_scheme_stencils` has the symbol sum_off c_off
+    e^{i off theta}: C for the compact weights (C_r on the forward-looking
+    half, see `_right_compact`) and D for the operator.  The convolution
+    has K = C Z + C_r conj(Z) with Z = W_p(e^{-i theta})**alpha.  With
+    s = 2/tau and G = nu K - D, xi = (s C - G) / (s C + G), so |xi| <= 1
+    exactly when the group Re[s C conj(G)] is nonnegative; theta = 0 gives
+    xi = 1 and group 0 exactly.  Only the paper's abstract is at hand, so
+    these factors are not checked against its printed ones.
     """
-    nu = d_alpha / (2.0 * math.cos(math.pi * alpha / 2.0) * h ** alpha)
-    s2 = np.sin(thetas / 2.0) ** 2
-    sin_t = np.sin(thetas)
-    if scheme == "order2":
-        x_part = 2.0 * h / tau
-        group = 4.0 * d2 / h * s2 + 2.0 * nu * h * f
-        imag = d1 * sin_t
-    elif scheme == "order4":
-        x_part = (2.0 / tau) * (1.0 - s2 / 3.0)
-        group = 2.0 * s2 * (2.0 * d2 / h ** 2 + d1 ** 2 / (6.0 * d2)) \
-            + 2.0 * (1.0 - s2 / 3.0) * f * nu
-        s4 = (d1 * h / (6.0 * tau * d2) + d1 / h) - d1 * h / (6.0 * d2) * f
-        imag = s4 * nu * sin_t
-    else:
-        x_part = (2.0 / (45.0 * tau)) * (45.0 - 8.0 * s2 ** 2)
-        group = (2.0 * d2 / (3.0 * h ** 2)) * (7.0 - np.cos(thetas)) * s2 \
-            + 16.0 * d1 ** 2 / (45.0 * d2) * s2 ** 2 \
-            + (2.0 / 45.0) * (45.0 - 8.0 * s2 ** 2) * f * nu
-        w4 = (-8.0 * d1 * h / (45.0 * tau * d2) * s2
-              + d1 / (3.0 * h) * (4.0 - np.cos(thetas))
-              + 8.0 * d1 * h * nu / (45.0 * d2) * s2 * f)
-        imag = w4 * sin_t
-    xi = ((x_part - group) - 1j * imag) / ((x_part + group) + 1j * imag)
-    return xi, group
+    p = _WEIGHT_ORDER[scheme]
+    zero = thetas == 0.0
+    basis = np.exp(1j * np.outer(np.arange(-2, 3), thetas))  # e^{i k theta}
+    Z = np.power(_generator_on_circle(p, -thetas), alpha)
+    Zc = np.conj(Z)
+    cosine = math.cos(math.pi * alpha / 2.0)
+
+    def symbol(stencil):
+        return sum(c * basis[off + 2] for off, c in stencil)
+
+    for h in hs:
+        compact, operator = _scheme_stencils(scheme, d1, d2, h)
+        C = symbol(compact)
+        K = C * Z + symbol(_right_compact(compact, reflect_right)) * Zc
+        G = d_alpha / (2.0 * cosine * h ** alpha) * K - symbol(operator)
+        for tau in taus:
+            sC = (2.0 / tau) * C
+            xi = np.where(zero, 1.0 + 0.0j, (sC - G) / (sC + G))
+            group = np.where(zero, 0.0, np.real(sC * np.conj(G)))
+            yield h, tau, xi, group
 
 
 def amplification_factor(q: AmplificationQuery) -> complex:
-    thetas = np.array([q.theta], dtype=float)
-    f = symbol_values(_SYMBOL_ORDER[q.scheme], q.alpha, thetas)
-    xi, _ = _amplification(q.scheme, q.alpha, q.h, q.tau, q.d1, q.d2,
-                           q.d_alpha, thetas, f)
+    [(_, _, xi, _)] = _growth_factors(q.scheme, q.alpha, [q.h], [q.tau], q.d1,
+                                      q.d2, q.d_alpha, np.array([q.theta]))
     return complex(xi[0])
 
 
@@ -106,7 +100,10 @@ def stability_scan(scheme: str, alpha: float, hs, taus,
     """Maximum growth factor over a uniform theta grid on [-pi, pi], for
     every (h, tau) in hs x taus: h outer, tau inner.
 
-    The symbol depends on alpha only, so it is evaluated once per scan.
+    The scheme is analysed in the orientation :func:`~rieszkit.solver.solve`
+    builds by default (``reflect_right=True``).  The weight symbol and the
+    Fourier basis are evaluated once per scan, the stencil symbols once
+    per h.
     """
     if len(hs) == 0 or len(taus) == 0:
         raise ValueError("hs and taus must not be empty")
@@ -116,17 +113,14 @@ def stability_scan(scheme: str, alpha: float, hs, taus,
     if grid_size < 1024:
         raise ValueError("grid_size must be at least 1024")
     thetas = np.linspace(-math.pi, math.pi, grid_size)
-    f = symbol_values(_SYMBOL_ORDER[scheme], alpha, thetas)
     reports = []
-    for h in hs:
-        for tau in taus:
-            xi, group = _amplification(scheme, alpha, h, tau, d1, d2, d_alpha,
-                                       thetas, f)
-            mags = np.abs(xi)
-            k = int(np.argmax(mags))
-            reports.append(StabilityReport(
-                scheme=scheme, alpha=alpha, h=h, tau=tau, grid_size=grid_size,
-                max_abs=float(mags[k]), theta_at_max=float(thetas[k]),
-                min_real_group=float(np.min(group)),
-                passed=bool(mags[k] <= 1.0 + 1e-12)))
+    for h, tau, xi, group in _growth_factors(scheme, alpha, hs, taus, d1, d2,
+                                             d_alpha, thetas):
+        mags = np.abs(xi)
+        k = int(np.argmax(mags))
+        reports.append(StabilityReport(
+            scheme=scheme, alpha=alpha, h=h, tau=tau, grid_size=grid_size,
+            max_abs=float(mags[k]), theta_at_max=float(thetas[k]),
+            min_real_group=float(np.min(group)),
+            passed=bool(mags[k] <= 1.0 + 1e-12)))
     return reports

@@ -154,6 +154,23 @@ class TestErrors:
                      "--out", str(tmp_path / "o")]) == 1
         assert "positive" in capsys.readouterr().err
 
+    def test_stability_infinite_coefficient_is_usage_error(self, tmp_path,
+                                                           capsys):
+        cfg = _write(tmp_path,
+                     "[stability]\nscheme = order2\nalpha = 0.5\n"
+                     "h = 0.1\ntau = 0.1\nd1 = inf\ntheta_grid = 1024\n")
+        assert _run(["stability", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("steps", ["0", "1/20, 0.0"])
+    def test_riesz_zero_step_is_usage_error(self, tmp_path, capsys, steps):
+        cfg = _write(tmp_path, f"[riesz]\np = 2\nalpha = 0.4\nh = {steps}\n")
+        assert _run(["riesz", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: step 0.0 ")
+
     def test_unknown_bound_family(self, tmp_path):
         cfg = _write(tmp_path,
                      "[bounds]\nfamily = nope\nalpha = 0.5\n")

@@ -10,9 +10,9 @@ from rieszkit import (
     amplification_factor,
     expand_generating_function,
     stability_scan,
-    symbol_values,
 )
-from rieszkit.stability import _amplification
+from rieszkit.solver import _scheme_stencils
+from rieszkit.stability import _growth_factors
 
 GRID = [1e-3, 1e-2, 1e-1, 1.0]
 
@@ -94,44 +94,65 @@ class TestScan:
         ("order2", 0.5, [math.nan], [0.1], 1, 1, 1),
         ("order2", 1.5, [0.1], [0.1], 1, 1, 1),
         ("order2", 0.5, [], [0.1], 1, 1, 1),
+        ("order2", 0.5, [math.inf], [0.1], 1, 1, 1),
+        ("order2", 0.5, [0.1], [math.inf], 1, 1, 1),
+        ("order4", 0.5, [0.1], [0.1], math.inf, 1, 1),
+        ("order4", 0.5, [0.1], [0.1], 1, math.inf, 1),
+        ("order6", 0.5, [0.1], [0.1], 1, 1, math.inf),
     ])
     def test_input_validation(self, args):
         with pytest.raises(ValueError):
             stability_scan(*args, 1024)
 
 
+# (scheme, alpha, h, tau, d1, d2, d_alpha, von Neumann stable)
+COMPANION_CASES = {
+    "order2": ("order2", 0.8, 0.1, 0.1, 1.0, 1.0, 1.0, True),
+    "order4-coarse-tau": ("order4", 0.3, 0.05, 0.5, 3.0, 1.0, 0.09, True),
+    "order4": ("order4", 0.6, 0.2, 0.1, 1.0, 1.0, 1.0, True),
+    "order6": ("order6", 0.5, 0.5, 0.1, 4.0, 0.5, 1.0, True),
+    "order6-negative-symbol": ("order6", 0.8, 1.0, 0.1, 1.0, 1.0, 1.0, False),
+}
+
+
 class TestPeriodicCompanionSpectrum:
-    def test_order2_matches_matrix_eigenvalues(self):
-        # periodic variant: the one-step companion matrix is circulant, its
-        # eigenvalues realize the growth factors at the discrete angles
-        alpha, h, tau, d1, d2, da = 0.8, 0.1, 0.1, 1.0, 1.0, 1.0
+    @pytest.mark.parametrize("reflect_right", [True, False],
+                             ids=["reflect", "same"])
+    @pytest.mark.parametrize("case", sorted(COMPANION_CASES))
+    def test_matches_matrix_eigenvalues(self, case, reflect_right):
+        # periodic variant of the assembled scheme: the one-step companion
+        # matrix is circulant, its eigenvalues realize the growth factors at
+        # the discrete angles 2 pi k / M
+        scheme, alpha, h, tau, d1, d2, da, stable = COMPANION_CASES[case]
         M = 128
         big = 200 * M
-        w = expand_generating_function(2, alpha, big).values
-        wrapped = np.zeros(M)
-        for ell in range(big + 1):
-            wrapped[ell % M] += w[ell]
+        p = {"order2": 2, "order4": 4, "order6": 6}[scheme]
+        w = expand_generating_function(p, alpha, big).values
+        wrapped = np.bincount(np.arange(big + 1) % M, weights=w, minlength=M)
+        # the full series sums to W_p(1)**alpha = 0; the slowly decaying
+        # tail beyond `big` spreads evenly over the residues
+        wrapped -= wrapped.sum() / M
+        compact, operator = _scheme_stencils(scheme, d1, d2, h)
+        right = [(-off, c) for off, c in compact] if reflect_right else compact
+        eye = np.eye(M)
+        # W[j, m] = wrapped[(j - m) % M]
+        W = np.array([np.roll(wrapped, j) for j in range(M)]).T
+
+        def band(stencil):
+            return sum(c * np.roll(eye, off, axis=1) for off, c in stencil)
+
+        K = (sum(c * np.roll(W, -off, axis=0) for off, c in compact)
+             + sum(c * np.roll(W.T, -off, axis=0) for off, c in right))
         nu = da / (2 * math.cos(math.pi * alpha / 2) * h ** alpha)
-        A = np.zeros((M, M))
-        B = np.zeros((M, M))
-        for j in range(M):
-            A[j, (j - 1) % M] -= d2 / h ** 2 + d1 / (2 * h)
-            B[j, (j - 1) % M] += d2 / h ** 2 + d1 / (2 * h)
-            A[j, j] += 2 / tau + 2 * d2 / h ** 2
-            B[j, j] += 2 / tau - 2 * d2 / h ** 2
-            A[j, (j + 1) % M] -= d2 / h ** 2 - d1 / (2 * h)
-            B[j, (j + 1) % M] += d2 / h ** 2 - d1 / (2 * h)
-            for m in range(M):
-                A[j, (j - m) % M] += nu * wrapped[m]
-                A[j, (j + m) % M] += nu * wrapped[m]
-                B[j, (j - m) % M] -= nu * wrapped[m]
-                B[j, (j + m) % M] -= nu * wrapped[m]
+        C, D = band(compact), band(operator)
+        A = 2 / tau * C - D + nu * K
+        B = 2 / tau * C + D - nu * K
         eigs = np.linalg.eigvals(np.linalg.solve(A, B))
         thetas = 2 * math.pi * np.arange(M) / M
         thetas = np.where(thetas > math.pi, thetas - 2 * math.pi, thetas)
-        xi, _ = _amplification("order2", alpha, h, tau, d1, d2, da, thetas,
-                               symbol_values(2, alpha, thetas))
+        [(_, _, xi, _)] = _growth_factors(scheme, alpha, [h], [tau], d1, d2,
+                                          da, thetas, reflect_right)
         got = np.sort(np.abs(eigs))
         ref = np.sort(np.abs(xi))
-        assert np.max(np.abs(got - ref)) < 5e-4
-        assert got[-1] <= 1.0 + 1e-10
+        assert np.max(np.abs(got - ref)) < 1e-6
+        assert (got[-1] <= 1.0 + 1e-10) == stable
