@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (
+    _validate_alpha,
     closed_form_table,
     expand_generating_function,
     first_order_sequence,
@@ -72,8 +73,10 @@ def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
 
     Uses the principal branch of the complex power.  theta = 0 maps to 0
     exactly (the generator vanishes at z = 1), avoiding the rounding
-    artifact of 0**alpha on a near-zero complex base.
+    artifact of 0**alpha on a near-zero complex base.  alpha must lie in
+    (0, 2), as for the weights.
     """
+    _validate_alpha(alpha)
     thetas = np.asarray(thetas, dtype=float)
     w = _generator_on_circle(p, thetas)
     out = np.real(np.power(w, alpha))

@@ -10,6 +10,7 @@ error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import configparser
 import math
 import sys
 from pathlib import Path
@@ -266,7 +267,9 @@ def main(argv=None) -> int:
             out_dir = cfg[sec_name].get("out", None)
         out = Path(out_dir) if out_dir else Path("rieszkit-out")
         _COMMANDS[args.command](cfg, out)
-    except UsageError as exc:
+    except (UsageError, configparser.Error) as exc:
+        # configparser raises interpolation errors ('%' in a value) on
+        # reading a key, after the file has loaded
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, FloatingPointError) as exc:

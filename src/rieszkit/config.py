@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from fractions import Fraction
 
 
@@ -44,8 +45,13 @@ def parse_int(text: str, key: str) -> int:
         raise UsageError(f"invalid integer for '{key}': {text!r}")
 
 
+# Largest number of values one 'a:b:step' range may expand to.
+_MAX_RANGE_VALUES = 100_000
+
+
 def parse_float_list(text: str, key: str) -> list[float]:
-    """Comma list of numbers; 'a:b:step' expands to an inclusive range."""
+    """Comma list of numbers; 'a:b:step' expands to an inclusive range of
+    at most _MAX_RANGE_VALUES values."""
     items: list[float] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -56,9 +62,12 @@ def parse_float_list(text: str, key: str) -> list[float]:
             lo = parse_float(lo_s, key)
             hi = parse_float(hi_s, key)
             st = parse_float(st_s, key)
-            if st <= 0 or hi < lo:
-                raise UsageError(f"invalid range for '{key}': {chunk!r}")
-            n = int(round((hi - lo) / st))
+            span = (hi - lo) / st if st > 0 else math.nan
+            if not (lo <= hi and 0.0 <= span < _MAX_RANGE_VALUES):
+                raise UsageError(
+                    f"invalid range for '{key}': {chunk!r} (finite bounds, "
+                    f"positive step, at most {_MAX_RANGE_VALUES} values)")
+            n = int(round(span))
             items.extend(lo + i * st for i in range(n + 1))
         else:
             items.append(parse_float(chunk, key))

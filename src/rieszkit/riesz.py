@@ -113,8 +113,9 @@ def point_approximation(table: CoefficientTable, h: float, x0: float) -> float:
 
 
 def _resolve_mesh(h: float) -> int:
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step {h} must be positive and finite")
+    if not (0.0 < h < math.inf and 1.0 / h < math.inf):
+        raise ValueError(f"step {h} must be positive and finite, and so "
+                         f"must its reciprocal")
     M = round(1.0 / h)
     if M < 2 or abs(1.0 / h - M) > 1e-9 * M:
         raise ValueError(f"step {h} is not the reciprocal of an integer")

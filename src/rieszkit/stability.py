@@ -3,6 +3,7 @@ that assemble them, and von Neumann stability scans over the phase angle."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,16 +27,26 @@ class AmplificationQuery:
     def __post_init__(self):
         _validate(self.scheme, self.alpha, self.h, self.tau, self.d1, self.d2,
                   self.d_alpha)
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
 
 
 def _validate(scheme: str, alpha: float, h: float, tau: float,
               d1: float, d2: float, d_alpha: float) -> None:
+    """Reject inputs outside the scheme's domain, and finite inputs whose
+    derived 2/tau, h**2 or d1**2 (the stencils use all three) overflows or
+    underflows to zero in double precision."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
     if not all(0 < v < math.inf for v in (h, tau, d1, d2, d_alpha)):
         raise ValueError("step sizes and coefficients must be positive and finite")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if not (2.0 / tau < math.inf and 0.0 < h * h < math.inf
+            and d1 * d1 < math.inf):
+        raise ValueError(
+            f"h = {h}, tau = {tau} or d1 = {d1} is out of double range: "
+            f"2/tau, h**2 and d1**2 must be finite and h**2 positive")
 
 
 @dataclass(frozen=True)
@@ -88,10 +99,26 @@ def _growth_factors(scheme: str, alpha: float, hs, taus, d1: float,
             yield h, tau, xi, group
 
 
+# Finite inputs that pass _validate can still overflow on the way to xi.
+# The callers evaluate _growth_factors under this error state and raise
+# _overflow for a non-finite xi, instead of NumPy warnings and a nan row.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+def _overflow(h: float, tau: float) -> ValueError:
+    return ValueError(f"growth factor overflows double precision at "
+                      f"h = {h}, tau = {tau}")
+
+
 def amplification_factor(q: AmplificationQuery) -> complex:
-    [(_, _, xi, _)] = _growth_factors(q.scheme, q.alpha, [q.h], [q.tau], q.d1,
-                                      q.d2, q.d_alpha, np.array([q.theta]))
-    return complex(xi[0])
+    with np.errstate(**_QUIET):
+        [(_, _, xi, _)] = _growth_factors(q.scheme, q.alpha, [q.h], [q.tau],
+                                          q.d1, q.d2, q.d_alpha,
+                                          np.array([q.theta]))
+    value = complex(xi[0])
+    if not cmath.isfinite(value):
+        raise _overflow(q.h, q.tau)
+    return value
 
 
 def stability_scan(scheme: str, alpha: float, hs, taus,
@@ -114,13 +141,16 @@ def stability_scan(scheme: str, alpha: float, hs, taus,
         raise ValueError("grid_size must be at least 1024")
     thetas = np.linspace(-math.pi, math.pi, grid_size)
     reports = []
-    for h, tau, xi, group in _growth_factors(scheme, alpha, hs, taus, d1, d2,
-                                             d_alpha, thetas):
-        mags = np.abs(xi)
-        k = int(np.argmax(mags))
-        reports.append(StabilityReport(
-            scheme=scheme, alpha=alpha, h=h, tau=tau, grid_size=grid_size,
-            max_abs=float(mags[k]), theta_at_max=float(thetas[k]),
-            min_real_group=float(np.min(group)),
-            passed=bool(mags[k] <= 1.0 + 1e-12)))
+    with np.errstate(**_QUIET):
+        for h, tau, xi, group in _growth_factors(scheme, alpha, hs, taus, d1,
+                                                 d2, d_alpha, thetas):
+            mags = np.abs(xi)
+            k = int(np.argmax(mags))  # the first nan if there is one
+            if not math.isfinite(mags[k]):
+                raise _overflow(h, tau)
+            reports.append(StabilityReport(
+                scheme=scheme, alpha=alpha, h=h, tau=tau, grid_size=grid_size,
+                max_abs=float(mags[k]), theta_at_max=float(thetas[k]),
+                min_real_group=float(np.min(group)),
+                passed=bool(mags[k] <= 1.0 + 1e-12)))
     return reports

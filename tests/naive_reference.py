@@ -15,6 +15,11 @@ production matrices must equal them byte for byte.
 `naive_closed_form_table` is the explicit nested-sum route in exact
 Fraction arithmetic, with its own copy of the generator constants; it is
 the oracle for the scaled-integer production route.
+
+`naive_builtin_problem` keeps the source and exact-solution closures of
+`rieszkit.solver.builtin_problem` as they were before those cached their
+x-only arrays: every call evaluates the whole closed form.  The production
+closures must equal them byte for byte.
 """
 
 import math
@@ -289,3 +294,56 @@ def naive_closed_form_table(p, alpha, length):
         acc = sum((inner[l1] * w1[ell - l1] for l1 in range(ell + 1)), Fraction(0))
         out[ell] = g0 * float(acc)
     return out
+
+
+def _naive_fractional_source_sum(binomials, base_power, alpha):
+    terms = [(c * (math.gamma(base_power + 1 + k)
+                   / math.gamma(base_power + 1 + k - alpha)),
+              base_power + k - alpha)
+             for k, c in enumerate(binomials)]
+
+    def frac(left, right):
+        acc = np.zeros_like(left)
+        for cg, e in terms:
+            acc += cg * (left ** e + right ** e)
+        return acc
+
+    return frac
+
+
+def naive_builtin_problem(name, alpha):
+    """(source, exact) of a builtin problem, evaluated in full on every call."""
+    sec = 1.0 / math.cos(math.pi * alpha / 2.0)
+    if name == "example2":
+        frac = _naive_fractional_source_sum(
+            [(-1) ** k * math.comb(6, k) for k in range(7)], 6, alpha)
+
+        def source(x, t):
+            x = np.asarray(x, dtype=float)
+            left, right = np.maximum(x, 0.0), np.maximum(1.0 - x, 0.0)
+            poly = (left ** 4 * right ** 4
+                    * (x ** 4 + 10.0 * x ** 3 - 149.0 * x ** 2 + 138.0 * x - 30.0))
+            return math.exp(t) * (poly + 0.5 * sec * frac(left, right))
+
+        def exact(x, t):
+            return math.exp(t) * np.asarray(x) ** 6 * (1.0 - np.asarray(x)) ** 6
+
+        return source, exact
+    if name == "example3":
+        frac = _naive_fractional_source_sum(
+            [(-1) ** k * math.comb(8, k) for k in range(9)], 8, alpha)
+
+        def source(x, t):
+            x = np.asarray(x, dtype=float)
+            left, right = np.maximum(x, 0.0), np.maximum(1.0 - x, 0.0)
+            poly = (left ** 6 * right ** 6
+                    * (math.cos(t) * (x ** 4 - 2.0 * x ** 3 + x ** 2)
+                       + math.sin(t) * (32.0 * x ** 3 - 288.0 * x ** 2
+                                        + 256.0 * x - 56.0)))
+            return poly + 0.5 * alpha ** 2 * math.sin(t) * sec * frac(left, right)
+
+        def exact(x, t):
+            return math.sin(t) * np.asarray(x) ** 8 * (1.0 - np.asarray(x)) ** 8
+
+        return source, exact
+    raise ValueError(name)

@@ -1,8 +1,14 @@
 """Command-line front end: outputs, determinism, exit codes."""
 
+import contextlib
 import filecmp
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rieszkit.cli import main
 from rieszkit.reports import read_convergence_csv
@@ -200,8 +206,166 @@ class TestErrors:
                      "--threads", "2"]) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("steps", ["h = 1e-200\ntau = 0.1",
+                                       "h = 0.1\ntau = 1e-310"])
+    def test_stability_overflow_is_usage_error(self, tmp_path, capsys, steps):
+        cfg = _write(tmp_path,
+                     "[stability]\nscheme = order4\nalpha = 0.5\n"
+                     f"{steps}\ntheta_grid = 1024\n")
+        assert _run(["stability", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "out of double range" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("chunk", ["0:1:1e-200", "0:1:1e-310", "0:inf:1",
+                                       "nan:1:0.5", "0:1:0"])
+    def test_range_without_finite_count_is_usage_error(self, tmp_path, capsys,
+                                                       chunk):
+        cfg = _write(tmp_path, f"[symbol]\np = 2\nalpha = {chunk}\n")
+        assert _run(["symbol", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "invalid range for 'alpha'" in capsys.readouterr().err
+
+    def test_riesz_step_with_infinite_reciprocal(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "[riesz]\np = 2\nalpha = 0.4\nh = 1e-310\n")
+        assert _run(["riesz", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "reciprocal" in capsys.readouterr().err
+
+    def test_symbol_rejects_nan_alpha(self, tmp_path):
+        cfg = _write(tmp_path, "[symbol]\np = 3\nalpha = nan\n")
+        assert _run(["symbol", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_percent_in_value_is_usage_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "[coeffs]\np = 3\nalpha = 0.4%\n")
+        assert _run(["coeffs", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "'%'" in capsys.readouterr().err
+
     def test_empty_bound_range_is_error(self, tmp_path):
         cfg = _write(tmp_path,
                      "[bounds]\nfamily = first-tail\nalpha = 0.5\n"
                      "ell_min = 10\nell_max = 9\n")
         assert _run(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+# Config fuzzer.  Each example starts from a working config of one
+# subcommand, replaces or deletes a few of its keys and may add sections
+# (DEFAULT, other subcommands, junk names).  Numbers come from an alphabet
+# of ordinary, tiny, huge and non-finite values.  Size keys, the ladder's
+# M:N pairs and the riesz step h (whose reciprocal is the mesh size) come
+# from bounded ranges instead, so no example allocates more than a few
+# megabytes; huge sizes are not fuzzed.
+_BASE = {
+    "bounds": {"family": "first-tail", "alpha": "0.4", "ell_min": "3",
+               "ell_max": "40"},
+    "coeffs": {"p": "4", "alpha": "0.4, 1.3", "length": "60"},
+    "convergence": {"scheme": "order4", "problem": "example2", "alpha": "0.4",
+                    "ladder": "4:4, 8:16"},
+    "monotonicity": {"p": "3", "alpha": "0.4", "length": "200"},
+    "riesz": {"p": "2", "alpha": "0.4", "h": "1/8, 1/16", "metric": "midpoint"},
+    "solve": {"scheme": "order6", "problem": "example3", "alpha": "0.4",
+              "m": "8", "n": "8"},
+    "stability": {"scheme": "order4", "alpha": "0.4", "h": "0.1", "tau": "0.1",
+                  "d1": "1", "d2": "1", "d_alpha": "1", "theta_grid": "1024"},
+    "symbol": {"p": "3", "alpha": "0.4", "theta_grid": "1024"},
+}
+_NUMBERS = [["1e-200", "1e-310", "5e-324", "1e200", "1e308", "1e309"],
+            ["inf", "nan", "-inf"],
+            ["0:1:1e-200", "0:1:1e-310", "0:inf:1", "nan:1:0.5", "0:1:0",
+             "0.6:0.2:0.1", "0.2:0.6:0.2", "1:2"],
+            ["0.37", "1.5", "1/3", "0", "-1", "1/0"]]
+_JUNK = st.text(alphabet=" ,:/#%=eE.-+0123456789xyz[]", max_size=10)
+_NON_INTEGERS = ["", "x", "1.5", "1e3", "-", "inf", "nan", "1/2"]
+
+
+def _bounded_int(lo, hi):
+    return st.integers(lo, hi).map(str) | st.sampled_from(_NON_INTEGERS)
+
+
+def _words(*words):
+    return st.sampled_from(list(words) + ["", "x"]) | _JUNK
+
+
+# one class of number (tiny or huge, non-finite, range, ordinary) or junk
+# text per value or list chunk; hypothesis favours the first entries
+_FLOAT = st.one_of(*map(st.sampled_from, _NUMBERS), _JUNK)
+_FLOATS = st.lists(_FLOAT, min_size=1, max_size=2).map(", ".join)
+_VALUES = {
+    "m": _bounded_int(-2, 40),
+    "n": _bounded_int(-2, 64),
+    "length": _bounded_int(-2, 400),
+    "ell_max": _bounded_int(-2, 200),
+    "theta_grid": _bounded_int(-2, 5000),
+    "ell_min": st.integers(-10 ** 6, 10 ** 6).map(str) | st.sampled_from(_NON_INTEGERS),
+    "ladder": st.lists(
+        st.tuples(st.integers(-1, 40), st.integers(-1, 64)).map("{0[0]}:{0[1]}".format)
+        | st.sampled_from(["8", "8:8:8", "x:1", ":", "1e3:4"]),
+        min_size=1, max_size=3).map(", ".join),
+    "p": st.integers(-2, 9).map(str) | _FLOATS,
+    "alpha": _FLOATS,
+    "tau": _FLOATS,
+    "d1": _FLOAT,
+    "d2": _FLOAT,
+    "d_alpha": _FLOAT,
+    "scheme": _words("order2", "order4", "order6", "order8"),
+    "problem": _words("example2", "example3", "custom"),
+    "family": _words("first-pointwise", "first-tail", "first-tail-damped",
+                     "second-pointwise", "second-shifted-pointwise"),
+    "metric": _words("midpoint", "maximum"),
+    "seed": _JUNK,
+}
+# h is a plain float for stability but a mesh size for riesz
+_RIESZ_STEPS = st.lists(
+    st.one_of(st.sampled_from(["1e-310", "1e308", "inf", "nan", "1/0"]),
+              st.sampled_from(["0", "-1", "1.5"]),
+              st.sampled_from(["1/8", "1/20", "0.05", "0.3", "1/2"]), _JUNK),
+    min_size=1, max_size=2).map(", ".join)
+_KEYS = sorted(set(_VALUES) | {"h"})
+
+
+@st.composite
+def _config(draw, command):
+    sections = {command: dict(_BASE[command])}
+    for name in draw(st.lists(st.sampled_from(sorted(_BASE)
+                                              + ["DEFAULT", "extra", ""]),
+                              max_size=2, unique=True)):
+        sections.setdefault(name, {})
+    for name, keys in sections.items():
+        # mostly the section's own keys, so a single bad value reaches the
+        # code behind an otherwise working config
+        own = st.lists(st.sampled_from(sorted(keys) or _KEYS),
+                       min_size=name == command, max_size=3)
+        chosen = draw(own) + draw(st.lists(st.sampled_from(_KEYS), max_size=1))
+        for key in chosen:
+            if draw(st.integers(0, 7)) == 7:
+                keys.pop(key, None)
+            elif key == "h":
+                keys[key] = draw(_FLOATS if name == "stability" else _RIESZ_STEPS)
+            else:
+                keys[key] = draw(_VALUES[key])
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+class TestConfigFuzz:
+    """Every config ends in exit code 0, 1 or 2, never a traceback, and a
+    run that succeeds writes no nan."""
+
+    @pytest.mark.parametrize("command", sorted(_BASE))
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_every_config_ends_in_an_exit_code(self, command, data):
+        text = data.draw(_config(command), label="config")
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(text)
+            out = Path(tmp) / "out"
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+            csv_text = (out / f"{command}.csv").read_text() if code == 0 else ""
+        assert code in (0, 1, 2)
+        assert "nan" not in csv_text

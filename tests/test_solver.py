@@ -9,7 +9,11 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
-from naive_reference import NAIVE_STEPS, naive_assembly_matrices
+from naive_reference import (
+    NAIVE_STEPS,
+    naive_assembly_matrices,
+    naive_builtin_problem,
+)
 from rieszkit import (
     ProblemSpec,
     SolverError,
@@ -21,6 +25,7 @@ from rieszkit import (
     solve,
     step,
 )
+from rieszkit import solver as solver_module
 from rieszkit.solver import _convolution_matrix, _scheme_stencils
 
 LADDER_T6 = [(10, 10), (20, 20), (40, 40), (80, 80)]
@@ -177,6 +182,22 @@ class TestStepOracle:
         g2 = solve("order6", spec, 8, 8)
         assert np.array_equal(g1.values, g2.values)
 
+    def test_nan_state_raises(self):
+        spec = builtin_problem("example2", 0.4)
+        mats = assemble("order4", spec, 12, 0.05)
+        u = np.zeros(11)
+        u[4] = np.nan
+        with pytest.raises(SolverError, match="non-finite data in scheme=order4"):
+            step(mats, u, spec.source(mats.source_x, 0.025))
+
+    def test_getrs_failure_raises(self, monkeypatch):
+        spec = builtin_problem("example2", 0.4)
+        mats = assemble("order2", spec, 12, 0.05)
+        monkeypatch.setattr(solver_module, "dgetrs",
+                            lambda lu, piv, b, overwrite_b: (b, -3))
+        with pytest.raises(SolverError, match="info=-3"):
+            step(mats, np.zeros(11), np.zeros(13))
+
 
 class TestBuiltinProblems:
     def test_example2_initial_consistency(self):
@@ -214,6 +235,33 @@ class TestBuiltinProblems:
             resid = (damp * g + spec.d1 * amp * gx - spec.d2 * amp * gxx
                      - spec.d_alpha * amp * riesz - spec.source(xs, t))
             assert np.max(np.abs(resid)) < 1e-9
+
+    @given(name=st.sampled_from(["example2", "example3"]),
+           alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           meshes=st.lists(st.integers(4, 384), min_size=2, max_size=2),
+           ts=st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6))
+    def test_cached_closures_bitwise_equal_full_closed_form(self, name, alpha,
+                                                            meshes, ts):
+        # the order6 source nodes (with ghosts) and the interior nodes of
+        # two meshes alternate with the mirrored first node array, which has
+        # the same shape, so a stale cache entry would show; each returned
+        # array is overwritten before the next call
+        spec = builtin_problem(name, alpha)
+        naive_source, naive_exact = naive_builtin_problem(name, alpha)
+        nodes = []
+        for M in meshes:
+            h = 1.0 / M
+            nodes.append(h * np.arange(-1, M + 2))
+            nodes.append((h * np.arange(M + 1))[1:M])
+        nodes.append(1.0 - nodes[0])
+        order = [0, 1, 2, 1, 0, 0, 4, 3, 2, 4, 0]
+        for i, k in enumerate(order):
+            x, t = nodes[k], ts[i % len(ts)]
+            for got, want in ((spec.source(x, t), naive_source(x, t)),
+                              (spec.exact(x, t), naive_exact(x, t))):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                got.fill(np.nan)
 
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
@@ -287,8 +335,8 @@ class TestSolve:
             solve("order2", spec, 8, 4)
 
     def test_interior_blow_up_stops_at_its_step(self):
-        # lu_solve rejects a non-finite right-hand side, so an interior inf
-        # at step 3 ends the march there instead of after all N steps; with
+        # step rejects a non-finite right-hand side, so an interior inf at
+        # step 3 ends the march there instead of after all N steps; with
         # every warning an error, SolverError is still what escapes
         calls = []
 

@@ -1,6 +1,7 @@
 """Growth-factor evaluation and von Neumann scans."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,19 @@ class TestAmplificationFactor:
             AmplificationQuery("order2", 0.5, -0.1, 0.1, 1, 1, 1, 0.0)
         with pytest.raises(ValueError):
             AmplificationQuery("order2", 1.5, 0.1, 0.1, 1, 1, 1, 0.0)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            AmplificationQuery("order4", 0.5, 0.1, 0.1, 1, 1, 1, theta)
+
+    def test_growth_factor_overflow_is_value_error(self):
+        # d2 / h**2 overflows although h**2 itself is positive
+        q = AmplificationQuery("order6", 0.4, 1e-160, 0.1, 1, 1, 1, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows double precision"):
+                amplification_factor(q)
 
 
 class TestScan:
@@ -103,6 +117,29 @@ class TestScan:
     def test_input_validation(self, args):
         with pytest.raises(ValueError):
             stability_scan(*args, 1024)
+
+    @pytest.mark.parametrize("args", [
+        # h**2 underflows to 0
+        ("order4", 0.5, [1e-200], [0.1], 1, 1, 1),
+        # 2/tau is inf
+        ("order4", 0.5, [0.1], [1e-310], 1, 1, 1),
+        # h**2 or d1**2 is inf
+        ("order2", 0.5, [1e200], [0.1], 1, 1, 1),
+        ("order6", 0.5, [0.1], [0.1], 1e200, 1, 1),
+    ], ids=["tiny-h", "tiny-tau", "huge-h", "huge-d1"])
+    def test_derived_quantity_out_of_range(self, args):
+        with pytest.raises(ValueError, match="out of double range"):
+            stability_scan(*args, 1024)
+
+    @pytest.mark.parametrize("args", [
+        ("order6", 0.4, [1e-160], [0.1], 1, 1, 1),
+        ("order4", 0.4, [0.1], [0.1], 1, 1e-310, 1),
+    ], ids=["d2-over-h-squared", "d1-squared-over-d2"])
+    def test_growth_factor_overflow_is_value_error(self, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows double precision"):
+                stability_scan(*args, 1024)
 
 
 # (scheme, alpha, h, tau, d1, d2, d_alpha, von Neumann stable)
