@@ -16,7 +16,6 @@ from .analysis import (
 from .coefficients import (
     CoefficientTable,
     GeneratorPolynomial,
-    closed_form_coeff,
     closed_form_table,
     expand_generating_function,
     first_order_sequence,

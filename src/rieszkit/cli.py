@@ -278,6 +278,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a huge length or grid size fails its allocation (NumPy raises a
+        # MemoryError subclass naming the shape)
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

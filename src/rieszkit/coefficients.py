@@ -4,8 +4,11 @@ The order-p approximation of a one-sided fractional derivative uses the
 Taylor coefficients of W_p(z)**alpha, where W_p is the degree-p
 backward-difference generating polynomial W_p(z) = sum_{k=1..p} (1-z)^k / k.
 Two independent evaluation routes are provided: a power-of-a-series
-recurrence (fast, float64) and the explicit nested multinomial sums
-(exact integer arithmetic over known denominators, used as a cross-check).
+recurrence (fast, float64) and the explicit nested sums, used as a
+cross-check.  The nested sums' multinomial coefficients are read off the
+integer powers of one polynomial built from the ratio chain of W_p, so
+that route is exact integer arithmetic with one correctly rounded division
+per weight.
 """
 
 from __future__ import annotations
@@ -130,77 +133,50 @@ def expand_generating_function(p: int, alpha: float, length: int) -> Coefficient
 # ---------------------------------------------------------------------------
 # Explicit nested-sum route (exact integers over known denominators).
 #
-# The nested sums carry catastrophic cancellation for p >= 4 (term magnitudes
-# up to ~1e21 at index 60 for p = 6), hence exact arithmetic rather than
-# floats.  Every rational in them has a denominator known in advance, so each
-# sum is carried as one Python integer over that denominator instead of as
-# Fraction objects, which pay a gcd after every operation:
+# With W_p/g_0 = (1-z) * (1 - r_1 z psi(z)), psi(z) = 1 - r_2 z (1 - r_3 z (...)),
+# and (1-z)**alpha = sum_j w_{1,j} z^j,
+#
+#   W_p(z)**alpha = g_0**alpha * (1-z)**alpha * sum_m w_{1,m} r_1^m z^m psi(z)^m,
+#
+# so the alpha-free inner weights are r_1^m [z^(l1-m)] psi^m: the multinomial
+# coefficients of the nested sums are the coefficients of the powers of psi.
+# The sums carry catastrophic cancellation for p >= 4 (term magnitudes up to
+# ~1e21 at index 60 for p = 6), hence exact arithmetic rather than floats.
+# Every rational in them has a denominator known in advance, so each sum is
+# carried as one Python integer over that denominator:
 #
 #   r_i = a_i / B            B = lcm of the ratio-chain denominators of W_p
 #   w_{1,j} = P_j / (j! d^j)  alpha = n / d exactly, P_j = prod_{i<=j} (i d - n - d)
 #
 # The one rounding is the final int / int true division, which CPython rounds
-# correctly, as float(Fraction) does for the same rational.  The inner weights
-# depend only on p, never on alpha, so they are built once per (p, capacity)
-# and reused.
+# correctly, as float(Fraction) does for the same rational.
 # ---------------------------------------------------------------------------
-
-_inner_cache: dict[int, tuple[int, int, list[list[int]]]] = {}
 
 
 def _inner_weights(p: int, length: int) -> tuple[int, list[list[int]]]:
-    """(B, C) with C[l1][m1] = B**l1 * (alpha-free part of the nested sums).
+    """(B, C) with C[l1][m] = B**l1 * r_1^m [z^(l1-m)] psi(z)^m, exact.
 
-    m1 is the first-order index.  Each term's ratio exponents sum to l1, so
-    scaling row l1 by B**l1 makes every term an integer.
+    psi(B z) = 1 - a_2 z (1 - a_3 z (1 - ...)) has integer coefficients, so
+    C[l1][m] = a_1^m [z^(l1-m)] psi(B z)^m is built by multiplying by it one
+    power at a time, each power truncated at degree length - m.
     """
-    cached = _inner_cache.get(p)
-    if cached is not None and cached[0] >= length:
-        return cached[1], cached[2]
     r = _RATIO_CHAINS[p]
     B = math.lcm(*(q.denominator for q in r))
-    rp = [[(q.numerator * (B // q.denominator)) ** k for k in range(length + 1)]
-          for q in r]
-    fact = math.factorial
+    a = [q.numerator * (B // q.denominator) for q in r]
+    psi = [1]
+    for ai in reversed(a[1:]):
+        psi = [1] + [-ai * c for c in psi]
     C: list[list[int]] = [[0] * (l1 + 1) for l1 in range(length + 1)]
-    for l1 in range(length + 1):
-        if p == 2:
-            C[l1][l1] = rp[0][l1]
-        elif p == 3:
-            for l2 in range(l1 // 2 + 1):
-                mult = fact(l1 - l2) // (fact(l2) * fact(l1 - 2 * l2))
-                C[l1][l1 - l2] += (-1) ** l2 * rp[0][l1 - l2] * rp[1][l2] * mult
-        elif p == 4:
-            for l2 in range((2 * l1) // 3 + 1):
-                for l3 in range(max(0, 2 * l2 - l1), l2 // 2 + 1):
-                    mult = fact(l1 - l2) // (
-                        fact(l3) * fact(l2 - 2 * l3) * fact(l1 + l3 - 2 * l2))
-                    C[l1][l1 - l2] += ((-1) ** l2 * rp[0][l1 - l2]
-                                       * rp[1][l2 - l3] * rp[2][l3] * mult)
-        elif p == 5:
-            for l2 in range((3 * l1) // 4 + 1):
-                for l3 in range(max(0, 2 * l2 - l1), (2 * l2) // 3 + 1):
-                    for l4 in range(max(0, 2 * l3 - l2), l3 // 2 + 1):
-                        mult = fact(l1 - l2) // (
-                            fact(l4) * fact(l3 - 2 * l4)
-                            * fact(l1 + l3 - 2 * l2) * fact(l2 + l4 - 2 * l3))
-                        C[l1][l1 - l2] += ((-1) ** l2 * rp[0][l1 - l2]
-                                           * rp[1][l2 - l3] * rp[2][l3 - l4]
-                                           * rp[3][l4] * mult)
-        else:
-            for l2 in range((4 * l1) // 5 + 1):
-                for l3 in range(max(0, 2 * l2 - l1), (3 * l2) // 4 + 1):
-                    for l4 in range(max(0, 2 * l3 - l2), (2 * l3) // 3 + 1):
-                        for l5 in range(max(0, 2 * l4 - l3), l4 // 2 + 1):
-                            mult = fact(l1 - l2) // (
-                                fact(l5) * fact(l4 - 2 * l5)
-                                * fact(l1 + l3 - 2 * l2)
-                                * fact(l2 + l4 - 2 * l3)
-                                * fact(l3 + l5 - 2 * l4))
-                            C[l1][l1 - l2] += ((-1) ** l2 * rp[0][l1 - l2]
-                                               * rp[1][l2 - l3] * rp[2][l3 - l4]
-                                               * rp[3][l4 - l5] * rp[4][l5] * mult)
-    _inner_cache[p] = (length, B, C)
+    power = [1]  # psi(B z)**m, truncated at degree length - m
+    for m in range(length + 1):
+        scale = a[0] ** m
+        for k, c in enumerate(power):
+            C[m + k][m] = scale * c
+        nxt = [0] * min(len(power) + len(psi) - 1, length - m)
+        for i, c in enumerate(psi):
+            for k in range(min(len(power), len(nxt) - i)):
+                nxt[i + k] += c * power[k]
+        power = nxt
     return B, C
 
 
@@ -223,7 +199,7 @@ def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
         P.append(P[-1] * (i * d - n - d))
     # I[l1] = B**l1 * l1! * d**l1 * inner[l1]
     I = []
-    for l1, row in enumerate(C[:length + 1]):
+    for l1, row in enumerate(C):
         acc, scale = 0, 1  # scale = (l1! / m!) * d**(l1 - m)
         for m in range(l1, -1, -1):
             if row[m]:
@@ -243,9 +219,3 @@ def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
         out[ell] = g0 * (num / denom)
     return out
 
-
-def closed_form_coeff(p: int, alpha: float, ell: int) -> float:
-    """Single weight w_{p,ell} via the explicit nested sums, p = 2..6."""
-    if ell < 0:
-        raise ValueError("index must be nonnegative")
-    return float(closed_form_table(p, alpha, ell)[ell])

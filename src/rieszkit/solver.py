@@ -333,7 +333,7 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int,
             values[k + 1, 1:M] = u
             if spec.exact is not None:
                 ue = spec.exact(x[1:M], (k + 1) * tau)
-                worst = max(worst, float(np.max(np.abs(u - ue))))
+                worst = max(worst, float(np.abs(u - ue).max()))
     if not np.isfinite(values).all():
         raise SolverError(
             f"non-finite values in scheme={scheme}, M={M}, N={N}, "
@@ -342,7 +342,7 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int,
     max_error = None
     if spec.exact is not None:
         ue = spec.exact(x[1:M], spec.T)
-        final_error = float(np.max(np.abs(values[N, 1:M] - ue)))
+        final_error = float(np.abs(values[N, 1:M] - ue).max())
         max_error = worst
     return SolutionGrid(spec=spec, M=M, N=N, values=values,
                         final_error=final_error, max_error=max_error)

@@ -195,6 +195,27 @@ class TestErrors:
                      "alpha = 0.5\nM = 10\nN = 10\n")
         assert _run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, target, keys", [
+        ("coeffs", "expand_generating_function",
+         "p = 2\nalpha = 0.5\nlength = 1000000000000\n"),
+        ("solve", "solve",
+         "scheme = order2\nproblem = example2\nalpha = 0.5\nM = 1000000\nN = 10\n"),
+    ], ids=["coeffs", "solve"])
+    def test_out_of_memory_is_error(self, tmp_path, monkeypatch, capsys,
+                                    command, target, keys):
+        # the failing allocation is simulated: a real one of this size
+        # would take the machine's memory
+        import rieszkit.cli as cli
+
+        def alloc(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, target, alloc)
+        cfg = _write(tmp_path, f"[{command}]\n{keys}")
+        assert _run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 7.28 TiB\n")
+
     def test_usage_error_from_argparse(self):
         assert _run(["frobnicate", "--config", "x"]) == 1
 

@@ -5,14 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from naive_reference import naive_closed_form_table
+from naive_reference import _naive_inner_weights, naive_closed_form_table
 from rieszkit import (
-    closed_form_coeff,
     closed_form_table,
     expand_generating_function,
     first_order_sequence,
     generator_polynomial,
 )
+from rieszkit.coefficients import _RATIO_CHAINS, _inner_weights
 
 ALPHAS_LT1 = [0.1, 0.3, 0.5, 0.7, 0.9]
 ALPHAS_GT1 = [1.1, 1.4, 1.6, 1.9]
@@ -140,30 +140,64 @@ class TestRouteEquivalence:
         assert np.array_equal(got, naive_closed_form_table(2, 0.37, 128))
 
     def test_cross_check_example(self):
-        got = closed_form_coeff(4, 0.4, 5)
+        got = closed_form_table(4, 0.4, 5)[5]
         ref = expand_generating_function(4, 0.4, 5).values[5]
         assert abs(got - ref) < 1e-12
 
     @pytest.mark.parametrize("alpha", ALPHAS_LT1)
     def test_second_order_displays(self, alpha):
         pre = 1.5 ** alpha
-        assert abs(closed_form_coeff(2, alpha, 0) - pre) < 1e-14
+        assert abs(closed_form_table(2, alpha, 0)[0] - pre) < 1e-14
         d3 = -4 * alpha * (alpha - 1) * (8 * alpha - 7) / 81 * pre
-        assert abs(closed_form_coeff(2, alpha, 3) - d3) < 1e-14
+        assert abs(closed_form_table(2, alpha, 3)[3] - d3) < 1e-14
         d4 = alpha * (alpha - 1) * (64 * alpha ** 2 - 176 * alpha + 123) / 486 * pre
-        assert abs(closed_form_coeff(2, alpha, 4) - d4) < 1e-14
+        assert abs(closed_form_table(2, alpha, 4)[4] - d4) < 1e-14
 
     def test_unsupported_orders(self):
         with pytest.raises(ValueError):
-            closed_form_coeff(1, 0.5, 3)
+            closed_form_table(1, 0.5, 3)
         with pytest.raises(ValueError):
-            closed_form_coeff(7, 0.5, 3)
+            closed_form_table(7, 0.5, 3)
         with pytest.raises(ValueError):
-            closed_form_coeff(2, 0.5, -2)
+            closed_form_table(2, 0.5, -2)
+
+    @pytest.mark.parametrize("p", [5, 6])
+    @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.7])
+    def test_series_vs_nested_sums_long(self, p, alpha):
+        series = expand_generating_function(p, alpha, 100).values
+        closed = closed_form_table(p, alpha, 100)
+        assert np.max(np.abs(series - closed)) < 1e-10
 
     def test_negative_length(self):
         with pytest.raises(ValueError):
             closed_form_table(2, 0.5, -1)
+
+
+class TestInnerWeights:
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_polynomial_powers_equal_multinomial_sums(self, p):
+        # the powers of psi against the literal multinomial loops, exactly
+        length = 40
+        B, C = _inner_weights(p, length)
+        naive = _naive_inner_weights(p, length)
+        assert len(C) == length + 1
+        for l1, row in enumerate(C):
+            assert len(row) == l1 + 1
+            for m, c in enumerate(row):
+                assert c == B ** l1 * naive[l1][m], (l1, m)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_ratio_chain_factorizes_generator(self, p):
+        # g_0 (1 - z)(1 - r_1 z (1 - r_2 z (...))) == W_p, in exact Fractions
+        g = generator_polynomial(p).coeffs
+        nested = [Fraction(1)]
+        for r in reversed(_RATIO_CHAINS[p]):
+            nested = [Fraction(1)] + [-r * c for c in nested]
+        product = [Fraction(0)] * (len(nested) + 1)
+        for i, c in enumerate(nested):
+            product[i] += g[0] * c
+            product[i + 1] -= g[0] * c
+        assert tuple(product) == g
 
 
 class TestSignsAndSums:
