@@ -100,9 +100,16 @@ def check_symbol_nonnegativity(p: int, alpha: float, grid_size: int) -> SymbolSc
     if grid_size < 1024:
         raise ValueError("grid_size must be at least 1024")
     thetas = np.linspace(-math.pi, math.pi, grid_size)
-    vals = symbol_values(p, alpha, thetas)
+    return _symbol_scan(p, alpha, thetas, symbol_values(p, alpha, thetas))
+
+
+def _symbol_scan(p: int, alpha: float, thetas: np.ndarray,
+                 vals: np.ndarray) -> SymbolScan:
+    """Minimum and verdict of symbol values `vals` taken on the grid `thetas`."""
+    if len(thetas) < 1024:
+        raise ValueError("grid_size must be at least 1024")
     k = int(np.argmin(vals))
-    return SymbolScan(p=p, alpha=alpha, grid_size=grid_size,
+    return SymbolScan(p=p, alpha=alpha, grid_size=len(thetas),
                       min_value=float(vals[k]), theta_at_min=float(thetas[k]),
                       nonnegative=bool(vals[k] >= -1e-12))
 

@@ -13,14 +13,15 @@ import argparse
 import configparser
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
+    _symbol_scan,
     bound_families,
-    check_symbol_nonnegativity,
     evaluate_bounds,
     monotonicity_scan,
     symbol_values,
@@ -40,6 +41,7 @@ from .reports import (
     CONVERGENCE_HEADER,
     convergence_text,
     fmt,
+    fmt_column,
     text_table,
     write_csv,
 )
@@ -51,6 +53,11 @@ from .stability import stability_scan
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _rows(*columns):
+    """CSV rows from columns of text; a str column is one value repeated."""
+    return zip(*(repeat(c) if isinstance(c, str) else c for c in columns))
 
 
 def _write_outputs(out: Path, name: str, header, csv_rows, text: str,
@@ -71,8 +78,8 @@ def _cmd_coeffs(cfg, out: Path) -> None:
     rows, text_rows = [], []
     for a in alphas:
         table = expand_generating_function(p, a, length)
-        for ell, v in enumerate(table.values):
-            rows.append([str(p), fmt(a), str(ell), fmt(v)])
+        rows.extend(_rows(str(p), fmt(a), map(str, range(len(table.values))),
+                          fmt_column(table.values)))
         text_rows.append([str(p), f"{a:g}", str(length), f"{table.values[-1]:.6e}"])
     text = text_table(f"weights p={p}", ["p", "alpha", "length", "last value"],
                       text_rows)
@@ -87,12 +94,12 @@ def _cmd_symbol(cfg, out: Path) -> None:
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     grid = parse_int(sec.get("theta_grid", "4096"), "theta_grid")
     thetas = np.linspace(-math.pi, math.pi, grid)
+    theta_text = fmt_column(thetas)
     rows, summary = [], []
     for a in alphas:
         vals = symbol_values(p, a, thetas)
-        rows.extend([str(p), fmt(a), fmt(t), fmt(v)]
-                    for t, v in zip(thetas, vals))
-        scan = check_symbol_nonnegativity(p, a, grid)
+        rows.extend(_rows(str(p), fmt(a), theta_text, fmt_column(vals)))
+        scan = _symbol_scan(p, a, thetas, vals)
         summary.append([str(p), f"{a:g}", f"{scan.min_value:.6e}",
                         f"{scan.theta_at_min:.6f}",
                         "yes" if scan.nonnegative else "no"])
@@ -113,10 +120,15 @@ def _cmd_bounds(cfg, out: Path) -> None:
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     ell_min = parse_int(sec.get("ell_min", "3"), "ell_min")
     ell_max = parse_int(sec.get("ell_max", "100"), "ell_max")
-    records = [r for a in alphas
-               for r in evaluate_bounds(family, a, ell_min, ell_max)]
-    rows = [[r.family, fmt(r.alpha), str(r.ell), fmt(r.lower), fmt(r.observed),
-             fmt(r.upper), "1" if r.holds else "0"] for r in records]
+    records, rows = [], []
+    for a in alphas:
+        recs = evaluate_bounds(family, a, ell_min, ell_max)
+        records.extend(recs)
+        rows.extend(_rows(family, fmt(a), [str(r.ell) for r in recs],
+                          fmt_column([r.lower for r in recs]),
+                          fmt_column([r.observed for r in recs]),
+                          fmt_column([r.upper for r in recs]),
+                          ["1" if r.holds else "0" for r in recs]))
     fails = [r for r in records if not r.holds]
     text = text_table(
         f"bound family {family}: {len(records) - len(fails)}/{len(records)} hold",
@@ -179,9 +191,8 @@ def _cmd_solve(cfg, out: Path) -> None:
         grid = solve(scheme, spec, M, N)
         x = spec.a + grid.h * np.arange(M + 1)
         ue = spec.exact(x, spec.T)
-        for j in range(M + 1):
-            rows.append([scheme, problem, fmt(a), str(M), str(N), fmt(x[j]),
-                         fmt(grid.values[N, j]), fmt(ue[j])])
+        rows.extend(_rows(scheme, problem, fmt(a), str(M), str(N), fmt_column(x),
+                          fmt_column(grid.values[N]), fmt_column(ue)))
         text_rows.append([scheme, problem, f"{a:g}", str(M), str(N),
                           f"{grid.max_error:.6e}", f"{grid.final_error:.6e}"])
     text = text_table("final-time solution errors",
@@ -222,10 +233,15 @@ def _cmd_stability(cfg, out: Path) -> None:
     d2 = parse_float(sec.get("d2", "1"), "d2")
     d_alpha = parse_float(sec.get("d_alpha", "1"), "d_alpha")
     grid = parse_int(sec.get("theta_grid", "4096"), "theta_grid")
-    scans = [s for a in alphas
-             for s in stability_scan(scheme, a, hs, taus, d1, d2, d_alpha, grid)]
-    rows = [[s.scheme, fmt(s.alpha), fmt(s.h), fmt(s.tau), fmt(s.max_abs),
-             fmt(s.theta_at_max), "1" if s.passed else "0"] for s in scans]
+    scans, rows = [], []
+    for a in alphas:
+        part = stability_scan(scheme, a, hs, taus, d1, d2, d_alpha, grid)
+        scans.extend(part)
+        rows.extend(_rows(scheme, fmt(a), fmt_column([s.h for s in part]),
+                          fmt_column([s.tau for s in part]),
+                          fmt_column([s.max_abs for s in part]),
+                          fmt_column([s.theta_at_max for s in part]),
+                          ["1" if s.passed else "0" for s in part]))
     text = text_table(
         f"stability scan {scheme}: {sum(s.passed for s in scans)}/{len(scans)} pass",
         ["alpha", "h", "tau", "max |xi|", "theta at max", "pass"],
@@ -276,6 +292,11 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an output path that cannot be written: --out naming a file, or a
+        # directory below one
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

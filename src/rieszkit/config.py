@@ -18,6 +18,8 @@ def load_config(path) -> configparser.ConfigParser:
             cp.read_file(fh, source=str(path))
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}")
     except configparser.Error as exc:
         raise UsageError(f"config parse error: {exc}")
     return cp

@@ -6,10 +6,21 @@ import csv
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def fmt(x: float | None) -> str:
     """17-significant-digit scientific notation; exact float round-trip."""
     return "" if x is None else f"{x:.16e}"
+
+
+def fmt_column(values) -> list[str]:
+    """:func:`fmt` of every value of a float array or sequence.
+
+    Python floats format to the same text as ``np.float64`` scalars, in
+    about a third of the time, so the column is converted once up front.
+    """
+    return [f"{v:.16e}" for v in np.asarray(values, dtype=float).tolist()]
 
 
 def parse(field: str) -> float | None:
@@ -52,12 +63,25 @@ CONVERGENCE_HEADER = ["study", "problem", "alpha", "norm",
 
 
 def write_csv(path, header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    r"""Header and rows as CSV with "\n" line ends, quoted as the csv
+    module's minimal quoting does.
+
+    A table with no ',', '"', '\r' or '\n' inside a field, and no row of
+    fewer than two fields, needs no quoting, so its rows are joined
+    directly.  Comparing character counts of the joined text with the
+    field and row counts finds every other table, and csv.writer writes
+    it.  A '\r' goes that way too, so how csv quotes it is csv's choice.
+    """
+    table = [header, *rows]
+    text = "\n".join([",".join(row) for row in table]) + "\n"
+    if (min(map(len, table)) < 2
+            or text.count(",") != sum(map(len, table)) - len(table)
+            or text.count("\n") != len(table) or '"' in text or "\r" in text):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(table)
+        text = buf.getvalue()
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(text)
 
 
 def read_convergence_csv(path) -> list[ConvergenceReport]:
@@ -84,15 +108,10 @@ def read_convergence_csv(path) -> list[ConvergenceReport]:
 
 def text_table(title: str, header: list[str], rows: list[list[str]]) -> str:
     """Fixed-width table for eyeball comparison against published layouts."""
-    widths = [len(name) for name in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [title]
-    lines.append("  ".join(name.ljust(widths[i]) for i, name in enumerate(header)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths).format
+    lines = [title, line(*header), "  ".join("-" * w for w in widths)]
+    lines += [line(*row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -20,8 +20,14 @@ the oracle for the scaled-integer production route.
 `rieszkit.solver.builtin_problem` as they were before those cached their
 x-only arrays: every call evaluates the whole closed form.  The production
 closures must equal them byte for byte.
+
+`naive_write_csv` is `rieszkit.reports.write_csv` as it was before it
+joined unquoted tables directly: every table goes through `csv.writer`.
+The production function must write the same bytes.
 """
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -347,3 +353,12 @@ def naive_builtin_problem(name, alpha):
 
         return source, exact
     raise ValueError(name)
+
+
+def naive_write_csv(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(buf.getvalue())

@@ -216,6 +216,21 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "error: out of memory: Unable to allocate 7.28 TiB\n")
 
+    @pytest.mark.parametrize("out", ["file", "file/below"])
+    def test_out_path_through_a_file_is_error(self, tmp_path, capsys, out):
+        cfg = _write(tmp_path, "[coeffs]\np = 3\nalpha = 0.4\nlength = 50\n")
+        (tmp_path / "file").write_text("")
+        assert _run(["coeffs", "--config", cfg,
+                     "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (tmp_path / "file").read_text() == ""
+
+    def test_config_naming_a_directory_is_error(self, tmp_path, capsys):
+        assert _run(["coeffs", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_from_argparse(self):
         assert _run(["frobnicate", "--config", "x"]) == 1
 
