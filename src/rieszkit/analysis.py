@@ -247,7 +247,7 @@ def _b2_shifted_bounds(a: float, ell: int) -> tuple[float, float]:
 
 
 def _zero_sum_tail(w: np.ndarray, alpha: float, ell: int) -> float:
-    partial = float(np.sum(w[:ell]))
+    partial = float(w[:ell].sum())
     return partial if alpha < 1.0 else -partial
 
 

@@ -61,17 +61,24 @@ def _rows(*columns):
 
 
 def _write_outputs(out: Path, name: str, header, csv_rows, text: str,
-                   manifest: list[str]) -> None:
+                   params: list[str]) -> None:
+    """Write <name>.csv, <name>.txt and manifest.txt, which opens with the
+    version and the command and goes on with one line per parameter."""
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / f"{name}.csv", header, csv_rows)
     (out / f"{name}.txt").write_text(text)
+    manifest = [f"rieszkit {__version__}", f"command = {name}", *params]
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
     print(f"wrote {out / f'{name}.csv'}")
     print(f"wrote {out / f'{name}.txt'}")
 
 
-def _cmd_coeffs(cfg, out: Path) -> None:
-    sec = section(cfg, "coeffs")
+def _convergence_outputs(reports, params):
+    rows = [row for rep in reports for row in rep.csv_rows()]
+    return CONVERGENCE_HEADER, rows, convergence_text(reports), params
+
+
+def _cmd_coeffs(sec):
     p = parse_int(sec.get("p", ""), "p")
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     length = parse_int(sec.get("length", "200"), "length")
@@ -83,13 +90,11 @@ def _cmd_coeffs(cfg, out: Path) -> None:
         text_rows.append([str(p), f"{a:g}", str(length), f"{table.values[-1]:.6e}"])
     text = text_table(f"weights p={p}", ["p", "alpha", "length", "last value"],
                       text_rows)
-    _write_outputs(out, "coeffs", ["p", "alpha", "ell", "value"], rows, text,
-                   [f"rieszkit {__version__}", "command = coeffs",
-                    f"p = {p}", f"alpha = {alphas}", f"length = {length}"])
+    return (["p", "alpha", "ell", "value"], rows, text,
+            [f"p = {p}", f"alpha = {alphas}", f"length = {length}"])
 
 
-def _cmd_symbol(cfg, out: Path) -> None:
-    sec = section(cfg, "symbol")
+def _cmd_symbol(sec):
     p = parse_int(sec.get("p", ""), "p")
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     grid = parse_int(sec.get("theta_grid", "4096"), "theta_grid")
@@ -106,13 +111,11 @@ def _cmd_symbol(cfg, out: Path) -> None:
     text = text_table(f"symbol minima p={p}",
                       ["p", "alpha", "min value", "theta at min", "nonnegative"],
                       summary)
-    _write_outputs(out, "symbol", ["p", "alpha", "theta", "value"], rows, text,
-                   [f"rieszkit {__version__}", "command = symbol",
-                    f"p = {p}", f"alpha = {alphas}", f"theta_grid = {grid}"])
+    return (["p", "alpha", "theta", "value"], rows, text,
+            [f"p = {p}", f"alpha = {alphas}", f"theta_grid = {grid}"])
 
 
-def _cmd_bounds(cfg, out: Path) -> None:
-    sec = section(cfg, "bounds")
+def _cmd_bounds(sec):
     family = sec.get("family", "").strip()
     if family not in bound_families():
         raise UsageError(
@@ -135,16 +138,12 @@ def _cmd_bounds(cfg, out: Path) -> None:
         ["alpha", "ell", "lower", "observed", "upper", "holds"],
         [[f"{r.alpha:g}", str(r.ell), f"{r.lower:.6e}", f"{r.observed:.6e}",
           f"{r.upper:.6e}", "yes" if r.holds else "NO"] for r in records])
-    _write_outputs(out, "bounds",
-                   ["family", "alpha", "ell", "lower", "observed", "upper", "holds"],
-                   rows, text,
-                   [f"rieszkit {__version__}", "command = bounds",
-                    f"family = {family}", f"alpha = {alphas}",
-                    f"ell = {ell_min}..{ell_max}"])
+    return (["family", "alpha", "ell", "lower", "observed", "upper", "holds"],
+            rows, text, [f"family = {family}", f"alpha = {alphas}",
+                         f"ell = {ell_min}..{ell_max}"])
 
 
-def _cmd_monotonicity(cfg, out: Path) -> None:
-    sec = section(cfg, "monotonicity")
+def _cmd_monotonicity(sec):
     p = parse_int(sec.get("p", ""), "p")
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     length = parse_int(sec.get("length", "500"), "length")
@@ -157,28 +156,21 @@ def _cmd_monotonicity(cfg, out: Path) -> None:
                           "none" if start is None else str(start)])
     text = text_table(f"monotone tail start p={p}",
                       ["p", "alpha", "scan length", "tail start"], text_rows)
-    _write_outputs(out, "monotonicity", ["p", "alpha", "length", "tail_start"],
-                   rows, text,
-                   [f"rieszkit {__version__}", "command = monotonicity",
-                    f"p = {p}", f"alpha = {alphas}", f"length = {length}"])
+    return (["p", "alpha", "length", "tail_start"], rows, text,
+            [f"p = {p}", f"alpha = {alphas}", f"length = {length}"])
 
 
-def _cmd_riesz(cfg, out: Path) -> None:
-    sec = section(cfg, "riesz")
+def _cmd_riesz(sec):
     p = parse_int(sec.get("p", ""), "p")
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     hs = parse_float_list(sec.get("h", ""), "h")
     metric = sec.get("metric", "midpoint").strip()
-    reports = [operator_convergence(p, a, hs, metric=metric) for a in alphas]
-    rows = [row for rep in reports for row in rep.csv_rows()]
-    _write_outputs(out, "riesz", CONVERGENCE_HEADER, rows,
-                   convergence_text(reports),
-                   [f"rieszkit {__version__}", "command = riesz", f"p = {p}",
-                    f"alpha = {alphas}", f"h = {hs}", f"metric = {metric}"])
+    return _convergence_outputs(
+        [operator_convergence(p, a, hs, metric=metric) for a in alphas],
+        [f"p = {p}", f"alpha = {alphas}", f"h = {hs}", f"metric = {metric}"])
 
 
-def _cmd_solve(cfg, out: Path) -> None:
-    sec = section(cfg, "solve")
+def _cmd_solve(sec):
     scheme = sec.get("scheme", "").strip()
     problem = sec.get("problem", "").strip()
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
@@ -198,32 +190,24 @@ def _cmd_solve(cfg, out: Path) -> None:
     text = text_table("final-time solution errors",
                       ["scheme", "problem", "alpha", "M", "N",
                        "max error (all levels)", "final-time error"], text_rows)
-    _write_outputs(out, "solve",
-                   ["scheme", "problem", "alpha", "M", "N", "x", "u", "u_exact"],
-                   rows, text,
-                   [f"rieszkit {__version__}", "command = solve",
-                    f"scheme = {scheme}", f"problem = {problem}",
-                    f"alpha = {alphas}", f"M = {M}", f"N = {N}"])
+    return (["scheme", "problem", "alpha", "M", "N", "x", "u", "u_exact"],
+            rows, text, [f"scheme = {scheme}", f"problem = {problem}",
+                         f"alpha = {alphas}", f"M = {M}", f"N = {N}"])
 
 
-def _cmd_convergence(cfg, out: Path) -> None:
-    sec = section(cfg, "convergence")
+def _cmd_convergence(sec):
     scheme = sec.get("scheme", "").strip()
     problem = sec.get("problem", "").strip()
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     require_alpha_open_unit(alphas)
     ladder = parse_ladder(sec.get("ladder", ""))
-    reports = [convergence_study(scheme, problem, a, ladder) for a in alphas]
-    rows = [row for rep in reports for row in rep.csv_rows()]
-    _write_outputs(out, "convergence", CONVERGENCE_HEADER, rows,
-                   convergence_text(reports),
-                   [f"rieszkit {__version__}", "command = convergence",
-                    f"scheme = {scheme}", f"problem = {problem}",
-                    f"alpha = {alphas}", f"ladder = {ladder}"])
+    return _convergence_outputs(
+        [convergence_study(scheme, problem, a, ladder) for a in alphas],
+        [f"scheme = {scheme}", f"problem = {problem}", f"alpha = {alphas}",
+         f"ladder = {ladder}"])
 
 
-def _cmd_stability(cfg, out: Path) -> None:
-    sec = section(cfg, "stability")
+def _cmd_stability(sec):
     scheme = sec.get("scheme", "").strip()
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     require_alpha_open_unit(alphas)
@@ -247,16 +231,14 @@ def _cmd_stability(cfg, out: Path) -> None:
         ["alpha", "h", "tau", "max |xi|", "theta at max", "pass"],
         [[f"{s.alpha:g}", f"{s.h:g}", f"{s.tau:g}", f"{s.max_abs:.15f}",
           f"{s.theta_at_max:.6f}", "yes" if s.passed else "NO"] for s in scans])
-    _write_outputs(out, "stability",
-                   ["scheme", "alpha", "h", "tau", "max_abs_xi", "theta_at_max",
-                    "pass"],
-                   rows, text,
-                   [f"rieszkit {__version__}", "command = stability",
-                    f"scheme = {scheme}", f"alpha = {alphas}",
-                    f"h = {hs}", f"tau = {taus}",
-                    f"d = ({d1}, {d2}, {d_alpha})", f"theta_grid = {grid}"])
+    return (["scheme", "alpha", "h", "tau", "max_abs_xi", "theta_at_max", "pass"],
+            rows, text, [f"scheme = {scheme}", f"alpha = {alphas}",
+                         f"h = {hs}", f"tau = {taus}",
+                         f"d = ({d1}, {d2}, {d_alpha})", f"theta_grid = {grid}"])
 
 
+# Each command parses its config section and returns the CSV header, the
+# CSV rows, the text table and the manifest's parameter lines.
 _COMMANDS = {
     "coeffs": _cmd_coeffs,
     "symbol": _cmd_symbol,
@@ -276,33 +258,24 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config)
-        sec_name = args.command
-        out_dir = args.out
-        if out_dir is None and cfg.has_section(sec_name):
-            out_dir = cfg[sec_name].get("out", None)
-        out = Path(out_dir) if out_dir else Path("rieszkit-out")
-        _COMMANDS[args.command](cfg, out)
-    except (UsageError, configparser.Error) as exc:
-        # configparser raises interpolation errors ('%' in a value) on
-        # reading a key, after the file has loaded
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        sec = section(load_config(args.config), args.command)
+        out = sec.get("out") if args.out is None else args.out
+        outputs = _COMMANDS[args.command](sec)
+        _write_outputs(Path(out or "rieszkit-out"), args.command, *outputs)
     except (SolverError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        # an output path that cannot be written: --out naming a file, or a
-        # directory below one
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError as exc:
         # a huge length or grid size fails its allocation (NumPy raises a
         # MemoryError subclass naming the shape)
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except (UsageError, configparser.Error, ValueError, OSError) as exc:
+        # configparser raises interpolation errors ('%' in a value) on
+        # reading a key, after the file has loaded; an OSError is an output
+        # path that cannot be written: --out naming a file, or a directory
+        # below one
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

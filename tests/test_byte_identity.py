@@ -19,7 +19,7 @@ import hashlib
 
 import pytest
 
-from rieszkit.cli import main
+from rieszkit.cli import _COMMANDS, main
 
 _STEPS = "0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1"
 
@@ -119,3 +119,7 @@ def test_outputs_match_recorded_digests(tmp_path, name):
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
            for f in digests}
     assert got == digests
+
+
+def test_every_subcommand_has_a_digest():
+    assert {command for command, _, _ in CASES.values()} == set(_COMMANDS)

@@ -100,6 +100,24 @@ class TestSubcommands:
         rows = (out / "stability.csv").read_text().splitlines()[1:]
         assert rows[0].endswith(",1")
 
+    @pytest.mark.parametrize("args, key, expected", [
+        (["--out", "D"], "out = E\n", "D"),
+        ([], "out = E\n", "E"),
+        ([], "", "rieszkit-out"),
+        (["--out", ""], "out = E\n", "rieszkit-out"),
+    ], ids=["option-over-key", "key", "default", "empty-option"])
+    def test_output_directory(self, tmp_path, monkeypatch, args, key, expected):
+        # --out if given, else the section's out key, else rieszkit-out; an
+        # empty value falls through to rieszkit-out
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path, f"[coeffs]\np = 2\nalpha = 0.5\nlength = 20\n{key}")
+        assert _run(["coeffs", "--config", "run.cfg", *args]) == 0
+        written = {f.relative_to(tmp_path).as_posix()
+                   for f in tmp_path.rglob("*") if f.is_file()}
+        assert written == {"run.cfg", f"{expected}/coeffs.csv",
+                           f"{expected}/coeffs.txt",
+                           f"{expected}/manifest.txt"}
+
 
 DETERMINISM_CONFIGS = {
     "convergence": "[convergence]\nscheme = order2\nproblem = example2\n"
@@ -194,6 +212,7 @@ class TestErrors:
                      "[solve]\nscheme = order2\nproblem = example2\n"
                      "alpha = 0.5\nM = 10\nN = 10\n")
         assert _run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, target, keys", [
         ("coeffs", "expand_generating_function",
@@ -215,6 +234,7 @@ class TestErrors:
         assert _run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             "error: out of memory: Unable to allocate 7.28 TiB\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("out", ["file", "file/below"])
     def test_out_path_through_a_file_is_error(self, tmp_path, capsys, out):
