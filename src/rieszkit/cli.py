@@ -184,7 +184,7 @@ def _cmd_solve(sec):
         x = spec.a + grid.h * np.arange(M + 1)
         ue = spec.exact(x, spec.T)
         rows.extend(_rows(scheme, problem, fmt(a), str(M), str(N), fmt_column(x),
-                          fmt_column(grid.values[N]), fmt_column(ue)))
+                          fmt_column(grid.final), fmt_column(ue)))
         text_rows.append([scheme, problem, f"{a:g}", str(M), str(N),
                           f"{grid.max_error:.6e}", f"{grid.final_error:.6e}"])
     text = text_table("final-time solution errors",

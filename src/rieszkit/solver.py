@@ -27,6 +27,9 @@ from .reports import ConvergenceReport, ConvergenceRow
 # scheme -> order p of its fractional weights
 _WEIGHT_ORDER = {"order2": 2, "order4": 4, "order6": 6}
 SCHEMES = tuple(_WEIGHT_ORDER)
+# time levels per block of the march: solve samples the source and the
+# exact solution once per block and holds only that block's levels
+_BLOCK = 256
 
 
 class SolverError(RuntimeError):
@@ -44,6 +47,12 @@ class ProblemSpec:
     vanish outside [a, b], so there the source reduces to
     -d_alpha * D^alpha u, the fractional term alone.  :func:`solve` raises
     :class:`SolverError` for a non-finite sample at an end node.
+
+    ``source(x, t)`` and ``exact(x, t)`` take ``t`` either as a float or
+    as an (n, 1) column of times, and their result must broadcast to
+    (len(x),) or (n, len(x)) respectively: :func:`solve` passes the times
+    of a whole block of levels at once, one row per time.  The domain, the
+    horizon and the coefficients must be finite.
     """
 
     d1: float
@@ -53,11 +62,14 @@ class ProblemSpec:
     a: float
     b: float
     T: float
-    source: Callable[[np.ndarray, float], np.ndarray]
+    source: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     initial: Callable[[np.ndarray], np.ndarray]
-    exact: Callable[[np.ndarray, float], np.ndarray] | None = None
+    exact: Callable[[np.ndarray, float | np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        for name in ("a", "b", "T", "d1", "d2", "d_alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.b <= self.a:
             raise ValueError("domain requires b > a")
         if self.T <= 0:
@@ -90,10 +102,14 @@ class SchemeMatrices:
 
 @dataclass(frozen=True)
 class SolutionGrid:
+    """Outcome of :func:`solve`: the solution at t = T on the M + 1 grid
+    nodes (boundary nodes included) and, with an exact solution, the
+    final-time and all-level maximum errors."""
+
     spec: ProblemSpec
     M: int
     N: int
-    values: np.ndarray
+    final: np.ndarray
     final_error: float | None
     max_error: float | None
 
@@ -268,12 +284,15 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
                           operator_weights=tuple(c for _, c in operator),
                           A=A, B=B, source_matrix=S,
                           source_x=spec.a + h * np.arange(-ghost, M + 1 + ghost))
+    singular = (f"singular system for scheme={scheme}, M={M}, tau={tau}, "
+                f"alpha={spec.alpha}")
     try:
         mats.lu = lu_factor(A)
     except Exception as exc:
-        raise SolverError(
-            f"singular system for scheme={scheme}, M={M}, tau={tau}, "
-            f"alpha={spec.alpha}") from exc
+        raise SolverError(singular) from exc
+    # lu_factor only warns about an exactly zero pivot
+    if not np.diagonal(mats.lu[0]).all():
+        raise SolverError(singular)
     return mats
 
 
@@ -303,9 +322,18 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int,
           reflect_right: bool = True) -> SolutionGrid:
     """March from the initial data to t = T.
 
+    The march runs in blocks of up to 256 time levels.  Each block calls
+    ``spec.source`` once, with the column of the block's half-level times
+    (see :class:`ProblemSpec`), checks the end-node samples of all its
+    levels, calls :func:`step` once per level, and then calls
+    ``spec.exact`` once with the column of the block's level times to take
+    the block's maximum error.  Only one block of levels is held, so
+    memory does not grow with N, and the grid keeps the final level alone.
+
     When the exact solution is known the grid records both the final-time
     maximum error and the maximum over all time levels; the published
-    benchmark tables use the all-level maximum.
+    benchmark tables use the all-level maximum.  A nan in the exact
+    solution at any level makes that maximum nan.
     """
     if N < 1:
         raise ValueError("need at least one time step")
@@ -313,38 +341,44 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int,
     mats = assemble(scheme, spec, M, tau, reflect_right=reflect_right)
     x = spec.a + mats.h * np.arange(M + 1)
     xs = mats.source_x
-    values = np.zeros((N + 1, M + 1))
-    values[0] = spec.initial(x)
-    values[0, 0] = 0.0
-    values[0, M] = 0.0
-    u = values[0, 1:M].copy()
+    u = np.empty(M + 1)
+    u[:] = spec.initial(x)
+    u = u[1:M]
+    levels = np.empty((min(N, _BLOCK), M - 1))
     worst = 0.0
     # an interior inf source makes inf * 0 in step's matvec; step's
     # finiteness check then rejects the right-hand side, so SolverError is
     # the only report of it
     with np.errstate(invalid="ignore"):
-        for k in range(N):
-            s = spec.source(xs, (k + 0.5) * tau)
-            if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
+        for k0 in range(0, N, _BLOCK):
+            k = np.arange(k0, min(k0 + _BLOCK, N))[:, None]
+            t_half = (k + 0.5) * tau
+            s = np.broadcast_to(spec.source(xs, t_half), (len(k), len(xs)))
+            ends = np.isfinite(s[:, 0]) & np.isfinite(s[:, -1])
+            if not ends.all():
                 raise SolverError(
                     f"non-finite source at an end node (x = {xs[0]:g} or "
-                    f"{xs[-1]:g}) in scheme={scheme}, M={M}, t={(k + 0.5) * tau:g}")
-            u = step(mats, u, s)
-            values[k + 1, 1:M] = u
+                    f"{xs[-1]:g}) in scheme={scheme}, M={M}, "
+                    f"t={t_half[ends.argmin(), 0]:g}")
+            for i in range(len(k)):
+                u = step(mats, u, s[i])
+                levels[i] = u
             if spec.exact is not None:
                 ue = spec.exact(x[1:M], (k + 1) * tau)
-                worst = max(worst, float(np.abs(u - ue).max()))
-    if not np.isfinite(values).all():
+                worst = np.abs(levels[:len(k)] - ue).max(initial=worst)
+    if not np.isfinite(u).all():
         raise SolverError(
             f"non-finite values in scheme={scheme}, M={M}, N={N}, "
             f"alpha={spec.alpha}")
+    final = np.zeros(M + 1)
+    final[1:M] = u
     final_error = None
     max_error = None
     if spec.exact is not None:
         ue = spec.exact(x[1:M], spec.T)
-        final_error = float(np.abs(values[N, 1:M] - ue).max())
-        max_error = worst
-    return SolutionGrid(spec=spec, M=M, N=N, values=values,
+        final_error = float(np.abs(u - ue).max())
+        max_error = float(worst)
+    return SolutionGrid(spec=spec, M=M, N=N, final=final,
                         final_error=final_error, max_error=max_error)
 
 
@@ -380,9 +414,9 @@ def _x_only(arrays_of):
     builtin closure, keyed by the node array's dtype, shape and bytes.
 
     :func:`solve` samples the source at one node array and the exact
-    solution at another on every step, so each closure reuses its entry
-    for the whole march.  The cached arrays are only read: each call
-    returns a new array computed from them.
+    solution at another once per block of levels, so each closure reuses
+    its entry for the whole march.  The cached arrays are only read: each
+    call returns a new array computed from them.
     """
     key, arrays = None, None
 
@@ -394,6 +428,16 @@ def _x_only(arrays_of):
         return arrays
 
     return lookup
+
+
+def _per_time(fn, t):
+    """``fn`` of each time value: a float for a float t, else an array of
+    t's shape.  Each value goes through the scalar ``math`` function, which
+    rounds differently from its NumPy counterpart on some arguments, so a
+    column of times gives bitwise the values of one call per time."""
+    if np.ndim(t) == 0:
+        return fn(t)
+    return np.array([fn(v) for v in np.ravel(t).tolist()]).reshape(np.shape(t))
 
 
 def builtin_problem(name: str, alpha: float) -> ProblemSpec:
@@ -414,8 +458,9 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
 
     Sources and exact solutions are separable in t.  Their x-only arrays
     are computed once per node array (:func:`_x_only`), and each call
-    applies the t-dependent factors in the elementwise order of the full
-    closed form, so the values are bitwise those of evaluating it whole.
+    applies the t-dependent factors (:func:`_per_time`) in the elementwise
+    order of the full closed form, so the values are bitwise those of
+    evaluating it whole, one time value at a time.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -435,11 +480,12 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
 
         def exact(x, t):
             X6, Y6 = powers(np.asarray(x))
-            return math.exp(t) * X6 * Y6
+            return _per_time(math.exp, t) * X6 * Y6
 
         return ProblemSpec(
             d1=1.0, d2=1.0, d_alpha=1.0, alpha=alpha, a=0.0, b=1.0, T=1.0,
-            source=lambda x, t: math.exp(t) * bracket(np.asarray(x, dtype=float)),
+            source=lambda x, t: (_per_time(math.exp, t)
+                                 * bracket(np.asarray(x, dtype=float))),
             initial=lambda x: np.asarray(x) ** 6 * (1.0 - np.asarray(x)) ** 6,
             exact=exact,
         )
@@ -457,14 +503,15 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
 
         def source(x, t):
             L, P, Q, F = parts(np.asarray(x, dtype=float))
-            return (L * (math.cos(t) * P + math.sin(t) * Q)
-                    + 0.5 * alpha ** 2 * math.sin(t) * sec * F)
+            cos_t, sin_t = _per_time(math.cos, t), _per_time(math.sin, t)
+            return (L * (cos_t * P + sin_t * Q)
+                    + 0.5 * alpha ** 2 * sin_t * sec * F)
 
         powers = _x_only(lambda x: (x ** 8, (1.0 - x) ** 8))
 
         def exact(x, t):
             X8, Y8 = powers(np.asarray(x))
-            return math.sin(t) * X8 * Y8
+            return _per_time(math.sin, t) * X8 * Y8
 
         return ProblemSpec(
             d1=2.0, d2=1.0, d_alpha=alpha ** 2, alpha=alpha, a=0.0, b=1.0, T=1.0,

@@ -1,5 +1,6 @@
 """Scheme assembly, stepping, built-in problems and convergence behavior."""
 
+import dataclasses
 import math
 import warnings
 
@@ -76,11 +77,23 @@ class TestAssemble:
             assemble("order9", spec, 16, 0.1)
 
     def test_non_finite_fractional_coefficient(self):
-        import dataclasses
-        spec = dataclasses.replace(builtin_problem("example2", 0.5),
-                                   d_alpha=math.nan)
-        with pytest.raises(ValueError, match="nu"):
-            assemble("order2", spec, 16, 0.1)
+        # ProblemSpec rejects a non-finite d_alpha before assemble could
+        # form a nan nu from it
+        with pytest.raises(ValueError, match="d_alpha"):
+            dataclasses.replace(builtin_problem("example2", 0.5),
+                                d_alpha=math.nan)
+
+    def test_zero_pivot_is_singular(self, monkeypatch):
+        # lu_factor only warns about an exactly zero pivot, so assemble
+        # checks the factor's diagonal itself
+        def zero_pivot(A):
+            lu = np.triu(A)
+            lu[3, 3] = 0.0
+            return lu, np.arange(len(A), dtype=np.int32)
+
+        monkeypatch.setattr(solver_module, "lu_factor", zero_pivot)
+        with pytest.raises(SolverError, match="singular system"):
+            assemble("order2", builtin_problem("example2", 0.5), 16, 0.1)
 
 
 class TestAssemblyOracle:
@@ -138,6 +151,16 @@ class TestAssemblyOracle:
         assert np.all(K[:-1, -2] != K[1:, -1])
 
 
+class TestProblemSpec:
+    @pytest.mark.parametrize("field", ["a", "b", "T", "d1", "d2", "d_alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        # unchecked, a nan d1 or an inf d2 or d_alpha would end as a
+        # "singular system", and T = inf as a non-finite end-node source
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            dataclasses.replace(builtin_problem("example3", 0.4), **{field: value})
+
+
 class TestStepOracle:
     @pytest.mark.parametrize("scheme,problem,M", [("order2", "example2", 12),
                                                   ("order4", "example2", 12),
@@ -180,7 +203,8 @@ class TestStepOracle:
         spec = builtin_problem("example3", 0.4)
         g1 = solve("order6", spec, 8, 8)
         g2 = solve("order6", spec, 8, 8)
-        assert np.array_equal(g1.values, g2.values)
+        assert g1.final.tobytes() == g2.final.tobytes()
+        assert g1.max_error == g2.max_error
 
     def test_nan_state_raises(self):
         spec = builtin_problem("example2", 0.4)
@@ -263,6 +287,21 @@ class TestBuiltinProblems:
                 assert got.tobytes() == want.tobytes()
                 got.fill(np.nan)
 
+    @pytest.mark.parametrize("name", ["example2", "example3"])
+    def test_column_of_times_bitwise_equal_scalar_calls(self, name):
+        # solve passes a column of times; each row must be bitwise the
+        # naive closed form at that one time (np.exp rounds differently
+        # from math.exp on some of these times)
+        spec = builtin_problem(name, 0.37)
+        naive_source, naive_exact = naive_builtin_problem(name, 0.37)
+        ts = (np.arange(1000) + 0.5) / 1000
+        x = np.arange(-1, 18) / 16
+        for got, naive in ((spec.source(x, ts[:, None]), naive_source),
+                           (spec.exact(x, ts[:, None]), naive_exact)):
+            assert got.shape == (len(ts), len(x))
+            for row, t in zip(got, ts):
+                assert row.tobytes() == naive(x, t).tobytes()
+
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
             builtin_problem("example9", 0.5)
@@ -282,15 +321,26 @@ class TestSolve:
         assert abs(grid.max_error - 4.361384e-6) / 4.361384e-6 < 1e-5
 
     def test_boundary_columns_zero(self):
-        grid = solve("order2", builtin_problem("example2", 0.5), 16, 8)
-        assert np.array_equal(grid.values[:, 0], np.zeros(9))
-        assert np.array_equal(grid.values[:, 16], np.zeros(9))
+        # only the final level is kept; its boundary nodes are zero even
+        # where the initial data is not
+        spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
+                           a=0.0, b=1.0, T=1.0,
+                           source=lambda x, t: np.zeros_like(x),
+                           initial=lambda x: np.ones_like(x))
+        grid = solve("order2", spec, 16, 8)
+        assert grid.final.shape == (17,)
+        assert grid.final[0] == 0.0 and grid.final[16] == 0.0
+        assert np.all(grid.final[1:16] != 0.0)
 
     def test_first_row_is_initial_data(self):
+        # the march starts from the initial data: one step of solve is one
+        # step from its interior values
         spec = builtin_problem("example2", 0.5)
-        grid = solve("order2", spec, 16, 4)
+        grid = solve("order2", spec, 16, 1)
+        mats = assemble("order2", spec, 16, 1.0)
         x = np.linspace(0, 1, 17)
-        assert np.allclose(grid.values[0], spec.initial(x), atol=1e-16)
+        u1 = step(mats, spec.initial(x)[1:16], spec.source(mats.source_x, 0.5))
+        assert grid.final[1:16].tobytes() == u1.tobytes()
 
     def test_classical_advection_diffusion_reduction(self):
         # d_alpha = 0 must agree with an independently written textbook
@@ -307,7 +357,7 @@ class TestSolve:
             d1=1.0, d2=1.0, d_alpha=0.0, alpha=alpha, a=0.0, b=1.0, T=1.0,
             source=source,
             initial=lambda x: np.asarray(x) ** 6 * (1 - np.asarray(x)) ** 6,
-            exact=lambda x, t: math.exp(t) * np.asarray(x) ** 6 * (1 - np.asarray(x)) ** 6)
+            exact=lambda x, t: np.exp(t) * np.asarray(x) ** 6 * (1 - np.asarray(x)) ** 6)
         grid = solve("order2", spec, M, N)
 
         n = M - 1
@@ -324,7 +374,34 @@ class TestSolve:
         for k in range(N):
             rhs = (eye / tau + L / 2) @ u + source(x[1:M], (k + 0.5) * tau)
             u = np.linalg.solve(eye / tau - L / 2, rhs)
-        assert np.max(np.abs(grid.values[N, 1:M] - u)) < 1e-11
+        assert np.max(np.abs(grid.final[1:M] - u)) < 1e-11
+
+    @pytest.mark.parametrize("scheme,problem,M", [("order2", "example2", 8),
+                                                  ("order4", "example2", 8),
+                                                  ("order6", "example3", 8)])
+    @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                              (2, 3)])
+    def test_blocks_match_a_per_level_march(self, scheme, problem, M,
+                                            blocks, extra):
+        # N on both sides of the block boundaries: a march of step calls
+        # fed by the naive closures at each scalar t gives the same final
+        # level and errors, bit for bit
+        N = blocks * solver_module._BLOCK + extra
+        alpha = 0.37
+        grid = solve(scheme, builtin_problem(problem, alpha), M, N)
+        spec = builtin_problem(problem, alpha)
+        source, exact = naive_builtin_problem(problem, alpha)
+        tau = spec.T / N
+        mats = assemble(scheme, spec, M, tau)
+        x = spec.a + mats.h * np.arange(M + 1)
+        u = spec.initial(x)[1:M]
+        worst = 0.0
+        for k in range(N):
+            u = step(mats, u, source(mats.source_x, (k + 0.5) * tau))
+            worst = max(worst, float(np.abs(u - exact(x[1:M], (k + 1) * tau)).max()))
+        assert grid.final[1:M].tobytes() == u.tobytes()
+        assert grid.max_error == worst
+        assert grid.final_error == float(np.abs(u - exact(x[1:M], spec.T)).max())
 
     def test_nan_source_raises(self):
         spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
@@ -334,27 +411,60 @@ class TestSolve:
         with pytest.raises(SolverError, match="order2"):
             solve("order2", spec, 8, 4)
 
-    def test_interior_blow_up_stops_at_its_step(self):
+    def test_end_node_error_names_first_bad_time(self):
+        # the end-node samples of a whole block are checked at once; the
+        # error still names the first level whose sample is not finite
+        def source(x, t):
+            return np.where(np.asarray(t) >= 0.5, np.nan, 0.0) + 0.0 * x
+
+        spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
+                           a=0.0, b=1.0, T=1.0, source=source,
+                           initial=lambda x: np.zeros_like(x))
+        with pytest.raises(SolverError, match=r"end node .* t=0\.5005$"):
+            solve("order2", spec, 8, 1000)
+
+    def test_nan_exact_level_makes_max_error_nan(self):
+        # a nan in the exact solution at one level leaves the all-level
+        # error undefined; it is not dropped from the maximum
+        spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
+                           a=0.0, b=1.0, T=1.0,
+                           source=lambda x, t: np.zeros_like(x),
+                           initial=lambda x: np.zeros_like(x),
+                           exact=lambda x, t: np.where(np.asarray(t) == 0.5,
+                                                       np.nan, 1.0) + 0.0 * x)
+        grid = solve("order2", spec, 8, 4)
+        assert math.isnan(grid.max_error)
+        assert grid.final_error == 1.0
+
+    def test_interior_blow_up_stops_at_its_step(self, monkeypatch):
         # step rejects a non-finite right-hand side, so an interior inf at
-        # step 3 ends the march there instead of after all N steps; with
-        # every warning an error, SolverError is still what escapes
-        calls = []
+        # the third time level ends the march at its step instead of after
+        # all N steps; with every warning an error, SolverError is still
+        # what escapes
+        N = 4096
+        t3 = 2.5 / N
 
         def source(x, t):
-            calls.append(t)
-            s = np.zeros_like(x)
-            if len(calls) == 3:
-                s[len(x) // 2] = np.inf
+            s = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
+            s[np.broadcast_to(t, s.shape) == t3] = np.inf
+            s[..., [0, -1]] = 0.0
             return s
 
+        steps = []
+
+        def counting_step(*args):
+            steps.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(solver_module, "step", counting_step)
         spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
                            a=0.0, b=1.0, T=1.0, source=source,
                            initial=lambda x: np.zeros_like(x))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolverError, match="order2"):
-                solve("order2", spec, 8, 4096)
-        assert len(calls) == 3
+            with pytest.raises(SolverError, match="non-finite data in scheme=order2"):
+                solve("order2", spec, 8, N)
+        assert len(steps) == 3
 
 
 class TestConvergenceStudy:
@@ -463,7 +573,6 @@ class TestGhostNodes:
         spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
                            a=0.0, b=1.0, T=1.0, source=source,
                            initial=lambda x: np.zeros_like(x))
-        assert np.array_equal(solve("order4", spec, 8, 2).values,
-                              np.zeros((3, 9)))
+        assert np.array_equal(solve("order4", spec, 8, 2).final, np.zeros(9))
         with pytest.raises(SolverError, match="order6"):
             solve("order6", spec, 8, 2)
