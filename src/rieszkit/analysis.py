@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (
-    _validate_alpha,
     closed_form_table,
     expand_generating_function,
     first_order_sequence,
-    generator_polynomial,
+    generator_on_circle,
+    validate_alpha,
 )
 
 
@@ -58,16 +58,6 @@ class LowerBoundComparison:
         return self.tail_plain < self.tail_damped
 
 
-def _generator_on_circle(p: int, thetas: np.ndarray) -> np.ndarray:
-    """W_p(e^{i theta}) by Horner's rule."""
-    g = generator_polynomial(p).as_floats()
-    z = np.exp(1j * thetas)
-    w = np.full(z.shape, complex(g[p]))
-    for i in range(p - 1, -1, -1):
-        w = w * z + g[i]
-    return w
-
-
 def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
     """Re[W_p(e^{i theta})**alpha], vectorized over theta.
 
@@ -76,9 +66,9 @@ def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
     artifact of 0**alpha on a near-zero complex base.  alpha must lie in
     (0, 2), as for the weights.
     """
-    _validate_alpha(alpha)
+    validate_alpha(alpha)
     thetas = np.asarray(thetas, dtype=float)
-    w = _generator_on_circle(p, thetas)
+    w = generator_on_circle(p, thetas)
     out = np.real(np.power(w, alpha))
     return np.where(thetas == 0.0, 0.0, out)
 
@@ -100,10 +90,10 @@ def check_symbol_nonnegativity(p: int, alpha: float, grid_size: int) -> SymbolSc
     if grid_size < 1024:
         raise ValueError("grid_size must be at least 1024")
     thetas = np.linspace(-math.pi, math.pi, grid_size)
-    return _symbol_scan(p, alpha, thetas, symbol_values(p, alpha, thetas))
+    return symbol_scan(p, alpha, thetas, symbol_values(p, alpha, thetas))
 
 
-def _symbol_scan(p: int, alpha: float, thetas: np.ndarray,
+def symbol_scan(p: int, alpha: float, thetas: np.ndarray,
                  vals: np.ndarray) -> SymbolScan:
     """Minimum and verdict of symbol values `vals` taken on the grid `thetas`."""
     if len(thetas) < 1024:
@@ -128,7 +118,7 @@ def symbol_angle_extreme(p: int, grid_size: int = 1 << 16) -> float:
     theta exactly when alpha * |phi| never exceeds pi/2.
     """
     thetas = np.linspace(1e-9, math.pi, grid_size)
-    phi = np.unwrap(np.angle(_generator_on_circle(p, thetas)))
+    phi = np.unwrap(np.angle(generator_on_circle(p, thetas)))
     return float(np.min(phi))
 
 

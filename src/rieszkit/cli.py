@@ -20,10 +20,10 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    _symbol_scan,
     bound_families,
     evaluate_bounds,
     monotonicity_scan,
+    symbol_scan,
     symbol_values,
 )
 from .coefficients import expand_generating_function
@@ -104,7 +104,7 @@ def _cmd_symbol(sec):
     for a in alphas:
         vals = symbol_values(p, a, thetas)
         rows.extend(_rows(str(p), fmt(a), theta_text, fmt_column(vals)))
-        scan = _symbol_scan(p, a, thetas, vals)
+        scan = symbol_scan(p, a, thetas, vals)
         summary.append([str(p), f"{a:g}", f"{scan.min_value:.6e}",
                         f"{scan.theta_at_min:.6f}",
                         "yes" if scan.nonnegative else "no"])

@@ -87,6 +87,16 @@ def generator_polynomial(p: int) -> GeneratorPolynomial:
     return GeneratorPolynomial(order=p, coeffs=_GENERATOR_COEFFS[p])
 
 
+def generator_on_circle(p: int, thetas: np.ndarray) -> np.ndarray:
+    """W_p(e^{i theta}) by Horner's rule."""
+    g = generator_polynomial(p).as_floats()
+    z = np.exp(1j * thetas)
+    w = np.full(z.shape, complex(g[p]))
+    for i in range(p - 1, -1, -1):
+        w = w * z + g[i]
+    return w
+
+
 def first_order_sequence(alpha: float, length: int) -> np.ndarray:
     """Weights w_{1,j} = (-1)^j C(alpha, j), j = 0..length, by the pole-free
     recurrence w_j = w_{j-1} (1 - (alpha + 1) / j)."""
@@ -99,7 +109,8 @@ def first_order_sequence(alpha: float, length: int) -> np.ndarray:
     return w
 
 
-def _validate_alpha(alpha: float) -> None:
+def validate_alpha(alpha: float) -> None:
+    """Reject an order alpha outside (0, 2), the range of the weights."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
 
@@ -115,7 +126,7 @@ def expand_generating_function(p: int, alpha: float, length: int) -> Coefficient
     with c_0 = g_0**alpha.  O(p * length) and stable: the generator's roots
     other than z = 1 lie outside the unit disk.
     """
-    _validate_alpha(alpha)
+    validate_alpha(alpha)
     if length < 0:
         raise ValueError("length must be nonnegative")
     g = generator_polynomial(p).as_floats()
@@ -189,7 +200,7 @@ def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
     """
     if p not in _RATIO_CHAINS:
         raise ValueError(f"unsupported order p={p}, expected 2..{MAX_ORDER}")
-    _validate_alpha(alpha)
+    validate_alpha(alpha)
     if length < 0:
         raise ValueError("length must be nonnegative")
     B, C = _inner_weights(p, length)

@@ -1,0 +1,100 @@
+"""The three Crank-Nicolson schemes (orders 2, 4 and 6) by their compact
+and operator stencils and their fractional weights, and the von Neumann
+growth factors those define.  :mod:`rieszkit.solver` assembles its
+matrices and :mod:`rieszkit.stability` scans its growth factors from this
+one definition.  NumPy only: nothing here factors a matrix.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .coefficients import generator_on_circle
+
+# scheme -> order p of its fractional weights
+WEIGHT_ORDER = {"order2": 2, "order4": 4, "order6": 6}
+SCHEMES = tuple(WEIGHT_ORDER)
+
+
+def weight_order(scheme: str) -> int:
+    """Order p of the fractional weights of ``scheme``, one of SCHEMES."""
+    if scheme not in WEIGHT_ORDER:
+        raise ValueError(f"unknown scheme '{scheme}', expected one of {SCHEMES}")
+    return WEIGHT_ORDER[scheme]
+
+
+def fractional_coefficient(d_alpha: float, alpha: float, h: float) -> float:
+    """nu = d_alpha / (2 cos(pi alpha / 2) h**alpha), the factor of the
+    weight convolution."""
+    return d_alpha / (2.0 * math.cos(math.pi * alpha / 2.0) * h ** alpha)
+
+
+def stencils(scheme: str, d1: float, d2: float, h: float):
+    """Compact weights and space-operator weights per scheme, offsets ascending."""
+    p = weight_order(scheme)
+    if p == 2:
+        compact = ((0, 1.0),)
+        operator = ((-1, d2 / h ** 2 + d1 / (2 * h)),
+                    (0, -2 * d2 / h ** 2),
+                    (1, d2 / h ** 2 - d1 / (2 * h)))
+    elif p == 4:
+        q = d1 * h / (24 * d2)
+        compact = ((-1, 1 / 12 + q), (0, 5 / 6), (1, 1 / 12 - q))
+        r = d2 / h ** 2 + d1 ** 2 / (12 * d2)
+        operator = ((-1, r + d1 / (2 * h)), (0, -2 * r), (1, r - d1 / (2 * h)))
+    else:
+        q = d1 * h / d2
+        compact = ((-2, -(1 + q) / 90), (-1, (4 + 2 * q) / 90), (0, 14 / 15),
+                   (1, (4 - 2 * q) / 90), (2, -(1 - q) / 90))
+        e1 = d2 / (12 * h ** 2) + d1 / (12 * h) + d1 ** 2 / (45 * d2)
+        e2 = -(4 * d2 / (3 * h ** 2) + 2 * d1 / (3 * h) + 4 * d1 ** 2 / (45 * d2))
+        e3 = 5 * d2 / (2 * h ** 2) + 2 * d1 ** 2 / (15 * d2)
+        e4 = -(4 * d2 / (3 * h ** 2) - 2 * d1 / (3 * h) + 4 * d1 ** 2 / (45 * d2))
+        e5 = d2 / (12 * h ** 2) - d1 / (12 * h) + d1 ** 2 / (45 * d2)
+        operator = ((-2, -e1), (-1, -e2), (0, -e3), (1, -e4), (2, -e5))
+    return compact, operator
+
+
+def right_compact(compact, reflect_right: bool):
+    """Compact stencil of the forward-looking convolution half: mirrored with
+    reflect_right, which reproduces the published benchmark tables, else the
+    backward half's (the operator-consistent orientation)."""
+    return tuple((-off, c) for off, c in compact) if reflect_right else compact
+
+
+def growth_factors(scheme: str, alpha: float, hs, taus, d1: float,
+                   d2: float, d_alpha: float, thetas: np.ndarray,
+                   reflect_right: bool = True):
+    """Growth factors xi and real groups of the scheme that `assemble`
+    builds, per (h, tau) in hs x taus, h outer and tau inner.
+
+    Each stencil of :func:`stencils` has the symbol sum_off c_off
+    e^{i off theta}: C for the compact weights (C_r on the forward-looking
+    half, see :func:`right_compact`) and D for the operator.  The
+    convolution has K = C Z + C_r conj(Z) with Z = W_p(e^{-i theta})**alpha.
+    With s = 2/tau and G = nu K - D, xi = (s C - G) / (s C + G), so
+    |xi| <= 1 exactly when the group Re[s C conj(G)] is nonnegative;
+    theta = 0 gives xi = 1 and group 0 exactly.  Only the paper's abstract
+    is at hand, so these factors are not checked against its printed ones.
+    """
+    p = weight_order(scheme)
+    zero = thetas == 0.0
+    basis = np.exp(1j * np.outer(np.arange(-2, 3), thetas))  # e^{i k theta}
+    Z = np.power(generator_on_circle(p, -thetas), alpha)
+    Zc = np.conj(Z)
+
+    def symbol(stencil):
+        return sum(c * basis[off + 2] for off, c in stencil)
+
+    for h in hs:
+        compact, operator = stencils(scheme, d1, d2, h)
+        C = symbol(compact)
+        K = C * Z + symbol(right_compact(compact, reflect_right)) * Zc
+        G = fractional_coefficient(d_alpha, alpha, h) * K - symbol(operator)
+        for tau in taus:
+            sC = (2.0 / tau) * C
+            xi = np.where(zero, 1.0 + 0.0j, (sC - G) / (sC + G))
+            group = np.where(zero, 0.0, np.real(sC * np.conj(G)))
+            yield h, tau, xi, group

@@ -6,6 +6,10 @@ turbulent diffusion equation
 on [a, b] with homogeneous Dirichlet boundary values, where D^alpha is the
 Riesz derivative of order alpha in (0, 1).  The compact schemes (order 4
 and 6) smooth the time, fractional and source terms with a narrow stencil.
+
+This module assembles the schemes of :mod:`rieszkit.schemes` into dense
+matrices, factors the implicit one with SciPy, marches them, and holds the
+manufactured benchmark problems and the convergence studies.
 """
 
 from __future__ import annotations
@@ -23,10 +27,8 @@ from scipy.linalg.lapack import dgetrs
 from .analysis import alpha_limit_order4
 from .coefficients import expand_generating_function
 from .reports import ConvergenceReport, ConvergenceRow
+from .schemes import fractional_coefficient, right_compact, stencils, weight_order
 
-# scheme -> order p of its fractional weights
-_WEIGHT_ORDER = {"order2": 2, "order4": 4, "order6": 6}
-SCHEMES = tuple(_WEIGHT_ORDER)
 # time levels per block of the march: solve samples the source and the
 # exact solution once per block and holds only that block's levels
 _BLOCK = 256
@@ -91,8 +93,6 @@ class SchemeMatrices:
     tau: float
     h: float
     nu: float
-    compact_weights: tuple[float, ...]
-    operator_weights: tuple[float, ...]
     A: np.ndarray
     B: np.ndarray
     source_matrix: np.ndarray
@@ -122,40 +122,6 @@ class SolutionGrid:
         return self.spec.T / self.N
 
 
-def _scheme_stencils(scheme: str, d1: float, d2: float, h: float):
-    """Compact weights and space-operator weights per scheme, offsets ascending."""
-    if scheme == "order2":
-        compact = ((0, 1.0),)
-        operator = ((-1, d2 / h ** 2 + d1 / (2 * h)),
-                    (0, -2 * d2 / h ** 2),
-                    (1, d2 / h ** 2 - d1 / (2 * h)))
-    elif scheme == "order4":
-        q = d1 * h / (24 * d2)
-        compact = ((-1, 1 / 12 + q), (0, 5 / 6), (1, 1 / 12 - q))
-        r = d2 / h ** 2 + d1 ** 2 / (12 * d2)
-        operator = ((-1, r + d1 / (2 * h)), (0, -2 * r), (1, r - d1 / (2 * h)))
-    elif scheme == "order6":
-        q = d1 * h / d2
-        compact = ((-2, -(1 + q) / 90), (-1, (4 + 2 * q) / 90), (0, 14 / 15),
-                   (1, (4 - 2 * q) / 90), (2, -(1 - q) / 90))
-        e1 = d2 / (12 * h ** 2) + d1 / (12 * h) + d1 ** 2 / (45 * d2)
-        e2 = -(4 * d2 / (3 * h ** 2) + 2 * d1 / (3 * h) + 4 * d1 ** 2 / (45 * d2))
-        e3 = 5 * d2 / (2 * h ** 2) + 2 * d1 ** 2 / (15 * d2)
-        e4 = -(4 * d2 / (3 * h ** 2) - 2 * d1 / (3 * h) + 4 * d1 ** 2 / (45 * d2))
-        e5 = d2 / (12 * h ** 2) - d1 / (12 * h) + d1 ** 2 / (45 * d2)
-        operator = ((-2, -e1), (-1, -e2), (0, -e3), (1, -e4), (2, -e5))
-    else:
-        raise ValueError(f"unknown scheme '{scheme}', expected one of {SCHEMES}")
-    return compact, operator
-
-
-def _right_compact(compact, reflect_right: bool):
-    """Compact stencil of the forward-looking convolution half: mirrored with
-    reflect_right, which reproduces the published benchmark tables, else the
-    backward half's (the operator-consistent orientation)."""
-    return tuple((-off, c) for off, c in compact) if reflect_right else compact
-
-
 def _diagonal(X: np.ndarray, k: int) -> np.ndarray:
     """Writable view of the k-th diagonal, X[r, r + k], of a C-contiguous array."""
     rows, cols = X.shape
@@ -168,7 +134,7 @@ def _convolution_matrix(M: int, w: np.ndarray, compact, reflect_right: bool) -> 
     """Two-sided weight convolution composed with the compact stencil.
 
     Out-of-range indices contribute zero (homogeneous boundary data).  The
-    forward-looking half applies :func:`_right_compact`.
+    forward-looking half applies :func:`~rieszkit.schemes.right_compact`.
 
     Row r = j - 1 and column m - 1 of the left half collect
     w[j - m + off] * c_off over the compact offsets, for 0 <= j - m + off <= j;
@@ -192,7 +158,7 @@ def _convolution_matrix(M: int, w: np.ndarray, compact, reflect_right: bool) -> 
         # T[r, col] = wp[s + r - col]
         return windows[s - n + 1:s + 1, ::-1]
 
-    right = _right_compact(compact, reflect_right)
+    right = right_compact(compact, reflect_right)
     K = np.zeros((n, n))
     tmp = np.empty((n, n))
     for off, c in compact:
@@ -232,9 +198,7 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
     Building K takes O(M^2) array operations per stencil offset and two
     (M-1) x (M-1) buffers.
     """
-    if scheme not in _WEIGHT_ORDER:
-        raise ValueError(f"unknown scheme '{scheme}', expected one of {SCHEMES}")
-    p = _WEIGHT_ORDER[scheme]
+    p = weight_order(scheme)
     if M < (6 if scheme == "order6" else 4):
         raise ValueError(f"{scheme} requires a finer mesh than M={M}")
     if tau <= 0:
@@ -248,11 +212,12 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
             stacklevel=2)
 
     h = (spec.b - spec.a) / M
-    cosine = math.cos(math.pi * spec.alpha / 2.0)
-    nu = spec.d_alpha / (2.0 * cosine * h ** spec.alpha)
+    if not 0.0 < h * h < math.inf:  # the stencils divide by h**2
+        raise ValueError(f"mesh width h = {h} is out of double range")
+    nu = fractional_coefficient(spec.d_alpha, spec.alpha, h)
     if not nu >= 0.0:
         raise ValueError(f"fractional coefficient nu = {nu} must be nonnegative")
-    compact, operator = _scheme_stencils(scheme, spec.d1, spec.d2, h)
+    compact, operator = stencils(scheme, spec.d1, spec.d2, h)
     w = expand_generating_function(p, spec.alpha, M + 2).values
 
     K = _convolution_matrix(M, w, compact, reflect_right)
@@ -280,8 +245,6 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
         _diagonal(S, 1 + off + ghost)[:] = 0.0 + 2.0 * c
 
     mats = SchemeMatrices(scheme=scheme, M=M, tau=tau, h=h, nu=nu,
-                          compact_weights=tuple(c for _, c in compact),
-                          operator_weights=tuple(c for _, c in operator),
                           A=A, B=B, source_matrix=S,
                           source_x=spec.a + h * np.arange(-ghost, M + 1 + ghost))
     singular = (f"singular system for scheme={scheme}, M={M}, tau={tau}, "
@@ -409,27 +372,6 @@ def _fractional_source_sum(binomials, base_power: int, alpha: float):
     return frac
 
 
-def _x_only(arrays_of):
-    """One-entry cache of ``arrays_of(x)``, the t-independent arrays of a
-    builtin closure, keyed by the node array's dtype, shape and bytes.
-
-    :func:`solve` samples the source at one node array and the exact
-    solution at another once per block of levels, so each closure reuses
-    its entry for the whole march.  The cached arrays are only read: each
-    call returns a new array computed from them.
-    """
-    key, arrays = None, None
-
-    def lookup(x: np.ndarray):
-        nonlocal key, arrays
-        k = (x.dtype.str, x.shape, x.tobytes())
-        if k != key:
-            key, arrays = k, arrays_of(x)
-        return arrays
-
-    return lookup
-
-
 def _per_time(fn, t):
     """``fn`` of each time value: a float for a float t, else an array of
     t's shape.  Each value goes through the scalar ``math`` function, which
@@ -456,11 +398,11 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
     order6 errors of example3 by less than 0.2%, as a quadrature of the
     zero-extended value shows.
 
-    Sources and exact solutions are separable in t.  Their x-only arrays
-    are computed once per node array (:func:`_x_only`), and each call
-    applies the t-dependent factors (:func:`_per_time`) in the elementwise
-    order of the full closed form, so the values are bitwise those of
-    evaluating it whole, one time value at a time.
+    Sources and exact solutions are separable in t.  Each call evaluates
+    the x-only arrays and applies the t-dependent factors
+    (:func:`_per_time`) in the elementwise order of the full closed form,
+    so a column of times gives bitwise the values of evaluating it whole,
+    one time value at a time.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -469,23 +411,20 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
         frac = _fractional_source_sum(
             [(-1) ** k * math.comb(6, k) for k in range(7)], 6, alpha)
 
-        @_x_only
-        def bracket(x):
+        def source(x, t):
+            x = np.asarray(x, dtype=float)
             left, right = np.maximum(x, 0.0), np.maximum(1.0 - x, 0.0)
             poly = (left ** 4 * right ** 4
                     * (x ** 4 + 10.0 * x ** 3 - 149.0 * x ** 2 + 138.0 * x - 30.0))
-            return poly + 0.5 * sec * frac(left, right)
-
-        powers = _x_only(lambda x: (x ** 6, (1.0 - x) ** 6))
+            return _per_time(math.exp, t) * (poly + 0.5 * sec * frac(left, right))
 
         def exact(x, t):
-            X6, Y6 = powers(np.asarray(x))
-            return _per_time(math.exp, t) * X6 * Y6
+            x = np.asarray(x)
+            return _per_time(math.exp, t) * x ** 6 * (1.0 - x) ** 6
 
         return ProblemSpec(
             d1=1.0, d2=1.0, d_alpha=1.0, alpha=alpha, a=0.0, b=1.0, T=1.0,
-            source=lambda x, t: (_per_time(math.exp, t)
-                                 * bracket(np.asarray(x, dtype=float))),
+            source=source,
             initial=lambda x: np.asarray(x) ** 6 * (1.0 - np.asarray(x)) ** 6,
             exact=exact,
         )
@@ -493,25 +432,18 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
         frac = _fractional_source_sum(
             [(-1) ** k * math.comb(8, k) for k in range(9)], 8, alpha)
 
-        @_x_only
-        def parts(x):
-            left, right = np.maximum(x, 0.0), np.maximum(1.0 - x, 0.0)
-            return (left ** 6 * right ** 6,
-                    x ** 4 - 2.0 * x ** 3 + x ** 2,
-                    32.0 * x ** 3 - 288.0 * x ** 2 + 256.0 * x - 56.0,
-                    frac(left, right))
-
         def source(x, t):
-            L, P, Q, F = parts(np.asarray(x, dtype=float))
+            x = np.asarray(x, dtype=float)
+            left, right = np.maximum(x, 0.0), np.maximum(1.0 - x, 0.0)
             cos_t, sin_t = _per_time(math.cos, t), _per_time(math.sin, t)
-            return (L * (cos_t * P + sin_t * Q)
-                    + 0.5 * alpha ** 2 * sin_t * sec * F)
-
-        powers = _x_only(lambda x: (x ** 8, (1.0 - x) ** 8))
+            return (left ** 6 * right ** 6
+                    * (cos_t * (x ** 4 - 2.0 * x ** 3 + x ** 2)
+                       + sin_t * (32.0 * x ** 3 - 288.0 * x ** 2 + 256.0 * x - 56.0))
+                    + 0.5 * alpha ** 2 * sin_t * sec * frac(left, right))
 
         def exact(x, t):
-            X8, Y8 = powers(np.asarray(x))
-            return _per_time(math.sin, t) * X8 * Y8
+            x = np.asarray(x)
+            return _per_time(math.sin, t) * x ** 8 * (1.0 - x) ** 8
 
         return ProblemSpec(
             d1=2.0, d2=1.0, d_alpha=alpha ** 2, alpha=alpha, a=0.0, b=1.0, T=1.0,

@@ -1,5 +1,8 @@
-"""Amplification factors of the three schemes, derived from the stencils
-that assemble them, and von Neumann stability scans over the phase angle."""
+"""Von Neumann stability of the three schemes: single growth factors and
+scans of their maximum over the phase angle.  The factors come from
+:func:`rieszkit.schemes.growth_factors`, which reads the stencils that
+:func:`rieszkit.solver.assemble` uses; this module validates the inputs
+and reports a factor that overflows as a ValueError."""
 
 from __future__ import annotations
 
@@ -9,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _generator_on_circle
-from .solver import SCHEMES, _WEIGHT_ORDER, _right_compact, _scheme_stencils
+from .schemes import growth_factors, weight_order
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,7 @@ def _validate(scheme: str, alpha: float, h: float, tau: float,
     """Reject inputs outside the scheme's domain, and finite inputs whose
     derived 2/tau, h**2 or d1**2 (the stencils use all three) overflows or
     underflows to zero in double precision."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme '{scheme}'")
+    weight_order(scheme)  # rejects an unknown scheme
     if not all(0 < v < math.inf for v in (h, tau, d1, d2, d_alpha)):
         raise ValueError("step sizes and coefficients must be positive and finite")
     if not 0.0 < alpha < 1.0:
@@ -62,45 +63,8 @@ class StabilityReport:
     passed: bool
 
 
-def _growth_factors(scheme: str, alpha: float, hs, taus, d1: float,
-                    d2: float, d_alpha: float, thetas: np.ndarray,
-                    reflect_right: bool = True):
-    """Growth factors xi and real groups of the scheme that `assemble`
-    builds, per (h, tau) in hs x taus, h outer and tau inner.
-
-    Each stencil of `_scheme_stencils` has the symbol sum_off c_off
-    e^{i off theta}: C for the compact weights (C_r on the forward-looking
-    half, see `_right_compact`) and D for the operator.  The convolution
-    has K = C Z + C_r conj(Z) with Z = W_p(e^{-i theta})**alpha.  With
-    s = 2/tau and G = nu K - D, xi = (s C - G) / (s C + G), so |xi| <= 1
-    exactly when the group Re[s C conj(G)] is nonnegative; theta = 0 gives
-    xi = 1 and group 0 exactly.  Only the paper's abstract is at hand, so
-    these factors are not checked against its printed ones.
-    """
-    p = _WEIGHT_ORDER[scheme]
-    zero = thetas == 0.0
-    basis = np.exp(1j * np.outer(np.arange(-2, 3), thetas))  # e^{i k theta}
-    Z = np.power(_generator_on_circle(p, -thetas), alpha)
-    Zc = np.conj(Z)
-    cosine = math.cos(math.pi * alpha / 2.0)
-
-    def symbol(stencil):
-        return sum(c * basis[off + 2] for off, c in stencil)
-
-    for h in hs:
-        compact, operator = _scheme_stencils(scheme, d1, d2, h)
-        C = symbol(compact)
-        K = C * Z + symbol(_right_compact(compact, reflect_right)) * Zc
-        G = d_alpha / (2.0 * cosine * h ** alpha) * K - symbol(operator)
-        for tau in taus:
-            sC = (2.0 / tau) * C
-            xi = np.where(zero, 1.0 + 0.0j, (sC - G) / (sC + G))
-            group = np.where(zero, 0.0, np.real(sC * np.conj(G)))
-            yield h, tau, xi, group
-
-
 # Finite inputs that pass _validate can still overflow on the way to xi.
-# The callers evaluate _growth_factors under this error state and raise
+# The callers evaluate growth_factors under this error state and raise
 # _overflow for a non-finite xi, instead of NumPy warnings and a nan row.
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
@@ -112,9 +76,9 @@ def _overflow(h: float, tau: float) -> ValueError:
 
 def amplification_factor(q: AmplificationQuery) -> complex:
     with np.errstate(**_QUIET):
-        [(_, _, xi, _)] = _growth_factors(q.scheme, q.alpha, [q.h], [q.tau],
-                                          q.d1, q.d2, q.d_alpha,
-                                          np.array([q.theta]))
+        [(_, _, xi, _)] = growth_factors(q.scheme, q.alpha, [q.h], [q.tau],
+                                         q.d1, q.d2, q.d_alpha,
+                                         np.array([q.theta]))
     value = complex(xi[0])
     if not cmath.isfinite(value):
         raise _overflow(q.h, q.tau)
@@ -142,8 +106,8 @@ def stability_scan(scheme: str, alpha: float, hs, taus,
     thetas = np.linspace(-math.pi, math.pi, grid_size)
     reports = []
     with np.errstate(**_QUIET):
-        for h, tau, xi, group in _growth_factors(scheme, alpha, hs, taus, d1,
-                                                 d2, d_alpha, thetas):
+        for h, tau, xi, group in growth_factors(scheme, alpha, hs, taus, d1,
+                                                d2, d_alpha, thetas):
             mags = np.abs(xi)
             k = int(np.argmax(mags))  # the first nan if there is one
             if not math.isfinite(mags[k]):

@@ -17,9 +17,10 @@ Fraction arithmetic, with its own copy of the generator constants; it is
 the oracle for the scaled-integer production route.
 
 `naive_builtin_problem` keeps the source and exact-solution closures of
-`rieszkit.solver.builtin_problem` as they were before those cached their
-x-only arrays: every call evaluates the whole closed form.  The production
-closures must equal them byte for byte.
+`rieszkit.solver.builtin_problem` written for one scalar time: every call
+evaluates the whole closed form with the `math` time factors.  The
+production closures, which also take a column of times, must equal them
+byte for byte, one time value at a time.
 
 `naive_write_csv` is `rieszkit.reports.write_csv` as it was before it
 joined unquoted tables directly: every table goes through `csv.writer`.
@@ -34,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from rieszkit import expand_generating_function
-from rieszkit.solver import _scheme_stencils
+from rieszkit.schemes import stencils
 
 
 def _weights(p, alpha, length):
@@ -204,7 +205,7 @@ def naive_assembly_matrices(scheme, spec, M, tau, reflect_right=True):
     h = (spec.b - spec.a) / M
     cosine = math.cos(math.pi * spec.alpha / 2.0)
     nu = spec.d_alpha / (2.0 * cosine * h ** spec.alpha)
-    compact, operator = _scheme_stencils(scheme, spec.d1, spec.d2, h)
+    compact, operator = stencils(scheme, spec.d1, spec.d2, h)
     w = expand_generating_function(p, spec.alpha, M + 2).values
 
     C = _naive_stencil_matrix(M, compact)

@@ -27,7 +27,8 @@ from rieszkit import (
     step,
 )
 from rieszkit import solver as solver_module
-from rieszkit.solver import _convolution_matrix, _scheme_stencils
+from rieszkit.schemes import stencils
+from rieszkit.solver import _convolution_matrix
 
 LADDER_T6 = [(10, 10), (20, 20), (40, 40), (80, 80)]
 
@@ -43,19 +44,19 @@ def _poly_coeffs(p):
 class TestAssemble:
     def test_order4_parameters(self):
         spec = builtin_problem("example2", 0.4)
-        mats = assemble("order4", spec, 16, 0.1)
-        assert abs(mats.compact_weights[1] - 5 / 6) < 1e-15
         h = 1 / 16
+        compact, operator = stencils("order4", spec.d1, spec.d2, h)
+        assert abs(dict(compact)[0] - 5 / 6) < 1e-15
         b2 = -2 * (spec.d2 / h ** 2 + spec.d1 ** 2 / (12 * spec.d2))
-        assert abs(mats.operator_weights[1] - b2) < 1e-12
+        assert abs(dict(operator)[0] - b2) < 1e-12
 
     def test_order6_parameters(self):
         spec = builtin_problem("example3", 0.4)
-        mats = assemble("order6", spec, 16, 0.1)
-        assert abs(mats.compact_weights[2] - 14 / 15) < 1e-15
         h = 1 / 16
+        compact, operator = stencils("order6", spec.d1, spec.d2, h)
+        assert abs(dict(compact)[0] - 14 / 15) < 1e-15
         e3 = 5 * spec.d2 / (2 * h ** 2) + 2 * spec.d1 ** 2 / (15 * spec.d2)
-        assert abs(mats.operator_weights[2] + e3) < 1e-12
+        assert abs(dict(operator)[0] + e3) < 1e-12
 
     def test_positive_fractional_weight(self):
         spec = builtin_problem("example2", 0.5)
@@ -75,6 +76,21 @@ class TestAssemble:
             assemble("order2", spec, 3, 0.1)
         with pytest.raises(ValueError):
             assemble("order9", spec, 16, 0.1)
+
+    @pytest.mark.parametrize("a, b", [
+        (-1e308, 1e308),  # b - a overflows: h = inf
+        (0.0, 5e-324),  # h underflows to 0
+        (0.0, 1e-170),  # h**2 underflows to 0
+        (0.0, 4e160),  # h**2 overflows
+    ], ids=["h-inf", "h-zero", "h-squared-zero", "h-squared-inf"])
+    def test_mesh_width_out_of_range(self, a, b):
+        spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5, a=a, b=b,
+                           T=1.0, source=lambda x, t: np.zeros_like(x),
+                           initial=np.ones_like)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mesh width h = "):
+                solve("order2", spec, 4, 2)
 
     def test_non_finite_fractional_coefficient(self):
         # ProblemSpec rejects a non-finite d_alpha before assemble could
@@ -127,7 +143,7 @@ class TestAssemblyOracle:
         # M = 1024 is beyond what the entry loops finish in test time
         M = 1024
         w = expand_generating_function(2, 0.37, M + 2).values
-        compact, _ = _scheme_stencils("order2", 1.0, 1.0, 1.0 / M)
+        compact, _ = stencils("order2", 1.0, 1.0, 1.0 / M)
         K = _convolution_matrix(M, w, compact, reflect_right)
         T = toeplitz(w[:M - 1], np.zeros(M - 1))
         assert np.array_equal(K, T + T.T)
@@ -138,7 +154,7 @@ class TestAssemblyOracle:
             self, scheme, reflect_right):
         M = 1024
         w = expand_generating_function(int(scheme[-1]), 0.37, M + 2).values
-        compact, _ = _scheme_stencils(scheme, 2.0, 1.0, 1.0 / M)
+        compact, _ = stencils(scheme, 2.0, 1.0, 1.0 / M)
         K = _convolution_matrix(M, w, compact, reflect_right)
         if scheme == "order4":
             assert np.array_equal(K[1:, 1:], K[:-1, :-1])
@@ -264,12 +280,12 @@ class TestBuiltinProblems:
            alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            meshes=st.lists(st.integers(4, 384), min_size=2, max_size=2),
            ts=st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6))
-    def test_cached_closures_bitwise_equal_full_closed_form(self, name, alpha,
-                                                            meshes, ts):
+    def test_closures_bitwise_equal_full_closed_form(self, name, alpha,
+                                                     meshes, ts):
         # the order6 source nodes (with ghosts) and the interior nodes of
         # two meshes alternate with the mirrored first node array, which has
-        # the same shape, so a stale cache entry would show; each returned
-        # array is overwritten before the next call
+        # the same shape, so a value kept from an earlier node array would
+        # show; each returned array is overwritten before the next call
         spec = builtin_problem(name, alpha)
         naive_source, naive_exact = naive_builtin_problem(name, alpha)
         nodes = []

@@ -12,8 +12,7 @@ from rieszkit import (
     expand_generating_function,
     stability_scan,
 )
-from rieszkit.solver import _scheme_stencils
-from rieszkit.stability import _growth_factors
+from rieszkit.schemes import growth_factors, stencils
 
 GRID = [1e-3, 1e-2, 1e-1, 1.0]
 
@@ -169,7 +168,7 @@ class TestPeriodicCompanionSpectrum:
         # the full series sums to W_p(1)**alpha = 0; the slowly decaying
         # tail beyond `big` spreads evenly over the residues
         wrapped -= wrapped.sum() / M
-        compact, operator = _scheme_stencils(scheme, d1, d2, h)
+        compact, operator = stencils(scheme, d1, d2, h)
         right = [(-off, c) for off, c in compact] if reflect_right else compact
         eye = np.eye(M)
         # W[j, m] = wrapped[(j - m) % M]
@@ -187,8 +186,8 @@ class TestPeriodicCompanionSpectrum:
         eigs = np.linalg.eigvals(np.linalg.solve(A, B))
         thetas = 2 * math.pi * np.arange(M) / M
         thetas = np.where(thetas > math.pi, thetas - 2 * math.pi, thetas)
-        [(_, _, xi, _)] = _growth_factors(scheme, alpha, [h], [tau], d1, d2,
-                                          da, thetas, reflect_right)
+        [(_, _, xi, _)] = growth_factors(scheme, alpha, [h], [tau], d1, d2,
+                                         da, thetas, reflect_right)
         got = np.sort(np.abs(eigs))
         ref = np.sort(np.abs(xi))
         assert np.max(np.abs(got - ref)) < 1e-6

@@ -1,0 +1,62 @@
+"""Import structure of the package, read from the source with `ast`.
+
+The schemes are defined in one module that needs no SciPy, the stability
+scans do not reach into the solver, and no module borrows a sibling's
+private helpers.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rieszkit
+
+PACKAGE = Path(rieszkit.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imports(path):
+    """(module, imported names) of every import statement in `path`; a
+    relative module keeps its leading dots, a plain `import` has no names."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.extend((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found.append((module, tuple(alias.name for alias in node.names)))
+    return found
+
+
+def _is_sibling(module):
+    return module.startswith(".") or module.split(".")[0] == "rieszkit"
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def test_package_found():
+    assert {"schemes.py", "solver.py", "stability.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_names_from_siblings(path):
+    borrowed = [f"{module}.{name}" for module, names in _imports(path)
+                if _is_sibling(module) for name in names if _is_private(name)]
+    assert borrowed == [], f"{path.stem} imports private names {borrowed}"
+
+
+def test_schemes_needs_only_numpy_and_coefficients():
+    modules = {module for module, _ in _imports(PACKAGE / "schemes.py")}
+    assert modules <= {"__future__", "math", "numpy", ".coefficients"}, modules
+
+
+def test_stability_does_not_import_solver():
+    imports = _imports(PACKAGE / "stability.py")
+    solver = [(module, names) for module, names in imports
+              if module in (".solver", "rieszkit.solver")
+              or module in (".", "rieszkit") and "solver" in names]
+    assert solver == [], f"stability imports the solver: {solver}"
