@@ -87,8 +87,6 @@ def truncated_symbol(p: int, alpha: float, theta: float, length: int) -> float:
 
 def check_symbol_nonnegativity(p: int, alpha: float, grid_size: int) -> SymbolScan:
     """Minimum of the symbol over a uniform theta grid on [-pi, pi]."""
-    if grid_size < 1024:
-        raise ValueError("grid_size must be at least 1024")
     thetas = np.linspace(-math.pi, math.pi, grid_size)
     return symbol_scan(p, alpha, thetas, symbol_values(p, alpha, thetas))
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .coefficients import CoefficientTable, expand_generating_function
 from .reports import ConvergenceReport, ConvergenceRow
+from .schemes import fractional_coefficient
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,10 @@ class GridFunction:
 
 
 def riesz_prefactor(alpha: float, h: float) -> float:
-    """-1 / (2 cos(pi alpha / 2) h**alpha); rejects alpha = 1."""
-    c = math.cos(math.pi * alpha / 2.0)
-    if c == 0.0 or not (0.0 < alpha < 2.0) or alpha == 1.0:
+    """-1 / (2 cos(pi alpha / 2) h**alpha), minus nu at d_alpha = 1."""
+    if not (0.0 < alpha < 2.0) or alpha == 1.0:
         raise ValueError(f"alpha must lie in (0,1) or (1,2), got {alpha}")
-    return -1.0 / (2.0 * c * h ** alpha)
+    return -fractional_coefficient(1.0, alpha, h)
 
 
 def riesz_apply(table: CoefficientTable, f: GridFunction) -> GridFunction:

@@ -2,7 +2,8 @@
 and operator stencils and their fractional weights, and the von Neumann
 growth factors those define.  :mod:`rieszkit.solver` assembles its
 matrices and :mod:`rieszkit.stability` scans its growth factors from this
-one definition.  NumPy only: nothing here factors a matrix.
+one definition, and :func:`check_step` decides which parameters they
+accept.  NumPy only: nothing here factors a matrix.
 """
 
 from __future__ import annotations
@@ -25,10 +26,36 @@ def weight_order(scheme: str) -> int:
     return WEIGHT_ORDER[scheme]
 
 
+def check_coefficients(alpha: float, d1: float, d2: float, d_alpha: float):
+    """Accept only finite d1, d2 > 0, finite d_alpha >= 0 and 0 < alpha < 1."""
+    for name, value in (("d1", d1), ("d2", d2), ("d_alpha", d_alpha)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not (d1 > 0 and d2 > 0 and d_alpha >= 0 and 0.0 < alpha < 1.0):
+        raise ValueError(f"need d1, d2 > 0, d_alpha >= 0 and alpha in (0, 1), got "
+                         f"d1 = {d1}, d2 = {d2}, d_alpha = {d_alpha}, alpha = {alpha}")
+
+
+def check_step(scheme: str, alpha: float, h: float, tau: float, d1: float,
+               d2: float, d_alpha: float):
+    """Reject an unknown scheme, bad coefficients, h or tau not positive, and
+    a 2/tau, h**2 or d1**2 (all used by the stencils) out of double range."""
+    weight_order(scheme)
+    check_coefficients(alpha, d1, d2, d_alpha)
+    if not (0.0 < h and 0.0 < h * h < math.inf and 0.0 < tau < math.inf
+            and 2.0 / tau < math.inf and d1 * d1 < math.inf):
+        raise ValueError(
+            f"mesh width h = {h} or time step tau = {tau} is not positive, or "
+            f"2/tau, h**2 or d1**2 (d1 = {d1}) is out of double range")
+
+
 def fractional_coefficient(d_alpha: float, alpha: float, h: float) -> float:
     """nu = d_alpha / (2 cos(pi alpha / 2) h**alpha), the factor of the
-    weight convolution."""
-    return d_alpha / (2.0 * math.cos(math.pi * alpha / 2.0) * h ** alpha)
+    weight convolution; ValueError if it is not finite."""
+    nu = d_alpha / (2.0 * math.cos(math.pi * alpha / 2.0) * h ** alpha)
+    if not math.isfinite(nu):
+        raise ValueError(f"nu overflows double precision at d_alpha = {d_alpha}, h = {h}")
+    return nu
 
 
 def stencils(scheme: str, d1: float, d2: float, h: float):
@@ -54,6 +81,8 @@ def stencils(scheme: str, d1: float, d2: float, h: float):
         e4 = -(4 * d2 / (3 * h ** 2) - 2 * d1 / (3 * h) + 4 * d1 ** 2 / (45 * d2))
         e5 = d2 / (12 * h ** 2) - d1 / (12 * h) + d1 ** 2 / (45 * d2)
         operator = ((-2, -e1), (-1, -e2), (0, -e3), (1, -e4), (2, -e5))
+    if not all(math.isfinite(c) for _, c in compact + operator):
+        raise ValueError(f"{scheme} stencil overflows double precision at d2 = {d2}, h = {h}")
     return compact, operator
 
 

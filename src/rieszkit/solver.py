@@ -27,7 +27,8 @@ from scipy.linalg.lapack import dgetrs
 from .analysis import alpha_limit_order4
 from .coefficients import expand_generating_function
 from .reports import ConvergenceReport, ConvergenceRow
-from .schemes import fractional_coefficient, right_compact, stencils, weight_order
+from .schemes import (check_coefficients, check_step, fractional_coefficient,
+                      right_compact, stencils, weight_order)
 
 # time levels per block of the march: solve samples the source and the
 # exact solution once per block and holds only that block's levels
@@ -53,8 +54,8 @@ class ProblemSpec:
     ``source(x, t)`` and ``exact(x, t)`` take ``t`` either as a float or
     as an (n, 1) column of times, and their result must broadcast to
     (len(x),) or (n, len(x)) respectively: :func:`solve` passes the times
-    of a whole block of levels at once, one row per time.  The domain, the
-    horizon and the coefficients must be finite.
+    of a whole block of levels at once, one row per time.  The domain and
+    the horizon must be finite; :mod:`rieszkit.schemes` checks the rest.
     """
 
     d1: float
@@ -69,19 +70,14 @@ class ProblemSpec:
     exact: Callable[[np.ndarray, float | np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        for name in ("a", "b", "T", "d1", "d2", "d_alpha"):
+        for name in ("a", "b", "T"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.b <= self.a:
             raise ValueError("domain requires b > a")
         if self.T <= 0:
             raise ValueError("horizon must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.d1 <= 0 or self.d2 <= 0:
-            raise ValueError("advection and diffusion coefficients must be positive")
-        if self.d_alpha < 0:
-            raise ValueError("fractional diffusion coefficient must be nonnegative")
+        check_coefficients(self.alpha, self.d1, self.d2, self.d_alpha)
 
 
 @dataclass
@@ -184,7 +180,8 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
     term at the ghost nodes a - h and b + h, and the source stencil samples
     the source there as well: ``source_matrix`` has one column per entry
     of ``source_x``, the nodes a + j h for j = -g..M+g, with g = 1 for
-    order6 and g = 0 otherwise.
+    order6 and g = 0 otherwise.  :func:`rieszkit.schemes.check_step`
+    decides which steps are valid.
 
     Assembly is array code throughout.  The convolution K is a sum of
     Toeplitz terms apart from one edge column per half, accumulated in the
@@ -201,22 +198,15 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
     p = weight_order(scheme)
     if M < (6 if scheme == "order6" else 4):
         raise ValueError(f"{scheme} requires a finer mesh than M={M}")
-    if tau <= 0:
-        raise ValueError("time step must be positive")
-    if spec.d2 <= 0:
-        raise ValueError("compact parameters require d2 > 0")
+    h = (spec.b - spec.a) / M
+    check_step(scheme, spec.alpha, h, tau, spec.d1, spec.d2, spec.d_alpha)
     if scheme == "order4" and spec.alpha > alpha_limit_order4():
         warnings.warn(
             f"order4 stability is only guaranteed for alpha <= "
             f"{alpha_limit_order4():.4f}; got alpha={spec.alpha}",
             stacklevel=2)
 
-    h = (spec.b - spec.a) / M
-    if not 0.0 < h * h < math.inf:  # the stencils divide by h**2
-        raise ValueError(f"mesh width h = {h} is out of double range")
     nu = fractional_coefficient(spec.d_alpha, spec.alpha, h)
-    if not nu >= 0.0:
-        raise ValueError(f"fractional coefficient nu = {nu} must be nonnegative")
     compact, operator = stencils(scheme, spec.d1, spec.d2, h)
     w = expand_generating_function(p, spec.alpha, M + 2).values
 

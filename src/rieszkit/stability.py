@@ -1,8 +1,8 @@
 """Von Neumann stability of the three schemes: single growth factors and
 scans of their maximum over the phase angle.  The factors come from
 :func:`rieszkit.schemes.growth_factors`, which reads the stencils that
-:func:`rieszkit.solver.assemble` uses; this module validates the inputs
-and reports a factor that overflows as a ValueError."""
+:func:`rieszkit.solver.assemble` uses; :func:`rieszkit.schemes.check_step`
+decides their domain, and a factor that overflows is a ValueError."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schemes import growth_factors, weight_order
+from .schemes import check_step, growth_factors
 
 
 @dataclass(frozen=True)
@@ -27,27 +27,10 @@ class AmplificationQuery:
     theta: float
 
     def __post_init__(self):
-        _validate(self.scheme, self.alpha, self.h, self.tau, self.d1, self.d2,
-                  self.d_alpha)
+        check_step(self.scheme, self.alpha, self.h, self.tau, self.d1, self.d2,
+                   self.d_alpha)
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
-
-
-def _validate(scheme: str, alpha: float, h: float, tau: float,
-              d1: float, d2: float, d_alpha: float) -> None:
-    """Reject inputs outside the scheme's domain, and finite inputs whose
-    derived 2/tau, h**2 or d1**2 (the stencils use all three) overflows or
-    underflows to zero in double precision."""
-    weight_order(scheme)  # rejects an unknown scheme
-    if not all(0 < v < math.inf for v in (h, tau, d1, d2, d_alpha)):
-        raise ValueError("step sizes and coefficients must be positive and finite")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not (2.0 / tau < math.inf and 0.0 < h * h < math.inf
-            and d1 * d1 < math.inf):
-        raise ValueError(
-            f"h = {h}, tau = {tau} or d1 = {d1} is out of double range: "
-            f"2/tau, h**2 and d1**2 must be finite and h**2 positive")
 
 
 @dataclass(frozen=True)
@@ -63,7 +46,7 @@ class StabilityReport:
     passed: bool
 
 
-# Finite inputs that pass _validate can still overflow on the way to xi.
+# Finite inputs that pass check_step can still overflow on the way to xi.
 # The callers evaluate growth_factors under this error state and raise
 # _overflow for a non-finite xi, instead of NumPy warnings and a nan row.
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
@@ -100,7 +83,7 @@ def stability_scan(scheme: str, alpha: float, hs, taus,
         raise ValueError("hs and taus must not be empty")
     for h in hs:
         for tau in taus:
-            _validate(scheme, alpha, h, tau, d1, d2, d_alpha)
+            check_step(scheme, alpha, h, tau, d1, d2, d_alpha)
     if grid_size < 1024:
         raise ValueError("grid_size must be at least 1024")
     thetas = np.linspace(-math.pi, math.pi, grid_size)

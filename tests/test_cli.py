@@ -100,6 +100,17 @@ class TestSubcommands:
         rows = (out / "stability.csv").read_text().splitlines()[1:]
         assert rows[0].endswith(",1")
 
+    def test_stability_without_fractional_term(self, tmp_path):
+        # d_alpha = 0 is the plain advection-diffusion scheme, which solve
+        # also accepts
+        cfg = _write(tmp_path,
+                     "[stability]\nscheme = order6\nalpha = 0.5\n"
+                     "h = 0.1\ntau = 0.1\nd_alpha = 0\ntheta_grid = 1024\n")
+        out = tmp_path / "out"
+        assert _run(["stability", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "stability.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].endswith(",1")
+
     @pytest.mark.parametrize("args, key, expected", [
         (["--out", "D"], "out = E\n", "D"),
         ([], "out = E\n", "E"),

@@ -16,6 +16,7 @@ from naive_reference import (
     naive_builtin_problem,
 )
 from rieszkit import (
+    AmplificationQuery,
     ProblemSpec,
     SolverError,
     assemble,
@@ -27,10 +28,18 @@ from rieszkit import (
     step,
 )
 from rieszkit import solver as solver_module
-from rieszkit.schemes import stencils
+from rieszkit.schemes import SCHEMES, stencils
 from rieszkit.solver import _convolution_matrix
 
 LADDER_T6 = [(10, 10), (20, 20), (40, 40), (80, 80)]
+# powers of ten over the double range, subnormals included
+_LOG_UNIFORM = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
+
+
+def _zero_problem():
+    return ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5, a=0.0, b=1.0,
+                       T=1.0, source=lambda x, t: np.zeros_like(x),
+                       initial=np.ones_like)
 
 
 def _poly_coeffs(p):
@@ -84,9 +93,7 @@ class TestAssemble:
         (0.0, 4e160),  # h**2 overflows
     ], ids=["h-inf", "h-zero", "h-squared-zero", "h-squared-inf"])
     def test_mesh_width_out_of_range(self, a, b):
-        spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5, a=a, b=b,
-                           T=1.0, source=lambda x, t: np.zeros_like(x),
-                           initial=np.ones_like)
+        spec = dataclasses.replace(_zero_problem(), a=a, b=b)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="mesh width h = "):
@@ -98,6 +105,52 @@ class TestAssemble:
         with pytest.raises(ValueError, match="d_alpha"):
             dataclasses.replace(builtin_problem("example2", 0.5),
                                 d_alpha=math.nan)
+
+    @pytest.mark.parametrize("scheme, changes", [
+        ("order4", {"d1": 1e200}),  # d1**2 overflows
+        ("order4", {"d2": 1e-310}),  # d1**2 / d2 overflows
+        ("order6", {"d2": 1e-310}),  # q = d1 h / d2 overflows
+        ("order2", {"d_alpha": 1e308, "alpha": 0.9}),  # nu overflows
+        ("order2", {"T": 1e-310}),  # 2 / tau overflows at N = 1
+    ], ids=["huge-d1", "tiny-d2-order4", "tiny-d2-order6", "huge-nu",
+            "tiny-tau"])
+    def test_stencil_inputs_out_of_range(self, scheme, changes):
+        # finite inputs whose stencil weights, nu or 2/tau overflow; unchecked
+        # they end in an OverflowError traceback, NumPy warnings or a
+        # misleading "singular system"
+        spec = dataclasses.replace(_zero_problem(), **changes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                solve(scheme, spec, 8, 1)
+
+    @given(scheme=st.sampled_from(SCHEMES), alpha=st.floats(0.01, 0.99),
+           h=_LOG_UNIFORM, tau=_LOG_UNIFORM, d1=_LOG_UNIFORM, d2=_LOG_UNIFORM,
+           d_alpha=st.one_of(st.just(0.0), _LOG_UNIFORM))
+    def test_domain_agrees_with_stability(self, scheme, alpha, h, tau, d1, d2,
+                                          d_alpha):
+        # one parameter domain: a step the stability query rejects, assemble
+        # rejects too, and no input ends in an arithmetic exception
+        M = 8
+        assume(h * M < math.inf)
+        spec = dataclasses.replace(_zero_problem(), d1=d1, d2=d2,
+                                   d_alpha=d_alpha, alpha=alpha, b=h * M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                AmplificationQuery(scheme, alpha, spec.b / M, tau, d1, d2,
+                                   d_alpha, 1.0)
+                rejected = False
+            except ValueError:
+                rejected = True
+            try:
+                assemble(scheme, spec, M, tau)
+                outcome = None
+            except Exception as exc:  # a warning, SolverError or ValueError
+                outcome = exc
+        assert not isinstance(outcome, (OverflowError, ZeroDivisionError))
+        if rejected:
+            assert isinstance(outcome, ValueError), outcome
 
     def test_zero_pivot_is_singular(self, monkeypatch):
         # lu_factor only warns about an exactly zero pivot, so assemble

@@ -67,6 +67,14 @@ class TestScan:
             assert rep.min_real_group >= -1e-12
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_order2_without_fractional_term(self, alpha):
+        # d_alpha = 0 is the plain advection-diffusion scheme that solve
+        # marches; Re G = (2 d2 / h**2)(1 - cos theta) >= 0 on every cell
+        for rep in stability_scan("order2", alpha, GRID, GRID, 1, 1, 0, 1024):
+            assert rep.passed
+            assert rep.min_real_group >= 0.0
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_order4_within_limit(self, alpha):
         for rep in stability_scan("order4", alpha, GRID, GRID, 1, 1, 1, 1024):
             assert rep.passed
@@ -103,7 +111,7 @@ class TestScan:
         ("order2", 0.5, [0.1], [0.1, 0.0], 1, 1, 1),
         ("order4", 0.5, [0.1], [0.1], 0, 1, 1),
         ("order4", 0.5, [0.1], [0.1], 1, -1, 1),
-        ("order6", 0.5, [0.1], [0.1], 1, 1, 0),
+        ("order6", 0.5, [0.1], [0.1], 1, 1, -1),
         ("order2", 0.5, [math.nan], [0.1], 1, 1, 1),
         ("order2", 1.5, [0.1], [0.1], 1, 1, 1),
         ("order2", 0.5, [], [0.1], 1, 1, 1),
