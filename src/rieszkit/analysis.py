@@ -280,7 +280,8 @@ def evaluate_bounds(family: str, alpha: float, ell_min: int,
     come in ell order.
     """
     if family not in _BOUND_FAMILIES:
-        raise ValueError(f"unknown bound family '{family}'")
+        raise ValueError(f"unknown bound family {family!r}; choose from "
+                         f"{bound_families()}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     min_ell, shift, observed, bounds = _BOUND_FAMILIES[family]

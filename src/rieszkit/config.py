@@ -95,9 +95,3 @@ def parse_ladder(text: str, key: str = "ladder") -> list[tuple[int, int]]:
         if m1 <= m0 or n1 <= n0:
             raise UsageError(f"'{key}' must be strictly refining, got {pairs}")
     return pairs
-
-
-def require_alpha_open_unit(alphas: list[float], key: str = "alpha") -> None:
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise UsageError(f"'{key}' values must lie in (0, 1), got {a}")

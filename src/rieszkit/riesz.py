@@ -101,6 +101,7 @@ def point_approximation(table: CoefficientTable, h: float, x0: float) -> float:
     Coincides with the grid midpoint value of :func:`riesz_apply` when
     x0 = 1/2 lies on the grid.
     """
+    _check_step(h)
     p = table.p
     L = int(math.ceil(max(x0, 1.0 - x0) / h)) + 1
     if table.length < L:
@@ -112,10 +113,14 @@ def point_approximation(table: CoefficientTable, h: float, x0: float) -> float:
     return riesz_prefactor(table.alpha, h) * s
 
 
-def _resolve_mesh(h: float) -> int:
+def _check_step(h: float) -> None:
     if not (0.0 < h < math.inf and 1.0 / h < math.inf):
         raise ValueError(f"step {h} must be positive and finite, and so "
                          f"must its reciprocal")
+
+
+def _resolve_mesh(h: float) -> int:
+    _check_step(h)
     M = round(1.0 / h)
     if M < 2 or abs(1.0 / h - M) > 1e-9 * M:
         raise ValueError(f"step {h} is not the reciprocal of an integer")

@@ -52,7 +52,8 @@ def check_step(scheme: str, alpha: float, h: float, tau: float, d1: float,
 def fractional_coefficient(d_alpha: float, alpha: float, h: float) -> float:
     """nu = d_alpha / (2 cos(pi alpha / 2) h**alpha), the factor of the
     weight convolution; ValueError if it is not finite."""
-    nu = d_alpha / (2.0 * math.cos(math.pi * alpha / 2.0) * h ** alpha)
+    denominator = 2.0 * math.cos(math.pi * alpha / 2.0) * h ** alpha
+    nu = d_alpha / denominator if denominator else math.inf
     if not math.isfinite(nu):
         raise ValueError(f"nu overflows double precision at d_alpha = {d_alpha}, h = {h}")
     return nu

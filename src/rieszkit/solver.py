@@ -473,9 +473,9 @@ def convergence_study(scheme: str, problem: str | ProblemSpec, alpha: float,
         t_order = s_order = None
         if prev is not None:
             h0, tau0, e0 = prev
-            if tau0 != tau and err > 0:
+            if tau0 != tau and err > 0 and e0 > 0:
                 t_order = math.log(e0 / err) / math.log(tau0 / tau)
-            if h0 != h and err > 0:
+            if h0 != h and err > 0 and e0 > 0:
                 s_order = math.log(e0 / err) / math.log(h0 / h)
         rows.append(ConvergenceRow(h=h, tau=tau, error=err,
                                    temporal_order=t_order, spatial_order=s_order))

@@ -317,6 +317,40 @@ class TestErrors:
                      "ell_min = 10\nell_max = 9\n")
         assert _run(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("command, target, keys", [
+        ("solve", "solve", "scheme = order2\nproblem = example2\nM = 8\nN = 8\n"),
+        ("convergence", "convergence_study",
+         "scheme = order2\nproblem = example2\nladder = 4:4, 8:8\n"),
+    ], ids=["solve", "convergence"])
+    def test_every_alpha_checked_before_any_work(self, tmp_path, monkeypatch,
+                                                 capsys, command, target, keys):
+        import rieszkit.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, target, lambda *args, **kw: calls.append(args))
+        cfg = _write(tmp_path, f"[{command}]\nalpha = 0.3, 1.4\n{keys}")
+        assert _run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert calls == []
+        assert not (tmp_path / "o").exists()
+        assert "alpha" in capsys.readouterr().err
+
+    def test_stability_alpha_outside_unit_interval(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "[stability]\nscheme = order2\nalpha = 1.4\n"
+                               "h = 0.1\ntau = 0.1\ntheta_grid = 1024\n")
+        assert _run(["stability", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "alpha = 1.4" in capsys.readouterr().err
+
+    def test_unknown_bound_family_lists_the_families(self, tmp_path, capsys):
+        from rieszkit import bound_families
+
+        cfg = _write(tmp_path, "[bounds]\nfamily = nope\nalpha = 0.5\n")
+        assert _run(["bounds", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "unknown bound family 'nope'" in err
+        assert len(bound_families()) == 8
+        assert all(repr(family) in err for family in bound_families())
+
 
 # Config fuzzer.  Each example starts from a working config of one
 # subcommand, replaces or deletes a few of its keys and may add sections

@@ -69,6 +69,15 @@ class TestRieszApply:
         with pytest.raises(ValueError):
             riesz_apply(table, GridFunction(grid, np.zeros(9)))
 
+    @pytest.mark.parametrize("b, M, alpha", [(5e-324, 2, 0.5), (1e-300, 4, 1.9)],
+                             ids=["zero-step", "underflowing-power"])
+    def test_vanishing_denominator_overflows_nu(self, b, M, alpha):
+        # h = 0.0 on the first grid; h**1.9 underflows to 0.0 on the second
+        grid = UniformGrid(0.0, b, M)
+        table = expand_generating_function(2, alpha, M + 1)
+        with pytest.raises(ValueError, match="nu overflows"):
+            riesz_apply(table, GridFunction(grid, np.ones(M + 1)))
+
 
 class TestReference:
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
@@ -106,6 +115,12 @@ class TestPointApproximation:
         grid_out = riesz_apply(table, _grid_fn(p, M)).values[M // 2]
         point_out = point_approximation(table, 1.0 / M, 0.5)
         assert abs(grid_out - point_out) < 1e-13
+
+    @pytest.mark.parametrize("h", [0.0, 1e-310, -0.1, math.nan])
+    def test_bad_step_rejected(self, h):
+        table = expand_generating_function(2, 0.5, 20)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            point_approximation(table, h, 0.5)
 
     def test_profile_vanishes_outside_unit_interval(self):
         assert poly_profile(3, -0.2) == 0.0

@@ -565,6 +565,18 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study("order2", "example2", 0.5, [])
 
+    def test_zero_error_rung_has_no_orders(self):
+        # the exact solution is nonzero only at x = 1/8, a node of M = 8
+        # alone, so the first rung's error is exactly zero
+        spec = ProblemSpec(
+            d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5, a=0.0, b=1.0, T=1.0,
+            source=lambda x, t: np.zeros_like(x), initial=np.zeros_like,
+            exact=lambda x, t: np.where(x == 0.125, 1.0, 0.0) + 0.0 * t)
+        rep = convergence_study("order2", spec, 0.5, [(4, 4), (8, 8)])
+        assert [r.error for r in rep.rows] == [0.0, 1.0]
+        assert rep.rows[1].temporal_order is None
+        assert rep.rows[1].spatial_order is None
+
 
 class TestManufacturedResidual:
     @staticmethod

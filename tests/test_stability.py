@@ -56,6 +56,14 @@ class TestAmplificationFactor:
             with pytest.raises(ValueError, match="overflows double precision"):
                 amplification_factor(q)
 
+    def test_overflow_of_the_factor_itself(self):
+        # every stencil weight and nu is finite; (2/tau) C overflows
+        q = AmplificationQuery("order4", 0.5, 1e-160, 1e-307, 1, 1e-300, 1, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="growth factor overflows"):
+                amplification_factor(q)
+
 
 class TestScan:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.8])
@@ -147,6 +155,13 @@ class TestScan:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows double precision"):
                 stability_scan(*args, 1024)
+
+    def test_overflow_of_the_factor_itself(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="growth factor overflows"):
+                stability_scan("order4", 0.5, [1e-160], [1e-307], 1, 1e-300, 1,
+                               1024)
 
 
 # (scheme, alpha, h, tau, d1, d2, d_alpha, von Neumann stable)

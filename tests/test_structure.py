@@ -1,8 +1,8 @@
 """Import structure of the package, read from the source with `ast`.
 
 The schemes are defined in one module that needs no SciPy, the stability
-scans do not reach into the solver, and no module borrows a sibling's
-private helpers.
+scans do not reach into the solver, no module borrows a sibling's
+private helpers, and every module-level import is used.
 """
 
 import ast
@@ -60,3 +60,25 @@ def test_stability_does_not_import_solver():
               if module in (".solver", "rieszkit.solver")
               or module in (".", "rieszkit") and "solver" in names]
     assert solver == [], f"stability imports the solver: {solver}"
+
+
+def _unused_imports(path):
+    """Names bound by the module-level imports of `path` that its code never
+    reads; `from __future__` imports bind nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.extend(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    unused = _unused_imports(path)
+    assert unused == [], f"{path.stem} imports {unused} without using them"
