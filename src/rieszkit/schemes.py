@@ -1,5 +1,5 @@
-"""The three Crank-Nicolson schemes (orders 2, 4 and 6) by their compact
-and operator stencils and their fractional weights, and the von Neumann
+"""The Crank-Nicolson schemes of orders 2, 4 and 6 by their stencils,
+fractional weights and convolution orientation, and the von Neumann
 growth factors those define.  :mod:`rieszkit.solver` assembles its
 matrices and :mod:`rieszkit.stability` scans its growth factors from this
 one definition, and :func:`check_step` decides which parameters they
@@ -14,16 +14,17 @@ import numpy as np
 
 from .coefficients import generator_on_circle
 
-# scheme -> order p of its fractional weights
-WEIGHT_ORDER = {"order2": 2, "order4": 4, "order6": 6}
-SCHEMES = tuple(WEIGHT_ORDER)
+# scheme -> (order p of its weights, forward half mirrored; see right_compact)
+SCHEME_TABLE = {"order2": (2, True), "order4": (4, True), "order6": (6, True),
+                "order4-consistent": (4, False), "order6-consistent": (6, False)}
+SCHEMES = tuple(SCHEME_TABLE)
 
 
 def weight_order(scheme: str) -> int:
     """Order p of the fractional weights of ``scheme``, one of SCHEMES."""
-    if scheme not in WEIGHT_ORDER:
+    if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme '{scheme}', expected one of {SCHEMES}")
-    return WEIGHT_ORDER[scheme]
+    return SCHEME_TABLE[scheme][0]
 
 
 def check_coefficients(alpha: float, d1: float, d2: float, d_alpha: float):
@@ -51,8 +52,12 @@ def check_step(scheme: str, alpha: float, h: float, tau: float, d1: float,
 
 def fractional_coefficient(d_alpha: float, alpha: float, h: float) -> float:
     """nu = d_alpha / (2 cos(pi alpha / 2) h**alpha), the factor of the
-    weight convolution; ValueError if it is not finite."""
-    denominator = 2.0 * math.cos(math.pi * alpha / 2.0) * h ** alpha
+    weight convolution; ValueError if it or h**alpha is not finite."""
+    try:
+        denominator = 2.0 * math.cos(math.pi * alpha / 2.0) * h ** alpha
+    except OverflowError:
+        raise ValueError(f"h**alpha is out of double range at h = {h}, "
+                         f"alpha = {alpha}") from None
     nu = d_alpha / denominator if denominator else math.inf
     if not math.isfinite(nu):
         raise ValueError(f"nu overflows double precision at d_alpha = {d_alpha}, h = {h}")
@@ -87,16 +92,16 @@ def stencils(scheme: str, d1: float, d2: float, h: float):
     return compact, operator
 
 
-def right_compact(compact, reflect_right: bool):
-    """Compact stencil of the forward-looking convolution half: mirrored with
-    reflect_right, which reproduces the published benchmark tables, else the
-    backward half's (the operator-consistent orientation)."""
-    return tuple((-off, c) for off, c in compact) if reflect_right else compact
+def right_compact(scheme: str, compact):
+    """Compact stencil of the forward-looking convolution half: mirrored for
+    order2, order4 and order6 as in the published tables (spatial orders 2,
+    2 and 4 when d1 != 0), else the backward half's (orders 4 and 6)."""
+    weight_order(scheme)
+    return tuple((-off, c) for off, c in compact) if SCHEME_TABLE[scheme][1] else compact
 
 
 def growth_factors(scheme: str, alpha: float, hs, taus, d1: float,
-                   d2: float, d_alpha: float, thetas: np.ndarray,
-                   reflect_right: bool = True):
+                   d2: float, d_alpha: float, thetas: np.ndarray):
     """Growth factors xi and real groups of the scheme that `assemble`
     builds, per (h, tau) in hs x taus, h outer and tau inner.
 
@@ -121,7 +126,7 @@ def growth_factors(scheme: str, alpha: float, hs, taus, d1: float,
     for h in hs:
         compact, operator = stencils(scheme, d1, d2, h)
         C = symbol(compact)
-        K = C * Z + symbol(right_compact(compact, reflect_right)) * Zc
+        K = C * Z + symbol(right_compact(scheme, compact)) * Zc
         G = fractional_coefficient(d_alpha, alpha, h) * K - symbol(operator)
         for tau in taus:
             sC = (2.0 / tau) * C

@@ -126,11 +126,10 @@ def _diagonal(X: np.ndarray, k: int) -> np.ndarray:
     return X.reshape(-1)[start::cols + 1][:count]
 
 
-def _convolution_matrix(M: int, w: np.ndarray, compact, reflect_right: bool) -> np.ndarray:
-    """Two-sided weight convolution composed with the compact stencil.
-
-    Out-of-range indices contribute zero (homogeneous boundary data).  The
-    forward-looking half applies :func:`~rieszkit.schemes.right_compact`.
+def _convolution_matrix(M: int, w: np.ndarray, compact, right) -> np.ndarray:
+    """Two-sided weight convolution composed with the compact stencil
+    ``compact`` on the backward-looking half and ``right`` on the
+    forward-looking one.  Out-of-range indices contribute zero.
 
     Row r = j - 1 and column m - 1 of the left half collect
     w[j - m + off] * c_off over the compact offsets, for 0 <= j - m + off <= j;
@@ -154,7 +153,6 @@ def _convolution_matrix(M: int, w: np.ndarray, compact, reflect_right: bool) -> 
         # T[r, col] = wp[s + r - col]
         return windows[s - n + 1:s + 1, ::-1]
 
-    right = right_compact(compact, reflect_right)
     K = np.zeros((n, n))
     tmp = np.empty((n, n))
     for off, c in compact:
@@ -170,8 +168,7 @@ def _convolution_matrix(M: int, w: np.ndarray, compact, reflect_right: bool) -> 
     return K
 
 
-def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
-             reflect_right: bool = True) -> SchemeMatrices:
+def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatrices:
     """Build the implicit/explicit matrices A u^{k+1} = B u^k + S s^{k+1/2}.
 
     The pentadiagonal scheme is stated on interior rows 2..M-2 only; rows
@@ -196,11 +193,11 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
     (M-1) x (M-1) buffers.
     """
     p = weight_order(scheme)
-    if M < (6 if scheme == "order6" else 4):
+    if M < (6 if p == 6 else 4):
         raise ValueError(f"{scheme} requires a finer mesh than M={M}")
     h = (spec.b - spec.a) / M
     check_step(scheme, spec.alpha, h, tau, spec.d1, spec.d2, spec.d_alpha)
-    if scheme == "order4" and spec.alpha > alpha_limit_order4():
+    if p == 4 and spec.alpha > alpha_limit_order4():
         warnings.warn(
             f"order4 stability is only guaranteed for alpha <= "
             f"{alpha_limit_order4():.4f}; got alpha={spec.alpha}",
@@ -210,7 +207,7 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float,
     compact, operator = stencils(scheme, spec.d1, spec.d2, h)
     w = expand_generating_function(p, spec.alpha, M + 2).values
 
-    K = _convolution_matrix(M, w, compact, reflect_right)
+    K = _convolution_matrix(M, w, compact, right_compact(scheme, compact))
     np.multiply(K, nu, out=K)
     # A = (s C - D) + nu K and B = (s C + D) - nu K elementwise, with the
     # banded C and D kept as one stencil term per diagonal (an entry of C
@@ -271,8 +268,7 @@ def step(mats: SchemeMatrices, u: np.ndarray, s_half: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(scheme: str, spec: ProblemSpec, M: int, N: int,
-          reflect_right: bool = True) -> SolutionGrid:
+def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     """March from the initial data to t = T.
 
     The march runs in blocks of up to 256 time levels.  Each block calls
@@ -291,7 +287,7 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int,
     if N < 1:
         raise ValueError("need at least one time step")
     tau = spec.T / N
-    mats = assemble(scheme, spec, M, tau, reflect_right=reflect_right)
+    mats = assemble(scheme, spec, M, tau)
     x = spec.a + mats.h * np.arange(M + 1)
     xs = mats.source_x
     u = np.empty(M + 1)
@@ -445,7 +441,7 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
 
 
 def convergence_study(scheme: str, problem: str | ProblemSpec, alpha: float,
-                      ladder, reflect_right: bool = True) -> ConvergenceReport:
+                      ladder) -> ConvergenceReport:
     """Errors and observed orders over a refinement ladder of (M, N) pairs.
 
     Temporal order compares consecutive errors against the tau ratio,
@@ -468,7 +464,7 @@ def convergence_study(scheme: str, problem: str | ProblemSpec, alpha: float,
     rows: list[ConvergenceRow] = []
     prev: tuple[float, float, float] | None = None
     for M, N in ladder:
-        grid = solve(scheme, spec, M, N, reflect_right=reflect_right)
+        grid = solve(scheme, spec, M, N)
         h, tau, err = grid.h, grid.tau, grid.max_error
         t_order = s_order = None
         if prev is not None:

@@ -1,4 +1,4 @@
-"""Von Neumann stability of the three schemes: single growth factors and
+"""Von Neumann stability of the schemes: single growth factors and
 scans of their maximum over the phase angle.  The factors come from
 :func:`rieszkit.schemes.growth_factors`, which reads the stencils that
 :func:`rieszkit.solver.assemble` uses; :func:`rieszkit.schemes.check_step`
@@ -74,10 +74,10 @@ def stability_scan(scheme: str, alpha: float, hs, taus,
     """Maximum growth factor over a uniform theta grid on [-pi, pi], for
     every (h, tau) in hs x taus: h outer, tau inner.
 
-    The scheme is analysed in the orientation :func:`~rieszkit.solver.solve`
-    builds by default (``reflect_right=True``).  The weight symbol and the
-    Fourier basis are evaluated once per scan, the stencil symbols once
-    per h.
+    ``scheme`` is order2, order4, order6, order4-consistent or
+    order6-consistent, in the orientation that ``solve`` marches.  The
+    weight symbol and the Fourier basis are evaluated once per scan, the
+    stencil symbols once per h.
     """
     if len(hs) == 0 or len(taus) == 0:
         raise ValueError("hs and taus must not be empty")

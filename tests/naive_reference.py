@@ -3,10 +3,12 @@
 Written directly from the printed per-node layouts, with explicit loops and
 a generic dense solve; no code shared with the production assembly.  The
 `reflect_right` switch mirrors the compact weights on the forward-looking
-convolution half, matching the production default.  Row j of a compact
-scheme samples the source at every node j + off its stencil reaches; for
-the five-point order6 stencil, rows 1 and M-1 reach the ghost nodes
-x_{-1} = a - h and x_{M+1} = b + h.
+convolution half.  `NAIVE_SCHEMES` gives each production scheme name its
+stencil family and that switch, stated here rather than read from
+`rieszkit.schemes`, so the orientation of each name is checked
+independently.  Row j of a compact scheme samples the source at every node
+j + off its stencil reaches; for the five-point order6 stencil, rows 1 and
+M-1 reach the ghost nodes x_{-1} = a - h and x_{M+1} = b + h.
 
 `naive_assembly_matrices` keeps the entry loops that filled the matrices
 of `rieszkit.solver.assemble` before it moved to Toeplitz views; the
@@ -28,6 +30,7 @@ The production function must write the same bytes.
 """
 
 import csv
+import functools
 import io
 import math
 from fractions import Fraction
@@ -164,11 +167,34 @@ def naive_step_order6(spec, M, tau, u_prev, t_half, reflect_right=True):
                          reflect_right)
 
 
-NAIVE_STEPS = {
-    "order2": lambda spec, M, tau, u, t, reflect_right=True:
+# scheme name -> (stencil family, reflect_right)
+NAIVE_SCHEMES = {
+    "order2": ("order2", True),
+    "order4": ("order4", True),
+    "order6": ("order6", True),
+    "order4-consistent": ("order4", False),
+    "order6-consistent": ("order6", False),
+}
+
+
+def naive_scheme(family, reflect_right):
+    """The name in NAIVE_SCHEMES of `family` in this orientation; order2 has
+    one name, since its compact stencil is its own mirror."""
+    return next(name for name, entry in NAIVE_SCHEMES.items()
+                if entry == (family, reflect_right or family == "order2"))
+
+
+_FAMILY_STEPS = {
+    "order2": lambda spec, M, tau, u, t, reflect_right:
         naive_step_order2(spec, M, tau, u, t),
     "order4": naive_step_order4,
     "order6": naive_step_order6,
+}
+
+# scheme name -> step(spec, M, tau, u_prev, t_half)
+NAIVE_STEPS = {
+    name: functools.partial(_FAMILY_STEPS[family], reflect_right=reflect)
+    for name, (family, reflect) in NAIVE_SCHEMES.items()
 }
 
 
@@ -199,13 +225,14 @@ def _naive_convolution_matrix(M, w, compact, reflect_right):
     return K
 
 
-def naive_assembly_matrices(scheme, spec, M, tau, reflect_right=True):
+def naive_assembly_matrices(scheme, spec, M, tau):
     """(A, B, source_matrix) of `assemble`, filled entry by entry."""
-    p = {"order2": 2, "order4": 4, "order6": 6}[scheme]
+    family, reflect_right = NAIVE_SCHEMES[scheme]
+    p = {"order2": 2, "order4": 4, "order6": 6}[family]
     h = (spec.b - spec.a) / M
     cosine = math.cos(math.pi * spec.alpha / 2.0)
     nu = spec.d_alpha / (2.0 * cosine * h ** spec.alpha)
-    compact, operator = stencils(scheme, spec.d1, spec.d2, h)
+    compact, operator = stencils(family, spec.d1, spec.d2, h)
     w = expand_generating_function(p, spec.alpha, M + 2).values
 
     C = _naive_stencil_matrix(M, compact)

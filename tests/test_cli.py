@@ -77,6 +77,25 @@ class TestSubcommands:
         rows = (out / "solve.csv").read_text().splitlines()[1:]
         assert len(rows) == 11
 
+    @pytest.mark.parametrize("scheme,problem,ladder,floor", [
+        ("order4-consistent", "example2", "16:64, 32:256, 64:1024, 128:4096", 3.9),
+        ("order6-consistent", "example3", "16:64, 32:512, 64:4096", 5.8),
+    ])
+    def test_consistent_schemes_keep_their_order(self, tmp_path, scheme,
+                                                 problem, ladder, floor):
+        # d1 != 0 in both problems; at alpha = 0.7 the mirrored order4 and
+        # order6 reach only 3.49, 2.47, 1.84 and 5.79, 5.20 on these ladders,
+        # the consistent schemes 4.00, 4.19, 4.16 and 6.08, 6.03
+        cfg = _write(tmp_path, f"[convergence]\nscheme = {scheme}\n"
+                               f"problem = {problem}\nalpha = 0.7\nladder = {ladder}\n")
+        out = tmp_path / "out"
+        assert _run(["convergence", "--config", cfg, "--out", str(out)]) == 0
+        [report] = read_convergence_csv(out / "convergence.csv")
+        assert report.study == scheme
+        assert all(row.error > 1e-13 for row in report.rows)
+        orders = [row.spatial_order for row in report.rows[1:]]
+        assert all(order >= floor for order in orders), orders
+
     def test_convergence_roundtrip_exact(self, tmp_path):
         cfg = _write(tmp_path,
                      "[convergence]\nscheme = order2\nproblem = example2\n"
@@ -411,7 +430,8 @@ _VALUES = {
     "d1": _FLOAT,
     "d2": _FLOAT,
     "d_alpha": _FLOAT,
-    "scheme": _words("order2", "order4", "order6", "order8"),
+    "scheme": _words("order2", "order4", "order6", "order8",
+                     "order4-consistent", "order6-consistent"),
     "problem": _words("example2", "example3", "custom"),
     "family": _words("first-pointwise", "first-tail", "first-tail-damped",
                      "second-pointwise", "second-shifted-pointwise"),

@@ -1,6 +1,7 @@
 """Grid operator and closed-form reference tests for the benchmark profiles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,14 @@ class TestRieszApply:
         with pytest.raises(ValueError, match="nu overflows"):
             riesz_apply(table, GridFunction(grid, np.ones(M + 1)))
 
+    def test_overflowing_power_is_value_error(self):
+        # h = 5e307 makes h**1.9 overflow, which float ** raises as an
+        # OverflowError
+        grid = UniformGrid(0.0, 1e308, 2)
+        table = expand_generating_function(2, 1.9, 4)
+        with pytest.raises(ValueError, match=r"h\*\*alpha is out of double range"):
+            riesz_apply(table, GridFunction(grid, np.zeros(3)))
+
 
 class TestReference:
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
@@ -125,6 +134,17 @@ class TestPointApproximation:
     def test_profile_vanishes_outside_unit_interval(self):
         assert poly_profile(3, -0.2) == 0.0
         assert poly_profile(3, 1.2) == 0.0
+
+    def test_far_samples_do_not_overflow(self):
+        # with h = 1e300 the samples x0 -+ ell h lie far outside [0, 1],
+        # where x**p (1-x)**p would overflow before it is discarded
+        table = expand_generating_function(2, 0.5, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = point_approximation(table, 1e300, 0.5)
+            far = poly_profile(4, np.array([-1e300, 1e300, -math.inf, math.inf]))
+        assert math.isfinite(value)
+        assert np.array_equal(far, np.zeros(4))
 
 
 class TestOperatorConvergence:

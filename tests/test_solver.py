@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from naive_reference import (
+    NAIVE_SCHEMES,
     NAIVE_STEPS,
     naive_assembly_matrices,
     naive_builtin_problem,
+    naive_scheme,
 )
 from rieszkit import (
     AmplificationQuery,
@@ -28,7 +30,7 @@ from rieszkit import (
     step,
 )
 from rieszkit import solver as solver_module
-from rieszkit.schemes import SCHEMES, stencils
+from rieszkit.schemes import SCHEMES, right_compact, stencils
 from rieszkit.solver import _convolution_matrix
 
 LADDER_T6 = [(10, 10), (20, 20), (40, 40), (80, 80)]
@@ -167,29 +169,31 @@ class TestAssemble:
 
 class TestAssemblyOracle:
     @pytest.mark.filterwarnings("ignore:order4 stability:UserWarning")
-    @given(scheme=st.sampled_from(["order2", "order4", "order6"]),
+    @given(scheme=st.sampled_from(sorted(NAIVE_SCHEMES)),
            M=st.integers(4, 80),
            alpha=st.floats(0.01, 0.99),
            d1=st.floats(0.01, 50.0),
            d2=st.floats(0.01, 50.0),
            d_alpha=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
-           tau=st.floats(1e-4, 1.0),
-           reflect_right=st.booleans())
+           tau=st.floats(1e-4, 1.0))
     # q = d1 h / d2 = 1 makes the order6 compact weight -(1 - q)/90 = -0.0,
     # and d_alpha = 0 makes nu K hold -0.0 wherever K < 0
-    @example(scheme="order6", M=8, alpha=0.4, d1=8.0, d2=1.0, d_alpha=0.0,
-             tau=0.05, reflect_right=False)
+    @example(scheme="order6-consistent", M=8, alpha=0.4, d1=8.0, d2=1.0,
+             d_alpha=0.0, tau=0.05)
     def test_matrices_bitwise_equal_entry_loops(self, scheme, M, alpha, d1, d2,
-                                                d_alpha, tau, reflect_right):
-        assume(scheme != "order6" or M >= 6)
+                                                d_alpha, tau):
+        assume(NAIVE_SCHEMES[scheme][0] != "order6" or M >= 6)
         spec = ProblemSpec(d1=d1, d2=d2, d_alpha=d_alpha, alpha=alpha,
                            a=0.0, b=1.0, T=1.0, source=lambda x, t: x,
                            initial=lambda x: x)
-        mats = assemble(scheme, spec, M, tau, reflect_right=reflect_right)
-        A, B, S = naive_assembly_matrices(scheme, spec, M, tau, reflect_right)
+        mats = assemble(scheme, spec, M, tau)
+        A, B, S = naive_assembly_matrices(scheme, spec, M, tau)
         assert mats.A.tobytes() == A.tobytes()
         assert mats.B.tobytes() == B.tobytes()
         assert mats.source_matrix.tobytes() == S.tobytes()
+
+    def test_oracle_names_every_scheme(self):
+        assert sorted(NAIVE_SCHEMES) == sorted(SCHEMES)
 
     @pytest.mark.parametrize("reflect_right", [True, False])
     def test_order2_convolution_is_two_toeplitz_halves(self, reflect_right):
@@ -197,7 +201,8 @@ class TestAssemblyOracle:
         M = 1024
         w = expand_generating_function(2, 0.37, M + 2).values
         compact, _ = stencils("order2", 1.0, 1.0, 1.0 / M)
-        K = _convolution_matrix(M, w, compact, reflect_right)
+        right = right_compact(naive_scheme("order2", reflect_right), compact)
+        K = _convolution_matrix(M, w, compact, right)
         T = toeplitz(w[:M - 1], np.zeros(M - 1))
         assert np.array_equal(K, T + T.T)
 
@@ -208,7 +213,8 @@ class TestAssemblyOracle:
         M = 1024
         w = expand_generating_function(int(scheme[-1]), 0.37, M + 2).values
         compact, _ = stencils(scheme, 2.0, 1.0, 1.0 / M)
-        K = _convolution_matrix(M, w, compact, reflect_right)
+        right = right_compact(naive_scheme(scheme, reflect_right), compact)
+        K = _convolution_matrix(M, w, compact, right)
         if scheme == "order4":
             assert np.array_equal(K[1:, 1:], K[:-1, :-1])
             return
@@ -240,10 +246,10 @@ class TestStepOracle:
         spec = builtin_problem(problem, alpha)
         rng = np.random.default_rng(42)
         u0 = rng.standard_normal(M - 1)
-        mats = assemble(scheme, spec, M, tau, reflect_right=reflect)
+        name = naive_scheme(scheme, reflect)
+        mats = assemble(name, spec, M, tau)
         got = step(mats, u0, spec.source(mats.source_x, 0.5 * tau))
-        ref = NAIVE_STEPS[scheme](spec, M, tau, u0, 0.5 * tau,
-                                  reflect_right=reflect)
+        ref = NAIVE_STEPS[name](spec, M, tau, u0, 0.5 * tau)
         assert np.max(np.abs(got - ref)) < 1e-13
 
     def test_zero_state_zero_source_stays_zero(self):
@@ -583,7 +589,7 @@ class TestManufacturedResidual:
     def _residual(scheme, problem, alpha, M, tau, rows=slice(1, -1),
                   reflect=False):
         spec = builtin_problem(problem, alpha)
-        mats = assemble(scheme, spec, M, tau, reflect_right=reflect)
+        mats = assemble(naive_scheme(scheme, reflect), spec, M, tau)
         x = spec.a + mats.h * np.arange(M + 1)
         t0 = 0.25
         u0 = spec.exact(x, t0)

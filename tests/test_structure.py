@@ -1,8 +1,9 @@
 """Import structure of the package, read from the source with `ast`.
 
-The schemes are defined in one module that needs no SciPy, the stability
-scans do not reach into the solver, no module borrows a sibling's
-private helpers, and every module-level import is used.
+The schemes are defined in one module that needs no SciPy and that alone
+tests a scheme by its name, the stability scans do not reach into the
+solver, no module borrows a sibling's private helpers, and every
+module-level import is used.
 """
 
 import ast
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import rieszkit
+from rieszkit.schemes import SCHEMES
 
 PACKAGE = Path(rieszkit.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -60,6 +62,26 @@ def test_stability_does_not_import_solver():
               if module in (".solver", "rieszkit.solver")
               or module in (".", "rieszkit") and "solver" in names]
     assert solver == [], f"stability imports the solver: {solver}"
+
+
+def _scheme_name_comparisons(path):
+    """Lines of `path` where a comparison has a scheme name of SCHEMES as a
+    literal in one of its operands."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Compare)
+                   for operand in (node.left, *node.comparators)
+                   for leaf in ast.walk(operand)
+                   if isinstance(leaf, ast.Constant) and leaf.value in SCHEMES})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "schemes.py"],
+                         ids=lambda p: p.stem)
+def test_only_schemes_compares_scheme_names(path):
+    # the scheme table owns what a name means; elsewhere a test such as
+    # scheme == "order6" would miss the names that share its stencils
+    lines = _scheme_name_comparisons(path)
+    assert lines == [], f"{path.stem} compares scheme names on lines {lines}"
 
 
 def _unused_imports(path):
