@@ -325,6 +325,8 @@ def pointwise_lower_crossing(ell: int) -> float:
     Bisection on the sign of (plain - damped); the regime split is
     analytically 12*ln(ell/2)/(2*pi**2 - 15) - 1 for ell = 3, 4.
     """
+    if ell < 3:
+        raise ValueError("ell must be at least 3")
     f = lambda a: _b1_lower(a, ell) - _b1_lower_damped(a, ell)
     lo, hi = 1e-9, 1.0 - 1e-9
     if f(lo) * f(hi) > 0:

@@ -6,7 +6,7 @@ backward-difference generating polynomial W_p(z) = sum_{k=1..p} (1-z)^k / k.
 Two independent evaluation routes are provided: a power-of-a-series
 recurrence (fast, float64) and the explicit nested sums, used as a
 cross-check.  The nested sums' multinomial coefficients are read off the
-integer powers of one polynomial built from the ratio chain of W_p, so
+integer powers of one polynomial, P(z) = 1 - W_p(z) / (g_0 (1 - z)), so
 that route is exact integer arithmetic with one correctly rounded division
 per weight.
 """
@@ -21,27 +21,12 @@ import numpy as np
 
 MAX_ORDER = 6
 
-# W_p coefficients (g_0 .. g_p), exact.
+# W_p coefficients (g_0 .. g_p), exact: [z^i] sum_{k=1..p} (1-z)^k / k.
 _GENERATOR_COEFFS: dict[int, tuple[Fraction, ...]] = {
-    1: (Fraction(1), Fraction(-1)),
-    2: (Fraction(3, 2), Fraction(-2), Fraction(1, 2)),
-    3: (Fraction(11, 6), Fraction(-3), Fraction(3, 2), Fraction(-1, 3)),
-    4: (Fraction(25, 12), Fraction(-4), Fraction(3), Fraction(-4, 3), Fraction(1, 4)),
-    5: (Fraction(137, 60), Fraction(-5), Fraction(5), Fraction(-10, 3),
-        Fraction(5, 4), Fraction(-1, 5)),
-    6: (Fraction(147, 60), Fraction(-6), Fraction(15, 2), Fraction(-20, 3),
-        Fraction(15, 4), Fraction(-6, 5), Fraction(1, 6)),
-}
-
-# Ratio chains of the nested factorization W_p/g_0 = (1-z) * (1 - r_1 z (1 - r_2 z (...)))
-# underlying the explicit multinomial sums for p >= 2.
-_RATIO_CHAINS: dict[int, tuple[Fraction, ...]] = {
-    2: (Fraction(1, 3),),
-    3: (Fraction(7, 11), Fraction(2, 7)),
-    4: (Fraction(23, 25), Fraction(13, 23), Fraction(3, 13)),
-    5: (Fraction(163, 137), Fraction(137, 163), Fraction(63, 137), Fraction(4, 21)),
-    6: (Fraction(213, 147), Fraction(237, 213), Fraction(163, 237),
-        Fraction(62, 163), Fraction(5, 31)),
+    p: tuple(sum(Fraction((-1) ** i * math.comb(k, i), k)
+                 for k in range(max(i, 1), p + 1))
+             for i in range(p + 1))
+    for p in range(1, MAX_ORDER + 1)
 }
 
 
@@ -144,19 +129,20 @@ def expand_generating_function(p: int, alpha: float, length: int) -> Coefficient
 # ---------------------------------------------------------------------------
 # Explicit nested-sum route (exact integers over known denominators).
 #
-# With W_p/g_0 = (1-z) * (1 - r_1 z psi(z)), psi(z) = 1 - r_2 z (1 - r_3 z (...)),
+# With W_p/g_0 = (1-z) * (1 - P(z)), where P(0) = 0 and P has degree p - 1,
 # and (1-z)**alpha = sum_j w_{1,j} z^j,
 #
-#   W_p(z)**alpha = g_0**alpha * (1-z)**alpha * sum_m w_{1,m} r_1^m z^m psi(z)^m,
+#   W_p(z)**alpha = g_0**alpha * (1-z)**alpha * sum_m w_{1,m} P(z)^m,
 #
-# so the alpha-free inner weights are r_1^m [z^(l1-m)] psi^m: the multinomial
-# coefficients of the nested sums are the coefficients of the powers of psi.
+# so the alpha-free inner weights are [z^l1] P^m: the multinomial
+# coefficients of the nested sums are the coefficients of the powers of P.
+# The coefficients of 1 - P are the prefix sums of W_p's coefficients over g_0.
 # The sums carry catastrophic cancellation for p >= 4 (term magnitudes up to
 # ~1e21 at index 60 for p = 6), hence exact arithmetic rather than floats.
 # Every rational in them has a denominator known in advance, so each sum is
 # carried as one Python integer over that denominator:
 #
-#   r_i = a_i / B            B = lcm of the ratio-chain denominators of W_p
+#   [z^k] P = a_k / B^k      B = lcm of the denominators of P's coefficients
 #   w_{1,j} = P_j / (j! d^j)  alpha = n / d exactly, P_j = prod_{i<=j} (i d - n - d)
 #
 # The one rounding is the final int / int true division, which CPython rounds
@@ -165,26 +151,23 @@ def expand_generating_function(p: int, alpha: float, length: int) -> Coefficient
 
 
 def _inner_weights(p: int, length: int) -> tuple[int, list[list[int]]]:
-    """(B, C) with C[l1][m] = B**l1 * r_1^m [z^(l1-m)] psi(z)^m, exact.
+    """(B, C) with C[l1][m] = B**l1 * [z^l1] P(z)^m, exact.
 
-    psi(B z) = 1 - a_2 z (1 - a_3 z (1 - ...)) has integer coefficients, so
-    C[l1][m] = a_1^m [z^(l1-m)] psi(B z)^m is built by multiplying by it one
-    power at a time, each power truncated at degree length - m.
+    P(B z) / z has integer coefficients, so C[l1][m] = [z^(l1-m)] (P(B z) / z)^m
+    is built by multiplying by it one power at a time, each power truncated
+    at degree length - m.
     """
-    r = _RATIO_CHAINS[p]
-    B = math.lcm(*(q.denominator for q in r))
-    a = [q.numerator * (B // q.denominator) for q in r]
-    psi = [1]
-    for ai in reversed(a[1:]):
-        psi = [1] + [-ai * c for c in psi]
+    g = _GENERATOR_COEFFS[p]
+    P = [-sum(g[:k + 1]) / g[0] for k in range(1, p)]  # [z^k] P, k = 1 .. p-1
+    B = math.lcm(*(c.denominator for c in P))
+    a = [int(c * B ** k) for k, c in enumerate(P, 1)]  # P(B z)/z = sum a_k z^(k-1)
     C: list[list[int]] = [[0] * (l1 + 1) for l1 in range(length + 1)]
-    power = [1]  # psi(B z)**m, truncated at degree length - m
+    power = [1]  # (P(B z) / z)**m, truncated at degree length - m
     for m in range(length + 1):
-        scale = a[0] ** m
         for k, c in enumerate(power):
-            C[m + k][m] = scale * c
-        nxt = [0] * min(len(power) + len(psi) - 1, length - m)
-        for i, c in enumerate(psi):
+            C[m + k][m] = c
+        nxt = [0] * min(len(power) + len(a) - 1, length - m)
+        for i, c in enumerate(a):
             for k in range(min(len(power), len(nxt) - i)):
                 nxt[i + k] += c * power[k]
         power = nxt
@@ -198,7 +181,7 @@ def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
     inner[l1] = sum_{m} C[l1][m] * w_{1,m}, evaluated exactly; see the
     comment block above for the integer scaling.
     """
-    if p not in _RATIO_CHAINS:
+    if p not in range(2, MAX_ORDER + 1):
         raise ValueError(f"unsupported order p={p}, expected 2..{MAX_ORDER}")
     validate_alpha(alpha)
     if length < 0:

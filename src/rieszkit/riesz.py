@@ -20,6 +20,9 @@ class UniformGrid:
     M: int
 
     def __post_init__(self):
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"grid requires finite a, b and b - a, "
+                             f"got a={self.a}, b={self.b}")
         if self.b <= self.a:
             raise ValueError("grid requires b > a")
         if self.M < 2:
@@ -102,6 +105,8 @@ def point_approximation(table: CoefficientTable, h: float, x0: float) -> float:
     x0 = 1/2 lies on the grid.
     """
     _check_step(h)
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     p = table.p
     L = int(math.ceil(max(x0, 1.0 - x0) / h)) + 1
     if table.length < L:
@@ -150,9 +155,9 @@ def operator_convergence(p: int, alpha: float, h_list,
             grid = UniformGrid(0.0, 1.0, M)
             x = grid.nodes()
             f = GridFunction(grid, poly_profile(p, x))
-            num = riesz_apply(CoefficientTable(p, alpha, table.values[:M + 1]), f)
-            exact = np.array([reference_riesz(p, alpha, xx) for xx in x])
-            err = float(np.max(np.abs(num.values[1:M] - exact[1:M])))
+            num = riesz_apply(table, f)
+            exact = np.array([reference_riesz(p, alpha, xx) for xx in x[1:M]])
+            err = float(np.max(np.abs(num.values[1:M] - exact)))
         order = None
         if prev is not None and prev[0] != h and err > 0.0 and prev[1] > 0.0:
             order = math.log(prev[1] / err) / math.log(prev[0] / h)

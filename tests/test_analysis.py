@@ -242,6 +242,11 @@ class TestLowerBoundComparison:
             for ell in (3, 10, 50):
                 assert compare_lower_bounds(float(alpha), ell).tail_plain_below_damped
 
+    @pytest.mark.parametrize("ell", [-1, 0, 1, 2])
+    def test_crossing_rejects_short_index(self, ell):
+        with pytest.raises(ValueError, match="ell must be at least 3"):
+            pointwise_lower_crossing(ell)
+
     def test_crossing_values(self):
         c3 = pointwise_lower_crossing(3)
         c4 = pointwise_lower_crossing(4)

@@ -87,6 +87,14 @@ class TestRieszApply:
         with pytest.raises(ValueError, match=r"h\*\*alpha is out of double range"):
             riesz_apply(table, GridFunction(grid, np.zeros(3)))
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.inf),
+                                      (-math.inf, 0.0), (-1e308, 1e308)],
+                             ids=["nan-a", "inf-b", "inf-a", "overflowing-span"])
+    def test_non_finite_grid_rejected(self, a, b):
+        # h = inf would make nu = 0 and every value +-0.0
+        with pytest.raises(ValueError, match="grid requires finite a, b"):
+            UniformGrid(a, b, 4)
+
 
 class TestReference:
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
@@ -146,6 +154,12 @@ class TestPointApproximation:
         assert math.isfinite(value)
         assert np.array_equal(far, np.zeros(4))
 
+    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_position_rejected(self, x0):
+        table = expand_generating_function(2, 0.5, 20)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            point_approximation(table, 0.1, x0)
+
 
 class TestOperatorConvergence:
     def test_reference_errors_second_order(self):
@@ -169,6 +183,14 @@ class TestOperatorConvergence:
     def test_order_trend_with_interior_metric(self):
         rep = operator_convergence(3, 0.6, [1 / 40, 1 / 80], metric="max-interior")
         assert rep.rows[1].spatial_order is not None
+
+    def test_interior_metric_skips_end_nodes(self):
+        # at p = 1, alpha > 1 the closed form has 0.0 ** negative at x = 0
+        # and x = 1, nodes the interior metric never compares
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = operator_convergence(1, 1.5, [1 / 8, 1 / 16], metric="max-interior")
+        assert all(math.isfinite(row.error) for row in rep.rows)
 
     def test_non_reciprocal_step_rejected(self):
         with pytest.raises(ValueError):

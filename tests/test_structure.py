@@ -2,8 +2,9 @@
 
 The schemes are defined in one module that needs no SciPy and that alone
 tests a scheme by its name, the stability scans do not reach into the
-solver, no module borrows a sibling's private helpers, and every
-module-level import is used.
+solver, no module borrows a sibling's private helpers, every module-level
+import is used, and the Fraction oracle of the nested sums reads nothing of
+the production nested-sum route.
 """
 
 import ast
@@ -82,6 +83,23 @@ def test_only_schemes_compares_scheme_names(path):
     # scheme == "order6" would miss the names that share its stencils
     lines = _scheme_name_comparisons(path)
     assert lines == [], f"{path.stem} compares scheme names on lines {lines}"
+
+
+# what production's nested-sum weights are built from
+NESTED_SUM_ROUTE = {"closed_form_table", "_inner_weights", "_GENERATOR_COEFFS",
+                    "generator_polynomial"}
+
+
+def test_fraction_oracle_is_independent_of_the_nested_sum_route():
+    # the oracle keeps its own generator constant and ratio chains; reading
+    # production's would make its bitwise comparisons circular
+    path = Path(__file__).with_name("naive_reference.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reached = {alias.name.split(".")[-1] for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names}
+    reached |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert reached & NESTED_SUM_ROUTE == set(), reached & NESTED_SUM_ROUTE
 
 
 def _unused_imports(path):
