@@ -246,25 +246,35 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
     return mats
 
 
+def _non_finite(mats: SchemeMatrices, t: float | None = None) -> SolverError:
+    at = "" if t is None else f", t={t:g}"
+    return SolverError(f"non-finite data in scheme={mats.scheme}, M={mats.M}, "
+                       f"tau={mats.tau}{at}")
+
+
+def _getrs_failed(mats: SchemeMatrices, info: int) -> SolverError:
+    return SolverError(f"getrs failed with info={info} in scheme={mats.scheme}, "
+                       f"M={mats.M}, tau={mats.tau}")
+
+
 def step(mats: SchemeMatrices, u: np.ndarray, s_half: np.ndarray) -> np.ndarray:
     """Advance one time level; s_half holds source samples at mats.source_x.
 
     Those are the M+1 grid nodes, and for order6 also the ghost nodes
     a - h and b + h (see :func:`assemble`).  The stored LU factor is applied
     by LAPACK ``getrs``; a non-finite right-hand side or a nonzero ``info``
-    raises :class:`SolverError`.
+    raises :class:`SolverError`.  An overflow or inf * 0 in the products
+    shows only through that check, never as a NumPy warning.  :func:`solve`
+    marches bitwise as repeated calls of this function.
     """
-    rhs = mats.B @ u + mats.source_matrix @ s_half
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = mats.B @ u + mats.source_matrix @ s_half
     if not np.isfinite(rhs).all():
-        raise SolverError(
-            f"non-finite data in scheme={mats.scheme}, M={mats.M}, "
-            f"tau={mats.tau}")
+        raise _non_finite(mats)
     lu, piv = mats.lu
     x, info = dgetrs(lu, piv, rhs, overwrite_b=True)
     if info != 0:
-        raise SolverError(
-            f"getrs failed with info={info} in scheme={mats.scheme}, "
-            f"M={mats.M}, tau={mats.tau}")
+        raise _getrs_failed(mats, info)
     return x
 
 
@@ -273,11 +283,18 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
 
     The march runs in blocks of up to 256 time levels.  Each block calls
     ``spec.source`` once, with the column of the block's half-level times
-    (see :class:`ProblemSpec`), checks the end-node samples of all its
-    levels, calls :func:`step` once per level, and then calls
-    ``spec.exact`` once with the column of the block's level times to take
-    the block's maximum error.  Only one block of levels is held, so
-    memory does not grow with N, and the grid keeps the final level alone.
+    (see :class:`ProblemSpec`), and checks the end-node samples of all its
+    levels.  One batched product then forms the source term of every level
+    of the block, bitwise the product that :func:`step` forms, and each
+    level costs one product with B, one addition and one LAPACK ``getrs``,
+    so the levels are bitwise those of repeated :func:`step` calls.  The
+    march stops before the first level whose source term is not finite, and
+    the marched levels are checked once the block is done; either fault
+    raises :class:`SolverError` naming the time of the first non-finite
+    source term or level.  Then ``spec.exact`` is called once with the
+    column of the block's level times to take the block's maximum error.
+    Only one block of levels is held, so memory does not grow with N, and
+    the grid keeps the final level alone.
 
     When the exact solution is known the grid records both the final-time
     maximum error and the maximum over all time levels; the published
@@ -293,32 +310,40 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     u = np.empty(M + 1)
     u[:] = spec.initial(x)
     u = u[1:M]
+    B, S, (lu, piv), getrs = mats.B, mats.source_matrix, mats.lu, dgetrs
     levels = np.empty((min(N, _BLOCK), M - 1))
     worst = 0.0
-    # an interior inf source makes inf * 0 in step's matvec; step's
-    # finiteness check then rejects the right-hand side, so SolverError is
-    # the only report of it
-    with np.errstate(invalid="ignore"):
-        for k0 in range(0, N, _BLOCK):
-            k = np.arange(k0, min(k0 + _BLOCK, N))[:, None]
-            t_half = (k + 0.5) * tau
-            s = np.broadcast_to(spec.source(xs, t_half), (len(k), len(xs)))
-            ends = np.isfinite(s[:, 0]) & np.isfinite(s[:, -1])
-            if not ends.all():
-                raise SolverError(
-                    f"non-finite source at an end node (x = {xs[0]:g} or "
-                    f"{xs[-1]:g}) in scheme={scheme}, M={M}, "
-                    f"t={t_half[ends.argmin(), 0]:g}")
-            for i in range(len(k)):
-                u = step(mats, u, s[i])
+    for k0 in range(0, N, _BLOCK):
+        k = np.arange(k0, min(k0 + _BLOCK, N))[:, None]
+        t_half = (k + 0.5) * tau
+        s = np.broadcast_to(spec.source(xs, t_half), (len(k), len(xs)))
+        ends = np.isfinite(s[:, 0]) & np.isfinite(s[:, -1])
+        if not ends.all():
+            raise SolverError(
+                f"non-finite source at an end node (x = {xs[0]:g} or "
+                f"{xs[-1]:g}) in scheme={scheme}, M={M}, "
+                f"t={t_half[ends.argmin(), 0]:g}")
+        # overflow and inf * 0 leave non-finite values, which the checks
+        # below report as the only sign of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            src = np.matmul(S, s[:, :, None])[:, :, 0]
+            good = np.isfinite(src).all(axis=1)
+            n = len(k) if good.all() else int(good.argmin())
+            for i in range(n):
+                rhs = B @ u
+                rhs += src[i]
+                u, info = getrs(lu, piv, rhs, overwrite_b=True)
+                if info != 0:
+                    raise _getrs_failed(mats, info)
                 levels[i] = u
-            if spec.exact is not None:
-                ue = spec.exact(x[1:M], (k + 1) * tau)
-                worst = np.abs(levels[:len(k)] - ue).max(initial=worst)
-    if not np.isfinite(u).all():
-        raise SolverError(
-            f"non-finite values in scheme={scheme}, M={M}, N={N}, "
-            f"alpha={spec.alpha}")
+        finite = np.isfinite(levels[:n]).all(axis=1)
+        if not finite.all():
+            raise _non_finite(mats, (k[finite.argmin(), 0] + 1) * tau)
+        if n < len(k):
+            raise _non_finite(mats, t_half[n, 0])
+        if spec.exact is not None:
+            ue = spec.exact(x[1:M], (k + 1) * tau)
+            worst = np.abs(levels[:n] - ue).max(initial=worst)
     final = np.zeros(M + 1)
     final[1:M] = u
     final_error = None

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dgetrs
 
 from naive_reference import (
     NAIVE_SCHEMES,
@@ -289,6 +290,18 @@ class TestStepOracle:
         with pytest.raises(SolverError, match="non-finite data in scheme=order4"):
             step(mats, u, spec.source(mats.source_x, 0.025))
 
+    def test_inf_sample_ends_in_solver_error_alone(self):
+        # inf * 0 in the source product makes nan; the finiteness check
+        # reports it, not a NumPy warning
+        spec = builtin_problem("example2", 0.4)
+        mats = assemble("order2", spec, 12, 0.05)
+        s = np.zeros(13)
+        s[5] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="non-finite data in scheme=order2"):
+                step(mats, np.zeros(11), s)
+
     def test_getrs_failure_raises(self, monkeypatch):
         spec = builtin_problem("example2", 0.4)
         mats = assemble("order2", spec, 12, 0.05)
@@ -296,6 +309,9 @@ class TestStepOracle:
                             lambda lu, piv, b, overwrite_b: (b, -3))
         with pytest.raises(SolverError, match="info=-3"):
             step(mats, np.zeros(11), np.zeros(13))
+        # solve looks dgetrs up when it is called, so it fails the same way
+        with pytest.raises(SolverError, match="info=-3"):
+            solve("order2", spec, 12, 20)
 
 
 class TestBuiltinProblems:
@@ -451,16 +467,26 @@ class TestSolve:
             u = np.linalg.solve(eye / tau - L / 2, rhs)
         assert np.max(np.abs(grid.final[1:M] - u)) < 1e-11
 
-    @pytest.mark.parametrize("scheme,problem,M", [("order2", "example2", 8),
-                                                  ("order4", "example2", 8),
-                                                  ("order6", "example3", 8)])
-    @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1),
-                                              (2, 3)])
+    @pytest.mark.parametrize("scheme,problem,M,blocks,extra", [
+        pytest.param(scheme, problem, M, blocks, extra,
+                     id=f"{blocks}-{extra}-{scheme}-{problem}-{M}")
+        for blocks, extra in [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)]
+        for scheme, problem, M in [("order2", "example2", 8),
+                                   ("order4", "example2", 8),
+                                   ("order6", "example3", 8)]
+    ] + [
+        # the mesh sizes of the benchmark's march and large solves
+        pytest.param("order6", "example3", 64, 2, 3,
+                     id="2-3-order6-example3-64"),
+        pytest.param("order6", "example3", 384, 0, 16,
+                     id="0-16-order6-example3-384"),
+    ])
     def test_blocks_match_a_per_level_march(self, scheme, problem, M,
                                             blocks, extra):
         # N on both sides of the block boundaries: a march of step calls
         # fed by the naive closures at each scalar t gives the same final
-        # level and errors, bit for bit
+        # level and errors, bit for bit, so the batched source product and
+        # the per-level loop of solve are bitwise step's products
         N = blocks * solver_module._BLOCK + extra
         alpha = 0.37
         grid = solve(scheme, builtin_problem(problem, alpha), M, N)
@@ -512,10 +538,10 @@ class TestSolve:
         assert grid.final_error == 1.0
 
     def test_interior_blow_up_stops_at_its_step(self, monkeypatch):
-        # step rejects a non-finite right-hand side, so an interior inf at
-        # the third time level ends the march at its step instead of after
-        # all N steps; with every warning an error, SolverError is still
-        # what escapes
+        # an interior inf at the third time level makes that level's
+        # source term non-finite, so the march solves two levels and stops
+        # there instead of after all N steps; with every warning an error,
+        # SolverError naming the level's half-step time is what escapes
         N = 4096
         t3 = 2.5 / N
 
@@ -525,21 +551,68 @@ class TestSolve:
             s[..., [0, -1]] = 0.0
             return s
 
-        steps = []
+        solves = []
 
-        def counting_step(*args):
-            steps.append(None)
-            return step(*args)
+        def counting_getrs(*args, **kwargs):
+            solves.append(None)
+            return dgetrs(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module, "step", counting_step)
+        monkeypatch.setattr(solver_module, "dgetrs", counting_getrs)
         spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
                            a=0.0, b=1.0, T=1.0, source=source,
                            initial=lambda x: np.zeros_like(x))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolverError, match="non-finite data in scheme=order2"):
+            with pytest.raises(SolverError,
+                               match=r"non-finite data in scheme=order2, .*"
+                                     rf", t={t3:g}$"):
                 solve("order2", spec, 8, N)
-        assert len(steps) == 3
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("source,initial,t", [
+        # 2 c * 1e308 overflows in the source product of the first level
+        (lambda x, t: np.full_like(x, 1e308), np.zeros_like, 0.125),
+        # B @ u overflows, so the first level is not finite
+        (lambda x, t: np.zeros_like(x), lambda x: np.full_like(x, 1e307),
+         0.25),
+    ], ids=["source-1e308", "initial-1e307"])
+    def test_overflow_ends_in_solver_error_alone(self, source, initial, t):
+        spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
+                           a=0.0, b=1.0, T=1.0, source=source,
+                           initial=initial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError,
+                               match=rf"non-finite data in scheme=order2, M=8, "
+                                     rf"tau=0.25, t={t:g}$"):
+                solve("order2", spec, 8, 4)
+
+    def test_late_blow_up_names_its_first_non_finite_level(self):
+        # a finite source whose solution overflows in the second block: the
+        # levels are checked once each block is marched, and the error
+        # names the first level that a march of step calls makes non-finite
+        N = 1000
+        spec = ProblemSpec(
+            d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5, a=0.0, b=1.0, T=1.0,
+            # capped below the time where the source itself overflows
+            source=lambda x, t: 1e300 * np.exp(40.0 * np.minimum(t, 0.45)) + 0.0 * x,
+            initial=np.zeros_like)
+        mats = assemble("order2", spec, 8, spec.T / N)
+        u = np.zeros(7)
+        for k in range(N):
+            try:
+                u = step(mats, u, spec.source(mats.source_x, (k + 0.5) * mats.tau))
+            except SolverError:
+                break
+            if not np.isfinite(u).all():
+                break
+        assert k >= solver_module._BLOCK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError,
+                               match=r"non-finite data in scheme=order2, .*"
+                                     rf", t={(k + 1) * mats.tau:g}$"):
+                solve("order2", spec, 8, N)
 
 
 class TestConvergenceStudy:
