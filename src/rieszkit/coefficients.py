@@ -87,11 +87,10 @@ def first_order_sequence(alpha: float, length: int) -> np.ndarray:
     recurrence w_j = w_{j-1} (1 - (alpha + 1) / j)."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    w = np.empty(length + 1)
-    w[0] = 1.0
+    w = [1.0]
     for j in range(1, length + 1):
-        w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
-    return w
+        w.append(w[-1] * (1.0 - (alpha + 1.0) / j))
+    return np.array(w)
 
 
 def validate_alpha(alpha: float) -> None:
@@ -109,21 +108,22 @@ def expand_generating_function(p: int, alpha: float, length: int) -> Coefficient
         c_m = (1 / (g_0 m)) * sum_{i=1..min(p,m)} ((alpha+1) i - m) g_i c_{m-i},
 
     with c_0 = g_0**alpha.  O(p * length) and stable: the generator's roots
-    other than z = 1 lie outside the unit disk.
+    other than z = 1 lie outside the unit disk.  The recurrence runs on
+    Python floats, the same IEEE operations as on NumPy scalars at about
+    half the cost, and the table becomes one array at the end.
     """
     validate_alpha(alpha)
     if length < 0:
         raise ValueError("length must be nonnegative")
-    g = generator_polynomial(p).as_floats()
-    c = np.zeros(length + 1)
-    c[0] = g[0] ** alpha
+    g = generator_polynomial(p).as_floats().tolist()
+    c = [g[0] ** alpha]
     ap1 = alpha + 1.0
     for m in range(1, length + 1):
         s = 0.0
         for i in range(1, min(p, m) + 1):
             s += (ap1 * i - m) * g[i] * c[m - i]
-        c[m] = s / (g[0] * m)
-    return CoefficientTable(p=p, alpha=alpha, values=c)
+        c.append(s / (g[0] * m))
+    return CoefficientTable(p=p, alpha=alpha, values=np.array(c))
 
 
 # ---------------------------------------------------------------------------

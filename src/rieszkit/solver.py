@@ -262,19 +262,23 @@ def step(mats: SchemeMatrices, u: np.ndarray, s_half: np.ndarray) -> np.ndarray:
 
     Those are the M+1 grid nodes, and for order6 also the ghost nodes
     a - h and b + h (see :func:`assemble`).  The stored LU factor is applied
-    by LAPACK ``getrs``; a non-finite right-hand side or a nonzero ``info``
-    raises :class:`SolverError`.  An overflow or inf * 0 in the products
-    shows only through that check, never as a NumPy warning.  :func:`solve`
-    marches bitwise as repeated calls of this function.
+    by LAPACK ``getrs``; a non-finite right-hand side, a nonzero ``info`` or
+    a non-finite result raises :class:`SolverError`.  An overflow or
+    inf * 0 in the products shows only through those checks, never as a
+    NumPy warning.  :func:`solve` marches bitwise as repeated calls of this
+    function.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = mats.B @ u + mats.source_matrix @ s_half
     if not np.isfinite(rhs).all():
         raise _non_finite(mats)
     lu, piv = mats.lu
-    x, info = dgetrs(lu, piv, rhs, overwrite_b=True)
+    # trans = 0, overwrite_b = 1: the solution overwrites rhs in place
+    x, info = dgetrs(lu, piv, rhs, 0, 1)
     if info != 0:
         raise _getrs_failed(mats, info)
+    if not np.isfinite(x).all():
+        raise _non_finite(mats)
     return x
 
 
@@ -285,9 +289,14 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     ``spec.source`` once, with the column of the block's half-level times
     (see :class:`ProblemSpec`), and checks the end-node samples of all its
     levels.  One batched product then forms the source term of every level
-    of the block, bitwise the product that :func:`step` forms, and each
-    level costs one product with B, one addition and one LAPACK ``getrs``,
-    so the levels are bitwise those of repeated :func:`step` calls.  The
+    of the block, bitwise the product that :func:`step` forms.  Each level
+    then costs three in-place calls and no temporaries: ``B.dot`` writes
+    B u into the level's row of the block, ``np.add`` adds the source term
+    to that row, and LAPACK ``getrs`` overwrites it with the solution, so u
+    is a view of the row just marched.  The levels are bitwise those of
+    repeated :func:`step` calls.  After a block u is a view of its last
+    row; the next block writes its row 0 first, a different row, since
+    only the last block can be partial.  The
     march stops before the first level whose source term is not finite, and
     the marched levels are checked once the block is done; either fault
     raises :class:`SolverError` naming the time of the first non-finite
@@ -310,7 +319,8 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     u = np.empty(M + 1)
     u[:] = spec.initial(x)
     u = u[1:M]
-    B, S, (lu, piv), getrs = mats.B, mats.source_matrix, mats.lu, dgetrs
+    S, (lu, piv) = mats.source_matrix, mats.lu
+    dot, add, getrs = mats.B.dot, np.add, dgetrs
     levels = np.empty((min(N, _BLOCK), M - 1))
     worst = 0.0
     for k0 in range(0, N, _BLOCK):
@@ -329,13 +339,13 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
             src = np.matmul(S, s[:, :, None])[:, :, 0]
             good = np.isfinite(src).all(axis=1)
             n = len(k) if good.all() else int(good.argmin())
-            for i in range(n):
-                rhs = B @ u
-                rhs += src[i]
-                u, info = getrs(lu, piv, rhs, overwrite_b=True)
+            for row, f in zip(levels[:n], src):
+                dot(u, row)
+                add(row, f, row)
+                # trans = 0, overwrite_b = 1: u is the solved row itself
+                u, info = getrs(lu, piv, row, 0, 1)
                 if info != 0:
                     raise _getrs_failed(mats, info)
-                levels[i] = u
         finite = np.isfinite(levels[:n]).all(axis=1)
         if not finite.all():
             raise _non_finite(mats, (k[finite.argmin(), 0] + 1) * tau)

@@ -24,6 +24,11 @@ evaluates the whole closed form with the `math` time factors.  The
 production closures, which also take a column of times, must equal them
 byte for byte, one time value at a time.
 
+`naive_first_order_sequence` and `naive_expand_generating_function` keep
+the scalar weight recurrences of `rieszkit.coefficients` as they ran on
+NumPy scalars, writing each term into a preallocated array.  The
+production loops run on Python floats and must give the same bits.
+
 `naive_write_csv` is `rieszkit.reports.write_csv` as it was before it
 joined unquoted tables directly: every table goes through `csv.writer`.
 The production function must write the same bytes.
@@ -328,6 +333,30 @@ def naive_closed_form_table(p, alpha, length):
         acc = sum((inner[l1] * w1[ell - l1] for l1 in range(ell + 1)), Fraction(0))
         out[ell] = g0 * float(acc)
     return out
+
+
+def naive_first_order_sequence(alpha, length):
+    w = np.empty(length + 1)
+    w[0] = 1.0
+    for j in range(1, length + 1):
+        w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
+    return w
+
+
+def naive_expand_generating_function(p, alpha, length):
+    # [z^i] W_p(z) = sum_{k = max(i, 1)..p} (-1)^i C(k, i) / k
+    g = np.array([float(sum(Fraction((-1) ** i * math.comb(k, i), k)
+                            for k in range(max(i, 1), p + 1)))
+                  for i in range(p + 1)])
+    c = np.zeros(length + 1)
+    c[0] = g[0] ** alpha
+    ap1 = alpha + 1.0
+    for m in range(1, length + 1):
+        s = 0.0
+        for i in range(1, min(p, m) + 1):
+            s += (ap1 * i - m) * g[i] * c[m - i]
+        c[m] = s / (g[0] * m)
+    return c
 
 
 def _naive_fractional_source_sum(binomials, base_power, alpha):

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from naive_reference import _RATIO_CHAINS, _naive_inner_weights, naive_closed_form_table
+from naive_reference import (_RATIO_CHAINS, _naive_inner_weights, naive_closed_form_table,
+                             naive_expand_generating_function, naive_first_order_sequence)
 from rieszkit import (
     closed_form_table,
     expand_generating_function,
@@ -116,6 +119,25 @@ class TestSeriesExpansion:
     def test_negative_length(self):
         with pytest.raises(ValueError):
             expand_generating_function(2, 0.5, -1)
+
+
+class TestScalarRecurrenceBits:
+    # the recurrences run on Python floats; the NumPy-scalar loops they
+    # replaced perform the same IEEE operations, so every bit must agree
+    @given(p=st.integers(1, 6),
+           alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+           length=st.integers(0, 600))
+    def test_series_matches_numpy_scalar_loop(self, p, alpha, length):
+        got = expand_generating_function(p, alpha, length).values
+        assert got.dtype == np.float64
+        assert got.tobytes() == naive_expand_generating_function(p, alpha, length).tobytes()
+
+    @given(alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+           length=st.integers(0, 600))
+    def test_first_order_matches_numpy_scalar_loop(self, alpha, length):
+        got = first_order_sequence(alpha, length)
+        assert got.dtype == np.float64
+        assert got.tobytes() == naive_first_order_sequence(alpha, length).tobytes()
 
 
 class TestRouteEquivalence:

@@ -306,12 +306,29 @@ class TestStepOracle:
         spec = builtin_problem("example2", 0.4)
         mats = assemble("order2", spec, 12, 0.05)
         monkeypatch.setattr(solver_module, "dgetrs",
-                            lambda lu, piv, b, overwrite_b: (b, -3))
+                            lambda lu, piv, b, *flags: (b, -3))
         with pytest.raises(SolverError, match="info=-3"):
             step(mats, np.zeros(11), np.zeros(13))
         # solve looks dgetrs up when it is called, so it fails the same way
         with pytest.raises(SolverError, match="info=-3"):
             solve("order2", spec, 12, 20)
+
+    @pytest.mark.parametrize("scheme,M,N", [("order2", 8, 300),
+                                            ("order6", 16, 40)])
+    def test_getrs_solves_the_block_row_in_place(self, monkeypatch,
+                                                 scheme, M, N):
+        # solve keeps each level in the row that getrs overwrites; a copy
+        # would leave the right-hand sides in the block and skew max_error
+        calls = []
+
+        def in_place_getrs(lu, piv, b, *flags):
+            x, info = dgetrs(lu, piv, b, *flags)
+            calls.append(np.shares_memory(x, b))
+            return x, info
+
+        monkeypatch.setattr(solver_module, "dgetrs", in_place_getrs)
+        solve(scheme, builtin_problem("example3", 0.37), M, N)
+        assert calls == [True] * N
 
 
 class TestBuiltinProblems:
@@ -604,8 +621,6 @@ class TestSolve:
                 u = step(mats, u, spec.source(mats.source_x, (k + 0.5) * mats.tau))
             except SolverError:
                 break
-            if not np.isfinite(u).all():
-                break
         assert k >= solver_module._BLOCK
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -613,6 +628,26 @@ class TestSolve:
                                match=r"non-finite data in scheme=order2, .*"
                                      rf", t={(k + 1) * mats.tau:g}$"):
                 solve("order2", spec, 8, N)
+
+    def test_step_raises_at_the_level_getrs_overflows(self):
+        # the right-hand side of level 378 is finite but its solution
+        # overflows; step raises there instead of returning an inf level
+        # that only the next call would reject
+        spec = ProblemSpec(
+            d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5, a=0.0, b=1.0, T=1.0,
+            source=lambda x, t: 1e300 * np.exp(40.0 * np.minimum(t, 0.45)) + 0.0 * x,
+            initial=np.zeros_like)
+        mats = assemble("order2", spec, 8, spec.T / 1000)
+        u = np.zeros(7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(378):
+                u = step(mats, u, spec.source(mats.source_x, (k + 0.5) * mats.tau))
+            assert np.isfinite(u).all()
+            with pytest.raises(SolverError,
+                               match=r"non-finite data in scheme=order2, M=8, "
+                                     r"tau=0\.001$"):
+                step(mats, u, spec.source(mats.source_x, 378.5 * mats.tau))
 
 
 class TestConvergenceStudy:
