@@ -68,6 +68,8 @@ def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
     """
     validate_alpha(alpha)
     thetas = np.asarray(thetas, dtype=float)
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta must be finite")
     w = generator_on_circle(p, thetas)
     out = np.real(np.power(w, alpha))
     return np.where(thetas == 0.0, 0.0, out)
@@ -80,6 +82,8 @@ def symbol_value(p: int, alpha: float, theta: float) -> float:
 
 def truncated_symbol(p: int, alpha: float, theta: float, length: int) -> float:
     """Partial cosine sum sum_{l<=length} w_{p,l} cos(l theta)."""
+    if not math.isfinite(length * theta):  # the largest angle, l = length
+        raise ValueError(f"theta and length * theta must be finite, got theta = {theta}")
     w = expand_generating_function(p, alpha, length).values
     ell = np.arange(length + 1)
     return float(np.dot(w, np.cos(ell * theta)))

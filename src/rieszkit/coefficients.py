@@ -145,6 +145,12 @@ def expand_generating_function(p: int, alpha: float, length: int) -> Coefficient
 #   [z^k] P = a_k / B^k      B = lcm of the denominators of P's coefficients
 #   w_{1,j} = P_j / (j! d^j)  alpha = n / d exactly, P_j = prod_{i<=j} (i d - n - d)
 #
+# Both sums run by Horner's rule (Knuth, TAOCP Vol. 2, 4.6.4), so each step
+# multiplies the big accumulator by a small integer: by m d in the inner sum
+# (m ascending), and by B f_k, f_k = P_k / P_{k-1} = k d - n - d, in the
+# final convolution (k = ell - l1 descending).  For alpha of order one f_k
+# has about 60 bits, while I[l1] and B^k P_k, the two factors of each
+# expanded term, both grow about 55 bits per index.
 # The one rounding is the final int / int true division, which CPython rounds
 # correctly, as float(Fraction) does for the same rational.
 # ---------------------------------------------------------------------------
@@ -178,8 +184,9 @@ def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
     """All weights w_{p,0} .. w_{p,length} via the explicit nested sums.
 
     w_{p,ell} = g_0**alpha * sum_{l1} inner[l1] * w_{1,ell-l1} with
-    inner[l1] = sum_{m} C[l1][m] * w_{1,m}, evaluated exactly; see the
-    comment block above for the integer scaling.
+    inner[l1] = sum_{m} C[l1][m] * w_{1,m}, evaluated exactly by Horner's
+    rule; see the comment block above for the integer scaling and for why
+    each Horner step multiplies the big accumulator by a small integer only.
     """
     if p not in range(2, MAX_ORDER + 1):
         raise ValueError(f"unsupported order p={p}, expected 2..{MAX_ORDER}")
@@ -188,28 +195,26 @@ def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
         raise ValueError("length must be nonnegative")
     B, C = _inner_weights(p, length)
     n, d = float(alpha).as_integer_ratio()
+    f = [i * d - n - d for i in range(length + 1)]  # f[i] = P_i / P_{i-1}, i >= 1
     P = [1]
     for i in range(1, length + 1):
-        P.append(P[-1] * (i * d - n - d))
-    # I[l1] = B**l1 * l1! * d**l1 * inner[l1]
+        P.append(P[-1] * f[i])
+    # I[l1] = B**l1 * l1! * d**l1 * inner[l1]; row[m] = 0 for m < l1 / (p - 1)
     I = []
     for l1, row in enumerate(C):
-        acc, scale = 0, 1  # scale = (l1! / m!) * d**(l1 - m)
-        for m in range(l1, -1, -1):
-            if row[m]:
-                acc += row[m] * P[m] * scale
-            scale *= m * d
+        acc = 0
+        for m in range(-(-l1 // (p - 1)), l1 + 1):
+            acc = acc * (m * d) + row[m] * P[m]
         I.append(acc)
     g0 = float(_GENERATOR_COEFFS[p][0]) ** alpha
     out = np.empty(length + 1)
-    Q = [P[k] * B ** k for k in range(length + 1)]
     denom = 1  # B**ell * ell! * d**ell
     for ell in range(length + 1):
         if ell:
             denom *= B * ell * d
-        # num / denom = sum_{l1} inner[l1] * w_{1,ell-l1}, with Q = P * B**k
-        num = sum(math.comb(ell, l1) * I[l1] * Q[ell - l1]
-                  for l1 in range(ell + 1))
+        # num / denom = sum_{l1} inner[l1] * w_{1,ell-l1}
+        num = I[0]
+        for k in range(ell - 1, -1, -1):
+            num = num * (B * f[k + 1]) + math.comb(ell, k) * I[ell - k]
         out[ell] = g0 * (num / denom)
     return out
-

@@ -42,6 +42,25 @@ class TestSymbol:
         series = truncated_symbol(2, 0.5, math.pi / 2, 10_000)
         assert abs(direct - series) < 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            symbol_values(6, 0.5, np.array([0.5, theta]))
+        with pytest.raises(ValueError, match="theta"):
+            symbol_value(2, 0.5, theta)
+        for length in (0, 10):
+            with pytest.raises(ValueError, match="theta"):
+                truncated_symbol(2, 0.5, theta, length)
+
+    @pytest.mark.filterwarnings("error")
+    def test_truncated_symbol_rejects_an_overflowing_angle(self):
+        # 10 * 1e308 overflows to inf, and cos(inf) is nan
+        with pytest.raises(ValueError, match="length \\* theta"):
+            truncated_symbol(2, 0.5, 1e308, 10)
+        assert math.isfinite(truncated_symbol(2, 0.5, 1e307, 10))
+        assert math.isfinite(symbol_value(2, 0.5, 1e308))
+
     @pytest.mark.parametrize("p,alpha", [(2, 0.5), (3, 0.5), (4, 0.5),
                                          (5, 0.5), (6, 0.5), (3, 1.5)])
     def test_series_consistency_long_truncation(self, p, alpha):

@@ -9,11 +9,13 @@ pin the remaining subcommands (`coeffs`, `symbol`, `bounds`,
 `monotonicity`, `riesz`, `stability`) at sizes like those of the
 benchmark's ``sweeps`` workload; they were taken before the CLI tables
 were formatted by column and written in one pass, which left every byte
-as it was.  A change that moves one bit of a solution, an error or a
-formatted figure fails here; one that is meant to do so records the old
-and new values and replaces the digests.  The figures come from IEEE
-double arithmetic through NumPy and LAPACK, so another BLAS/LAPACK build
-can round differently."""
+as it was.  The `second-shifted-pointwise` digest runs the exact
+nested-sum weights at orders 1.37 (non-dyadic) and 1.5 (dyadic); it was
+taken before those sums moved to Horner's rule.  A change that moves one
+bit of a solution, an error or a formatted figure fails here; one that is
+meant to do so records the old and new values and replaces the digests.
+The figures come from IEEE double arithmetic through NumPy and LAPACK, so
+another BLAS/LAPACK build can round differently."""
 
 import hashlib
 
@@ -80,6 +82,12 @@ CASES = {
         {"bounds.csv": "18245dfc86548f6ff0286998456b41e87a1e143db188b06956454b38a6d86f52",
          "bounds.txt": "4e4a302cd2f6c5bbb88d0f53944cfea834af34a8385d900cb3a014b855a77f65",
          "manifest.txt": "f0dac7e6259c4be524c26fc056657fbbabb5d1c5da6c6490fbb5dc387ea4be69"}),
+    "bounds-second-shifted-pointwise": (
+        "bounds",
+        "family = second-shifted-pointwise\nalpha = 0.37, 0.5\nell_min = 4\nell_max = 100\n",
+        {"bounds.csv": "1e0a6fa5d539c80d9f347ce81ff80e1d7591838030c985b7feafc1bd7513d59a",
+         "bounds.txt": "e168d803a56178abf8e37865da9514ab27c99cd65a6c2a21bb9433cba002cc6a",
+         "manifest.txt": "e954dc62db2036ed0dead39255422670054e6a4e6df34036b736490876105f0d"}),
     "monotonicity-p2": (
         "monotonicity",
         "p = 2\nalpha = 0.37, 0.81, 1.3, 1.7\nlength = 500\n",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naive_reference import (_RATIO_CHAINS, _naive_inner_weights, naive_closed_form_table,
@@ -140,6 +140,16 @@ class TestScalarRecurrenceBits:
         assert got.tobytes() == naive_first_order_sequence(alpha, length).tobytes()
 
 
+@st.composite
+def _alpha_and_length(draw):
+    """Any alpha in (0, 2) and a length up to 40.  The oracle's Fractions
+    carry alpha's denominator d to the power ell; at a subnormal alpha
+    (d = 2**1074) it takes about 2 s for length 40, so alphas below 2**-10
+    get lengths up to 12."""
+    alpha = draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+    return alpha, draw(st.integers(0, 40 if alpha >= 2.0 ** -10 else 12))
+
+
 class TestRouteEquivalence:
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.7])
@@ -163,6 +173,26 @@ class TestRouteEquivalence:
         for p, alpha, length in [(2, 0.37, 128), (6, 0.37, 40)]:
             got = closed_form_table(p, alpha, length)
             assert np.array_equal(got, naive_closed_form_table(p, alpha, length)), p
+
+    @settings(max_examples=25)
+    @given(p=st.integers(2, 6), case=_alpha_and_length())
+    @example(p=6, case=(5e-324, 12))
+    @example(p=2, case=(5e-324, 12))
+    @example(p=6, case=(float(np.nextafter(2.0, 0.0)), 32))
+    @example(p=2, case=(float(np.nextafter(2.0, 0.0)), 40))
+    def test_nested_sums_bitwise_equal_fraction_oracle_any_alpha(self, p, case):
+        # Horner's rule reorders the exact integer sums but keeps their
+        # values, so every bit must agree with the Fraction oracle
+        alpha, length = case
+        got = closed_form_table(p, alpha, length)
+        assert got.tobytes() == naive_closed_form_table(p, alpha, length).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.89, 1.5])
+    def test_nested_sums_bitwise_equal_fraction_oracle_bounds_length(self, alpha):
+        # the tables of the second-order `bounds` families: (2, alpha) and
+        # (2, 1 + alpha) up to ell_max, here 100
+        got = closed_form_table(2, alpha, 100)
+        assert got.tobytes() == naive_closed_form_table(2, alpha, 100).tobytes()
 
     def test_cross_check_example(self):
         got = closed_form_table(4, 0.4, 5)[5]
