@@ -312,6 +312,8 @@ def evaluate_bounds(family: str, alpha: float, ell_min: int,
 
 def compare_lower_bounds(alpha: float, ell: int) -> LowerBoundComparison:
     """Plain vs damped lower bounds for pointwise and tail estimates."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if ell < 3:
         raise ValueError("ell must be at least 3")
     return LowerBoundComparison(

@@ -85,6 +85,7 @@ def generator_on_circle(p: int, thetas: np.ndarray) -> np.ndarray:
 def first_order_sequence(alpha: float, length: int) -> np.ndarray:
     """Weights w_{1,j} = (-1)^j C(alpha, j), j = 0..length, by the pole-free
     recurrence w_j = w_{j-1} (1 - (alpha + 1) / j)."""
+    validate_alpha(alpha)
     if length < 0:
         raise ValueError("length must be nonnegative")
     w = [1.0]

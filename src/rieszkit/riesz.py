@@ -74,8 +74,10 @@ def riesz_apply(table: CoefficientTable, f: GridFunction) -> GridFunction:
 
 
 def poly_profile(p: int, x):
-    """Benchmark profile x^p (1-x)^p on [0, 1], zero outside."""
+    """Benchmark profile x^p (1-x)^p on [0, 1], zero outside; x must not be nan."""
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("x must not be nan")
     clipped = np.clip(x, 0.0, 1.0)  # far samples would overflow the power
     return np.where(clipped == x, clipped ** p * (1.0 - clipped) ** p, 0.0)
 
@@ -83,9 +85,14 @@ def poly_profile(p: int, x):
 def reference_riesz(p: int, alpha: float, x: float) -> float:
     """Closed-form Riesz derivative of x^p (1-x)^p on [0, 1].
 
-    Finite sum over the binomial expansion; valid for 0 < alpha < 1 and
-    0 <= x <= 1.
+    Finite sum over the binomial expansion, for alpha in (0, 1) or (1, 2),
+    0 <= x <= 1 and 0 <= p <= 64, beyond which p! (2p)! overflows a float.
+    The sum alternates in sign, so it loses accuracy long before p = 64.
     """
+    if not 0 <= p <= 64:
+        raise ValueError(f"p must lie in 0..64, got {p}")
+    if not (0.0 < alpha < 2.0) or alpha == 1.0:
+        raise ValueError(f"alpha must lie in (0,1) or (1,2), got {alpha}")
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
     s = 0.0

@@ -48,8 +48,7 @@ class ProblemSpec:
     compact stencil of rows 1 and M-1 reaches.  At a ghost node it must
     return the source of the zero-extended solution: u, u_t, u_x and u_xx
     vanish outside [a, b], so there the source reduces to
-    -d_alpha * D^alpha u, the fractional term alone.  :func:`solve` raises
-    :class:`SolverError` for a non-finite sample at an end node.
+    -d_alpha * D^alpha u, the fractional term alone.
 
     ``source(x, t)`` and ``exact(x, t)`` take ``t`` either as a float or
     as an (n, 1) column of times, and their result must broadcast to
@@ -180,17 +179,14 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
     order6 and g = 0 otherwise.  :func:`rieszkit.schemes.check_step`
     decides which steps are valid.
 
-    Assembly is array code throughout.  The convolution K is a sum of
-    Toeplitz terms apart from one edge column per half, accumulated in the
-    order of the entry loop (see :func:`_convolution_matrix`).  The compact
-    matrix C, the operator matrix D and the source matrix hold one stencil
-    term per entry, so they are written diagonal by diagonal, and
+    Assembly is array code throughout: K as in :func:`_convolution_matrix`,
+    in O(M^2) array operations per stencil offset and two (M-1) x (M-1)
+    buffers; the compact matrix C, the operator matrix D and the source
+    matrix, which hold one stencil term per entry, diagonal by diagonal.
     A = (2/tau) C - D + nu K and B = (2/tau) C + D - nu K are formed from
     nu K plus those bands with the same elementwise operations as the dense
-    sums.  A, B and ``source_matrix`` are therefore bitwise equal to the
-    entry loops that ``tests/naive_reference.py`` keeps as the oracle.
-    Building K takes O(M^2) array operations per stencil offset and two
-    (M-1) x (M-1) buffers.
+    sums, so A, B and ``source_matrix`` are bitwise equal to the entry
+    loops that ``tests/naive_reference.py`` keeps as the oracle.
     """
     p = weight_order(scheme)
     if M < (6 if p == 6 else 4):
@@ -252,63 +248,74 @@ def _non_finite(mats: SchemeMatrices, t: float | None = None) -> SolverError:
                        f"tau={mats.tau}{at}")
 
 
-def _getrs_failed(mats: SchemeMatrices, info: int) -> SolverError:
-    return SolverError(f"getrs failed with info={info} in scheme={mats.scheme}, "
-                       f"M={mats.M}, tau={mats.tau}")
+def _march(mats: SchemeMatrices, u: np.ndarray, s: np.ndarray,
+           levels: np.ndarray) -> float | None:
+    """March one block of levels A u^{k+1} = B u^k + S s^{k+1/2} from the
+    state u; the only code that advances a level.
+
+    Row i of ``s`` holds the source samples at ``mats.source_x`` for level
+    i of the block, whose solution lands in row i of ``levels``.  One
+    batched product forms every source term S s.  Each level then costs
+    three in-place calls and no temporaries: ``B.dot`` writes B u into the
+    level's row, ``np.add`` adds the source term, and LAPACK ``getrs``
+    overwrites the row with the solution, which becomes u; a nonzero
+    ``info`` raises :class:`SolverError`.  The march stops before the first
+    non-finite source term and checks the marched levels after the loop;
+    overflow and inf * 0 show only through these checks, never as a NumPy
+    warning.
+
+    Returns None if all is finite, else the first fault's offset in steps
+    from the block's start: i + 1 for a non-finite level in row i, n + 0.5
+    for a non-finite source term in row n.
+    """
+    (lu, piv), dot, add, getrs = mats.lu, mats.B.dot, np.add, dgetrs
+    with np.errstate(over="ignore", invalid="ignore"):
+        src = np.matmul(mats.source_matrix, s[:, :, None])[:, :, 0]
+        good = np.isfinite(src).all(axis=1)
+        n = len(src) if good.all() else int(good.argmin())
+        for row, f in zip(levels[:n], src):
+            dot(u, row)
+            add(row, f, row)
+            # trans = 0, overwrite_b = 1: u is the solved row itself
+            u, info = getrs(lu, piv, row, 0, 1)
+            if info != 0:
+                raise SolverError(f"getrs failed with info={info} in scheme="
+                                  f"{mats.scheme}, M={mats.M}, tau={mats.tau}")
+    finite = np.isfinite(levels[:n]).all(axis=1)
+    if not finite.all():
+        return finite.argmin() + 1.0
+    return None if n == len(src) else n + 0.5
 
 
 def step(mats: SchemeMatrices, u: np.ndarray, s_half: np.ndarray) -> np.ndarray:
-    """Advance one time level; s_half holds source samples at mats.source_x.
-
-    Those are the M+1 grid nodes, and for order6 also the ghost nodes
-    a - h and b + h (see :func:`assemble`).  The stored LU factor is applied
-    by LAPACK ``getrs``; a non-finite right-hand side, a nonzero ``info`` or
-    a non-finite result raises :class:`SolverError`.  An overflow or
-    inf * 0 in the products shows only through those checks, never as a
-    NumPy warning.  :func:`solve` marches bitwise as repeated calls of this
-    function.
+    """Advance one time level; s_half holds source samples at mats.source_x
+    (the M+1 grid nodes, and for order6 also the ghost nodes a - h and
+    b + h, see :func:`assemble`).  The level is a one-row block of
+    :func:`_march`, so a non-finite source term or result raises
+    :class:`SolverError`, never a NumPy warning.  u and s_half are left as
+    they are, and the result shares no memory with them.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = mats.B @ u + mats.source_matrix @ s_half
-    if not np.isfinite(rhs).all():
+    x = np.empty((1, mats.M - 1))
+    if _march(mats, u, np.reshape(s_half, (1, -1)), x) is not None:
         raise _non_finite(mats)
-    lu, piv = mats.lu
-    # trans = 0, overwrite_b = 1: the solution overwrites rhs in place
-    x, info = dgetrs(lu, piv, rhs, 0, 1)
-    if info != 0:
-        raise _getrs_failed(mats, info)
-    if not np.isfinite(x).all():
-        raise _non_finite(mats)
-    return x
+    return x[0]
 
 
 def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
-    """March from the initial data to t = T.
+    """March from the initial data to t = T in blocks of up to 256 levels,
+    each one call of :func:`_march`.
 
-    The march runs in blocks of up to 256 time levels.  Each block calls
-    ``spec.source`` once, with the column of the block's half-level times
-    (see :class:`ProblemSpec`), and checks the end-node samples of all its
-    levels.  One batched product then forms the source term of every level
-    of the block, bitwise the product that :func:`step` forms.  Each level
-    then costs three in-place calls and no temporaries: ``B.dot`` writes
-    B u into the level's row of the block, ``np.add`` adds the source term
-    to that row, and LAPACK ``getrs`` overwrites it with the solution, so u
-    is a view of the row just marched.  The levels are bitwise those of
-    repeated :func:`step` calls.  After a block u is a view of its last
-    row; the next block writes its row 0 first, a different row, since
-    only the last block can be partial.  The
-    march stops before the first level whose source term is not finite, and
-    the marched levels are checked once the block is done; either fault
-    raises :class:`SolverError` naming the time of the first non-finite
-    source term or level.  Then ``spec.exact`` is called once with the
-    column of the block's level times to take the block's maximum error.
-    Only one block of levels is held, so memory does not grow with N, and
-    the grid keeps the final level alone.
+    Each block calls ``spec.source`` once, with the column of its
+    half-level times (see :class:`ProblemSpec`), and ``spec.exact`` once,
+    with the column of its level times.  A non-finite end-node sample,
+    source term or level raises :class:`SolverError` naming the time of
+    the first.  Only one block of levels is held, so memory does not grow
+    with N, and the grid keeps the final level alone.
 
-    When the exact solution is known the grid records both the final-time
-    maximum error and the maximum over all time levels; the published
-    benchmark tables use the all-level maximum.  A nan in the exact
-    solution at any level makes that maximum nan.
+    With an exact solution the grid records both the final-time maximum
+    error and the maximum over all time levels; the published benchmark
+    tables use the all-level maximum.  A nan in the exact solution at any
+    level makes that maximum nan.
     """
     if N < 1:
         raise ValueError("need at least one time step")
@@ -319,8 +326,6 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     u = np.empty(M + 1)
     u[:] = spec.initial(x)
     u = u[1:M]
-    S, (lu, piv) = mats.source_matrix, mats.lu
-    dot, add, getrs = mats.B.dot, np.add, dgetrs
     levels = np.empty((min(N, _BLOCK), M - 1))
     worst = 0.0
     for k0 in range(0, N, _BLOCK):
@@ -333,31 +338,16 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
                 f"non-finite source at an end node (x = {xs[0]:g} or "
                 f"{xs[-1]:g}) in scheme={scheme}, M={M}, "
                 f"t={t_half[ends.argmin(), 0]:g}")
-        # overflow and inf * 0 leave non-finite values, which the checks
-        # below report as the only sign of them
-        with np.errstate(over="ignore", invalid="ignore"):
-            src = np.matmul(S, s[:, :, None])[:, :, 0]
-            good = np.isfinite(src).all(axis=1)
-            n = len(k) if good.all() else int(good.argmin())
-            for row, f in zip(levels[:n], src):
-                dot(u, row)
-                add(row, f, row)
-                # trans = 0, overwrite_b = 1: u is the solved row itself
-                u, info = getrs(lu, piv, row, 0, 1)
-                if info != 0:
-                    raise _getrs_failed(mats, info)
-        finite = np.isfinite(levels[:n]).all(axis=1)
-        if not finite.all():
-            raise _non_finite(mats, (k[finite.argmin(), 0] + 1) * tau)
-        if n < len(k):
-            raise _non_finite(mats, t_half[n, 0])
+        if (bad := _march(mats, u, s, levels)) is not None:
+            raise _non_finite(mats, (k0 + bad) * tau)
+        # row _BLOCK - 1 if a block follows, which writes its row 0 first
+        u = levels[len(k) - 1]
         if spec.exact is not None:
             ue = spec.exact(x[1:M], (k + 1) * tau)
-            worst = np.abs(levels[:n] - ue).max(initial=worst)
+            worst = np.abs(levels[:len(k)] - ue).max(initial=worst)
     final = np.zeros(M + 1)
     final[1:M] = u
-    final_error = None
-    max_error = None
+    final_error = max_error = None
     if spec.exact is not None:
         ue = spec.exact(x[1:M], spec.T)
         final_error = float(np.abs(u - ue).max())

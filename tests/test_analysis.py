@@ -261,6 +261,12 @@ class TestLowerBoundComparison:
             for ell in (3, 10, 50):
                 assert compare_lower_bounds(float(alpha), ell).tail_plain_below_damped
 
+    @pytest.mark.parametrize("alpha", [math.nan, 1.5, 1.0, 0.0, -0.2, math.inf])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # nan used to give nan fields and 1.5 negative lower bounds
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            compare_lower_bounds(alpha, 3)
+
     @pytest.mark.parametrize("ell", [-1, 0, 1, 2])
     def test_crossing_rejects_short_index(self, ell):
         with pytest.raises(ValueError, match="ell must be at least 3"):

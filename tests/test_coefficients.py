@@ -1,5 +1,6 @@
 """Weight-generation tests: both evaluation routes, signs, zero sums."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,12 @@ class TestFirstOrder:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             first_order_sequence(0.5, -1)
+
+    @pytest.mark.parametrize("alpha", [math.nan, 1e308, math.inf, 0.0, 2.0, -0.5])
+    def test_order_outside_range_rejected(self, alpha):
+        # nan used to give nan weights and 1e308 infinite ones
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\)"):
+            first_order_sequence(alpha, 3)
 
 
 class TestGeneratorPolynomial:

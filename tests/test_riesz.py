@@ -124,6 +124,26 @@ class TestReference:
         with pytest.raises(ValueError):
             reference_riesz(2, 0.5, 1.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, 1.0, 5.0, 0.0, 2.0, -0.5, math.inf])
+    def test_alpha_outside_its_range_rejected(self, alpha):
+        # nan used to return nan, 1.0 a -0.0 and 5.0 a bare math domain error
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0,1\) or \(1,2\)"):
+            reference_riesz(4, alpha, 0.5)
+
+    @pytest.mark.parametrize("p", [-1, 65, 200])
+    def test_p_beyond_float_range_rejected(self, p):
+        # p! (2p)! overflows a float from p = 65 on; 200 used to raise
+        # OverflowError
+        with pytest.raises(ValueError, match=f"p must lie in 0..64, got {p}"):
+            reference_riesz(p, 0.5, 0.5)
+
+    def test_largest_p_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(math.isfinite(reference_riesz(64, alpha, x))
+                       for alpha in (1e-9, 0.5, 0.999, 1.5, 2.0 - 1e-9)
+                       for x in (0.0, 0.3, 1.0))
+
 
 class TestPointApproximation:
     def test_matches_grid_midpoint_for_even_mesh(self):
@@ -142,6 +162,12 @@ class TestPointApproximation:
     def test_profile_vanishes_outside_unit_interval(self):
         assert poly_profile(3, -0.2) == 0.0
         assert poly_profile(3, 1.2) == 0.0
+
+    @pytest.mark.parametrize("x", [[math.nan], [0.5, math.nan], math.nan])
+    def test_nan_sample_rejected(self, x):
+        # a nan sample used to come back as 0.0, as if it lay outside [0, 1]
+        with pytest.raises(ValueError, match="x must not be nan"):
+            poly_profile(2, x)
 
     def test_far_samples_do_not_overflow(self):
         # with h = 1e300 the samples x0 -+ ell h lie far outside [0, 1],

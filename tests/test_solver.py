@@ -253,6 +253,36 @@ class TestStepOracle:
         ref = NAIVE_STEPS[name](spec, M, tau, u0, 0.5 * tau)
         assert np.max(np.abs(got - ref)) < 1e-13
 
+    @pytest.mark.parametrize("layout", ["array", "strided", "list"])
+    def test_step_leaves_its_inputs_alone(self, layout):
+        # the level is marched in place, in a buffer of step's own: the
+        # caller's state and samples keep their values, and the new level
+        # shares no memory with them
+        spec = builtin_problem("example3", 0.4)
+        M = 12
+        mats = assemble("order6", spec, M, 0.05)
+        rng = np.random.default_rng(7)
+        u0 = rng.standard_normal(M - 1)
+        s0 = spec.source(mats.source_x, 0.025)
+        expected = step(mats, u0.copy(), s0.copy())
+        if layout == "strided":
+            base = np.zeros(2 * (M - 1))
+            base[::2] = u0
+            u, s_half = base[::2], s0.copy()
+        elif layout == "list":
+            u, s_half = u0.tolist(), s0.tolist()
+        else:
+            u, s_half = u0.copy(), s0.copy()
+        got = step(mats, u, s_half)
+        assert np.asarray(u).tobytes() == u0.tobytes()
+        assert np.asarray(s_half).tobytes() == s0.tobytes()
+        if layout == "strided":
+            assert base[1::2].tobytes() == np.zeros(M - 1).tobytes()
+        if layout != "list":
+            assert not np.shares_memory(got, u)
+            assert not np.shares_memory(got, s_half)
+        assert got.tobytes() == expected.tobytes()
+
     def test_zero_state_zero_source_stays_zero(self):
         spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
                            a=0.0, b=1.0, T=1.0,

@@ -3,8 +3,9 @@
 The schemes are defined in one module that needs no SciPy and that alone
 tests a scheme by its name, the stability scans do not reach into the
 solver, no module borrows a sibling's private helpers, every module-level
-import is used, and the Fraction oracle of the nested sums reads nothing of
-the production nested-sum route.
+import is used, the Fraction oracle of the nested sums reads nothing of
+the production nested-sum route, and one solver kernel alone marches a
+time level.
 """
 
 import ast
@@ -122,3 +123,20 @@ def _unused_imports(path):
 def test_every_import_is_used(path):
     unused = _unused_imports(path)
     assert unused == [], f"{path.stem} imports {unused} without using them"
+
+
+def _functions_reading(path, names, attrs):
+    """Top-level functions of `path` that read one of the global `names`
+    or an attribute ``X.attr`` for one of `attrs`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in attrs}
+
+
+def test_one_kernel_marches_a_level():
+    # step and solve make no LAPACK call and no product with B of their
+    # own: a second level loop would read dgetrs or mats.B
+    readers = _functions_reading(PACKAGE / "solver.py", {"dgetrs"}, {"B"})
+    assert readers == {"_march"}, readers
