@@ -87,6 +87,7 @@ def reference_riesz(p: int, alpha: float, x: float) -> float:
 
     Finite sum over the binomial expansion, for alpha in (0, 1) or (1, 2),
     0 <= x <= 1 and 0 <= p <= 64, beyond which p! (2p)! overflows a float.
+    At the end nodes it is singular for p < alpha, and raises ValueError.
     The sum alternates in sign, so it loses accuracy long before p = 64.
     """
     if not 0 <= p <= 64:
@@ -95,6 +96,9 @@ def reference_riesz(p: int, alpha: float, x: float) -> float:
         raise ValueError(f"alpha must lie in (0,1) or (1,2), got {alpha}")
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
+    if p < alpha and x in (0.0, 1.0):
+        raise ValueError(f"the derivative is singular at the end node x = {x} "
+                         f"for p = {p} < alpha = {alpha}")
     s = 0.0
     for ell in range(p + 1):
         coef = ((-1) ** ell * math.factorial(p) * math.factorial(p + ell)

@@ -125,46 +125,40 @@ def _diagonal(X: np.ndarray, k: int) -> np.ndarray:
     return X.reshape(-1)[start::cols + 1][:count]
 
 
-def _convolution_matrix(M: int, w: np.ndarray, compact, right) -> np.ndarray:
-    """Two-sided weight convolution composed with the compact stencil
-    ``compact`` on the backward-looking half and ``right`` on the
-    forward-looking one.  Out-of-range indices contribute zero.
+def _convolution_diagonals(M: int, w: np.ndarray, compact, right, nu: float):
+    """nu K on its diagonals, for the two-sided weight convolution K with
+    the compact stencil ``compact`` on its backward-looking half and
+    ``right`` on its forward-looking one.
 
     Row r = j - 1 and column m - 1 of the left half collect
     w[j - m + off] * c_off over the compact offsets, for 0 <= j - m + off <= j;
     the right half collects w[m - j - off] * c_off over its offsets, for
-    0 <= m - j - off <= M - j.  So each half is a sum of Toeplitz matrices
-    apart from one edge column: offset +2 of the left half drops column 0
-    and offset -2 of the right half drops column M - 2.  Each term is a
-    strided Toeplitz view of one zero-padded copy of w, multiplied and added
-    in place.  Every entry receives its terms in the order of the
-    entry-by-entry loop kept as the test oracle: left offsets ascending,
-    then right offsets descending, which is ascending ell on both halves.
-    K starts at +0.0 and no partial sum is -0.0, so the zero terms of the
-    padding change no bit, and K is bitwise that loop's.
+    0 <= m - j - off <= M - j.  So K is Toeplitz apart from two edge
+    columns: offset +2 of the left half misses column 0, and offset -2 of
+    the right half misses column M - 2.  Entry t of each row of the
+    (3, 2M - 3) result lies on the diagonal r - col = t - (M - 2): row 0 is
+    the Toeplitz generating vector, and rows 1 and 2 hold columns 0 and M - 2.
+
+    The terms are slices of one zero-padded copy of w, added in the order
+    of the entry loop kept as the test oracle: left offsets ascending, then
+    right offsets descending.  The sums start at +0.0 and no partial sum is
+    -0.0, so zero terms change no bit: the padding's, and those standing in
+    for the term an edge column misses.
     """
-    n = M - 1
-    # wp[n + 1 + i] = w[i]; the n + 1 leading zeros stand for i < 0
-    wp = np.concatenate((np.zeros(n + 1), w[:M + 1]))
-    windows = sliding_window_view(wp, n)
-
-    def toeplitz(s):
-        # T[r, col] = wp[s + r - col]
-        return windows[s - n + 1:s + 1, ::-1]
-
-    K = np.zeros((n, n))
-    tmp = np.empty((n, n))
-    for off, c in compact:
-        lo = max(0, off - 1)
-        V = toeplitz(n + 1 + off)[:, lo:]
-        np.multiply(V, c, out=tmp[:, lo:])
-        np.add(K[:, lo:], tmp[:, lo:], out=K[:, lo:])
-    for off, c in sorted(right, reverse=True):
-        hi = min(n, n + off + 1)
-        V = toeplitz(n + 1 - off).T[:, :hi]
-        np.multiply(V, c, out=tmp[:, :hi])
-        np.add(K[:, :hi], tmp[:, :hi], out=K[:, :hi])
-    return K
+    L = 2 * M - 3
+    # wp[M + i] = w[i] for 0 <= i <= M, with M leading zeros for i < 0; the
+    # left (right) term of offset off is slice 2 + off of wp (wp reversed)
+    wp = np.zeros(2 * M + 1)
+    wp[M:] = w[:M + 1]
+    right = sorted(right, reverse=True)
+    V = np.array([wp[2 + off:2 + off + L] for off, _ in compact]
+                 + [wp[::-1][2 + off:2 + off + L] for off, _ in right])
+    C = np.array([(c, 0.0 if off == 2 else c, c) for off, c in compact]
+                 + [(c, c, 0.0 if off == -2 else c) for off, c in right])
+    # P[0] is the +0.0 the sums start from; accumulate adds term by term
+    P = np.zeros((len(C) + 1, 3, L))
+    np.multiply(C[:, :, None], V[:, None, :], out=P[1:])
+    return np.add.accumulate(P)[-1] * nu
 
 
 def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatrices:
@@ -179,14 +173,14 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
     order6 and g = 0 otherwise.  :func:`rieszkit.schemes.check_step`
     decides which steps are valid.
 
-    Assembly is array code throughout: K as in :func:`_convolution_matrix`,
-    in O(M^2) array operations per stencil offset and two (M-1) x (M-1)
-    buffers; the compact matrix C, the operator matrix D and the source
-    matrix, which hold one stencil term per entry, diagonal by diagonal.
-    A = (2/tau) C - D + nu K and B = (2/tau) C + D - nu K are formed from
-    nu K plus those bands with the same elementwise operations as the dense
-    sums, so A, B and ``source_matrix`` are bitwise equal to the entry
-    loops that ``tests/naive_reference.py`` keeps as the oracle.
+    Assembly works on diagonals: nu K as in :func:`_convolution_diagonals`
+    in O(M) operations, and the banded C, D and source matrix one stencil
+    term per diagonal.  The generating vectors of A = (2/tau) C - D + nu K
+    and B = (2/tau) C + D - nu K take the elementwise operations of the
+    dense sums, and each matrix is one strided copy plus its two edge
+    columns, so no other (M-1) x (M-1) buffer is made, and A, B and
+    ``source_matrix`` are bitwise equal to the entry loops that
+    ``tests/naive_reference.py`` keeps as the oracle.
     """
     p = weight_order(scheme)
     if M < (6 if p == 6 else 4):
@@ -203,22 +197,28 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
     compact, operator = stencils(scheme, spec.d1, spec.d2, h)
     w = expand_generating_function(p, spec.alpha, M + 2).values
 
-    K = _convolution_matrix(M, w, compact, right_compact(scheme, compact))
-    np.multiply(K, nu, out=K)
-    # A = (s C - D) + nu K and B = (s C + D) - nu K elementwise, with the
-    # banded C and D kept as one stencil term per diagonal (an entry of C
-    # is 0.0 + c).  Off the bands s C -+ D is the scalar s * 0.0 -+ 0.0,
-    # and adding it turns a -0.0 of nu K into +0.0, as the dense sum does.
+    n = M - 1
+    nuK = _convolution_diagonals(M, w, compact, right_compact(scheme, compact), nu)
+    # A = (s C - D) + nu K and B = (s C + D) - nu K elementwise, with C and
+    # D kept as one stencil term per diagonal X[r, r + off], which is entry
+    # n - 1 - off (an entry of C is 0.0 + c).  Off the bands s C -+ D is
+    # s * 0.0 -+ 0.0, and adding it turns a -0.0 of nu K into +0.0.
     s = 2.0 / tau
-    A = np.add(s * 0.0 - 0.0, K)
-    B = np.subtract(s * 0.0 + 0.0, K)
+    ab = np.empty((2,) + nuK.shape)
+    ab[0], ab[1] = s * 0.0 - 0.0, s * 0.0 + 0.0
     cw, dw = dict(compact), dict(operator)
     for off in cw.keys() | dw.keys():
         sc = s * (0.0 + cw.get(off, 0.0))
         dv = 0.0 + dw.get(off, 0.0)
-        nuk = _diagonal(K, off)
-        _diagonal(A, off)[:] = (sc - dv) + nuk
-        _diagonal(B, off)[:] = (sc + dv) - nuk
+        ab[0, :, n - 1 - off], ab[1, :, n - 1 - off] = sc - dv, sc + dv
+    ab[0] += nuK
+    ab[1] -= nuK
+    # X[r, col] = v[n - 1 + r - col] for the generating vector v of A or B:
+    # row r of X is window n - 1 - r of v reversed
+    windows = sliding_window_view(ab[:, 0, ::-1], n, axis=1)[:, ::-1]
+    A, B = windows[0].copy(), windows[1].copy()
+    A[:, 0], B[:, 0] = ab[:, 1, n - 1:]
+    A[:, -1], B[:, -1] = ab[:, 2, :n]
 
     # nodes beyond [a, b] that the compact stencil of rows 1 and M-1 reaches
     ghost = max(0, compact[-1][0] - 1)

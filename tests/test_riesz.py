@@ -130,6 +130,15 @@ class TestReference:
         with pytest.raises(ValueError, match=r"alpha must lie in \(0,1\) or \(1,2\)"):
             reference_riesz(4, alpha, 0.5)
 
+    @pytest.mark.parametrize("p, alpha", [(0, 0.5), (1, 1.5)])
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_singular_end_node_rejected(self, p, alpha, x):
+        # for p < alpha the derivative is singular at the end nodes, where
+        # the sum used to raise a bare ZeroDivisionError
+        with pytest.raises(ValueError, match=f"singular at the end node x = {x} "
+                                             f"for p = {p}"):
+            reference_riesz(p, alpha, x)
+
     @pytest.mark.parametrize("p", [-1, 65, 200])
     def test_p_beyond_float_range_rejected(self, p):
         # p! (2p)! overflows a float from p = 65 on; 200 used to raise

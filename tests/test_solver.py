@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,8 +32,7 @@ from rieszkit import (
     step,
 )
 from rieszkit import solver as solver_module
-from rieszkit.schemes import SCHEMES, right_compact, stencils
-from rieszkit.solver import _convolution_matrix
+from rieszkit.schemes import SCHEMES, stencils
 
 LADDER_T6 = [(10, 10), (20, 20), (40, 40), (80, 80)]
 # powers of ten over the double range, subnormals included
@@ -167,6 +167,23 @@ class TestAssemble:
         with pytest.raises(SolverError, match="singular system"):
             assemble("order2", builtin_problem("example2", 0.5), 16, 0.1)
 
+    @pytest.mark.parametrize("scheme", ["order6", "order2"])
+    def test_no_scratch_matrix(self, scheme):
+        # assemble returns A, B, the LU factor and S, four (M-1)^2 matrices,
+        # and builds them without a further (M-1)^2 buffer
+        M, matrix = 513, 8 * 512 ** 2
+        spec = builtin_problem("example3", 0.4)
+        assemble(scheme, spec, M, 0.01)  # warm-up
+        tracemalloc.start()
+        try:
+            mats = assemble(scheme, spec, M, 0.01)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held >= 4 * matrix, "tracemalloc misses the returned matrices"
+        assert peak - held <= 0.1 * matrix, (peak - held) / matrix
+        assert mats.A.shape == (M - 1, M - 1)
+
 
 class TestAssemblyOracle:
     @pytest.mark.filterwarnings("ignore:order4 stability:UserWarning")
@@ -181,6 +198,19 @@ class TestAssemblyOracle:
     # and d_alpha = 0 makes nu K hold -0.0 wherever K < 0
     @example(scheme="order6-consistent", M=8, alpha=0.4, d1=8.0, d2=1.0,
              d_alpha=0.0, tau=0.05)
+    # the smallest meshes, where the edge columns carry band entries
+    @example(scheme="order2", M=4, alpha=0.4, d1=2.0, d2=1.0, d_alpha=1.0,
+             tau=0.05)
+    @example(scheme="order4", M=4, alpha=0.4, d1=2.0, d2=1.0, d_alpha=1.0,
+             tau=0.05)
+    @example(scheme="order6", M=6, alpha=0.4, d1=2.0, d2=1.0, d_alpha=1.0,
+             tau=0.05)
+    @example(scheme="order6", M=7, alpha=0.4, d1=2.0, d2=1.0, d_alpha=1.0,
+             tau=0.05)
+    @example(scheme="order6-consistent", M=6, alpha=0.4, d1=2.0, d2=1.0,
+             d_alpha=1.0, tau=0.05)
+    @example(scheme="order6-consistent", M=7, alpha=0.4, d1=2.0, d2=1.0,
+             d_alpha=1.0, tau=0.05)
     def test_matrices_bitwise_equal_entry_loops(self, scheme, M, alpha, d1, d2,
                                                 d_alpha, tau):
         assume(NAIVE_SCHEMES[scheme][0] != "order6" or M >= 6)
@@ -196,35 +226,46 @@ class TestAssemblyOracle:
     def test_oracle_names_every_scheme(self):
         assert sorted(NAIVE_SCHEMES) == sorted(SCHEMES)
 
+    @staticmethod
+    def _large_system(scheme, reflect_right, d1):
+        # M = 1024 is beyond what the entry loops finish in test time
+        spec = ProblemSpec(d1=d1, d2=1.0, d_alpha=1.0, alpha=0.37, a=0.0,
+                           b=1.0, T=1.0, source=lambda x, t: x,
+                           initial=lambda x: x)
+        return assemble(naive_scheme(scheme, reflect_right), spec, 1024, 0.01)
+
     @pytest.mark.parametrize("reflect_right", [True, False])
     def test_order2_convolution_is_two_toeplitz_halves(self, reflect_right):
-        # M = 1024 is beyond what the entry loops finish in test time
-        M = 1024
+        # A = (2/tau) I - D + nu K and B = (2/tau) I + D - nu K, with
+        # K = T + T^T for the lower-triangular Toeplitz T of the weights
+        M, tau = 1024, 0.01
+        mats = self._large_system("order2", reflect_right, 1.0)
         w = expand_generating_function(2, 0.37, M + 2).values
-        compact, _ = stencils("order2", 1.0, 1.0, 1.0 / M)
-        right = right_compact(naive_scheme("order2", reflect_right), compact)
-        K = _convolution_matrix(M, w, compact, right)
         T = toeplitz(w[:M - 1], np.zeros(M - 1))
-        assert np.array_equal(K, T + T.T)
+        _, operator = stencils("order2", 1.0, 1.0, 1.0 / M)
+        D = sum(c * np.eye(M - 1, k=off) for off, c in operator)
+        sC, nuK = (2.0 / tau) * np.eye(M - 1), mats.nu * (T + T.T)
+        assert np.array_equal(mats.A, sC - D + nuK)
+        assert np.array_equal(mats.B, sC + D - nuK)
 
     @pytest.mark.parametrize("scheme", ["order4", "order6"])
     @pytest.mark.parametrize("reflect_right", [True, False])
     def test_compact_convolution_is_toeplitz_off_the_edge_columns(
             self, scheme, reflect_right):
-        M = 1024
-        w = expand_generating_function(int(scheme[-1]), 0.37, M + 2).values
-        compact, _ = stencils(scheme, 2.0, 1.0, 1.0 / M)
-        right = right_compact(naive_scheme(scheme, reflect_right), compact)
-        K = _convolution_matrix(M, w, compact, right)
-        if scheme == "order4":
-            assert np.array_equal(K[1:, 1:], K[:-1, :-1])
-            return
-        # offset +2 of the left half misses column 0, and offset -2 of the
-        # right half misses column M - 2; every other column is Toeplitz
-        inner = K[:, 1:-1]
-        assert np.array_equal(inner[1:, 1:], inner[:-1, :-1])
-        assert np.all(K[1:, 1] != K[:-1, 0])
-        assert np.all(K[:-1, -2] != K[1:, -1])
+        # C and D are Toeplitz bands, so A = (2/tau) C - D + nu K and
+        # B = (2/tau) C + D - nu K have the structure of K
+        mats = self._large_system(scheme, reflect_right, 2.0)
+        for X in (mats.A, mats.B):
+            if scheme == "order4":
+                assert np.array_equal(X[1:, 1:], X[:-1, :-1])
+                continue
+            # offset +2 of the left half misses column 0, and offset -2 of
+            # the right half misses column M - 2; every other column is
+            # Toeplitz
+            inner = X[:, 1:-1]
+            assert np.array_equal(inner[1:, 1:], inner[:-1, :-1])
+            assert np.all(X[1:, 1] != X[:-1, 0])
+            assert np.all(X[:-1, -2] != X[1:, -1])
 
 
 class TestProblemSpec:
