@@ -7,10 +7,8 @@ from .analysis import (
     alpha_limit_order4,
     bound_families,
     check_symbol_nonnegativity,
-    compare_lower_bounds,
     evaluate_bounds,
     monotonicity_scan,
-    symbol_value,
     symbol_values,
 )
 from .coefficients import (

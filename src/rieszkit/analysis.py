@@ -38,26 +38,6 @@ class BoundCheckRecord:
     holds: bool
 
 
-@dataclass(frozen=True)
-class LowerBoundComparison:
-    """Which of two competing lower bounds is tighter (larger)."""
-
-    alpha: float
-    ell: int
-    pointwise_plain: float
-    pointwise_damped: float
-    tail_plain: float
-    tail_damped: float
-
-    @property
-    def pointwise_plain_below_damped(self) -> bool:
-        return self.pointwise_plain < self.pointwise_damped
-
-    @property
-    def tail_plain_below_damped(self) -> bool:
-        return self.tail_plain < self.tail_damped
-
-
 def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
     """Re[W_p(e^{i theta})**alpha], vectorized over theta.
 
@@ -73,11 +53,6 @@ def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
     w = generator_on_circle(p, thetas)
     out = np.real(np.power(w, alpha))
     return np.where(thetas == 0.0, 0.0, out)
-
-
-def symbol_value(p: int, alpha: float, theta: float) -> float:
-    """Scalar convenience wrapper around :func:`symbol_values`."""
-    return float(symbol_values(p, alpha, np.array([theta]))[0])
 
 
 def truncated_symbol(p: int, alpha: float, theta: float, length: int) -> float:
@@ -112,14 +87,14 @@ def alpha_limit_order4() -> float:
                       + 2.0 * math.atan(191.0 * math.sqrt(6.0) / 317.0))
 
 
-def symbol_angle_extreme(p: int, grid_size: int = 1 << 16) -> float:
+def symbol_angle_extreme(p: int) -> float:
     """Most negative continuous argument of W_p(e^{i theta}) on (0, pi].
 
     The symbol equals |W_p|**alpha * cos(alpha * phi) with phi the argument
     tracked continuously from theta = 0; it stays nonnegative for every
     theta exactly when alpha * |phi| never exceeds pi/2.
     """
-    thetas = np.linspace(1e-9, math.pi, grid_size)
+    thetas = np.linspace(1e-9, math.pi, 1 << 16)
     phi = np.unwrap(np.angle(generator_on_circle(p, thetas)))
     return float(np.min(phi))
 
@@ -238,18 +213,6 @@ def _b2_shifted_bounds(a: float, ell: int) -> tuple[float, float]:
     return lower, upper
 
 
-def _zero_sum_tail(w: np.ndarray, alpha: float, ell: int) -> float:
-    partial = float(w[:ell].sum())
-    return partial if alpha < 1.0 else -partial
-
-
-def first_order_tail(alpha: float, ell: int) -> float:
-    """sum_{k>=ell} |w_{1,k}^{(alpha)}| via the zero-sum identity."""
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    return _zero_sum_tail(first_order_sequence(alpha, ell - 1), alpha, ell)
-
-
 def _pair(lower, upper):
     return lambda a, ell: (lower(a, ell), upper(a, ell))
 
@@ -299,30 +262,16 @@ def evaluate_bounds(family: str, alpha: float, ell_min: int,
         w = closed_form_table(2, order, ell_max)
     else:
         w = first_order_sequence(order, ell_max)
+    tail_sign = 1.0 if order < 1.0 else -1.0  # of the zero-sum identity
     records = []
     for ell in range(ell_min, ell_max + 1):
         lo, up = bounds(alpha, ell)
         # one sum per tail, not a cumsum, which rounds differently
-        obs = _zero_sum_tail(w, order, ell) if observed == "tail" else abs(w[ell])
+        obs = tail_sign * float(w[:ell].sum()) if observed == "tail" else abs(w[ell])
         records.append(BoundCheckRecord(family=family, alpha=alpha, ell=ell,
                                         lower=lo, observed=obs, upper=up,
                                         holds=bool(lo < obs < up)))
     return records
-
-
-def compare_lower_bounds(alpha: float, ell: int) -> LowerBoundComparison:
-    """Plain vs damped lower bounds for pointwise and tail estimates."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if ell < 3:
-        raise ValueError("ell must be at least 3")
-    return LowerBoundComparison(
-        alpha=alpha, ell=ell,
-        pointwise_plain=_b1_lower(alpha, ell),
-        pointwise_damped=_b1_lower_damped(alpha, ell),
-        tail_plain=_s1_lower(alpha, ell),
-        tail_damped=_s1_lower_damped(alpha, ell),
-    )
 
 
 def pointwise_lower_crossing(ell: int) -> float:

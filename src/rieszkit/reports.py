@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,28 @@ class ConvergenceRow:
     error: float
     temporal_order: float | None
     spatial_order: float | None
+
+
+def _order(e0: float, e: float, x0, x) -> float | None:
+    if x0 == x or not (e > 0.0 and e0 > 0.0):
+        return None
+    return math.log(e0 / e) / math.log(x0 / x)
+
+
+def convergence_rows(rungs) -> tuple[ConvergenceRow, ...]:
+    """Rows of (h, tau, error) rungs, each with the orders observed against
+    the rung before it: log(e0 / e) / log(tau0 / tau) and the same with h.
+
+    An order is None on the first rung, where its step did not change (tau
+    None in both rungs) and where either error is not positive.
+    """
+    rows: list[ConvergenceRow] = []
+    for h, tau, e in rungs:
+        # the first rung compares with itself, where neither step changed
+        r = rows[-1] if rows else ConvergenceRow(h, tau, e, None, None)
+        rows.append(ConvergenceRow(h, tau, e, _order(r.error, e, r.tau, tau),
+                                   _order(r.error, e, r.h, h)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientTable, expand_generating_function
-from .reports import ConvergenceReport, ConvergenceRow
+from .reports import ConvergenceReport, convergence_rows
 from .schemes import fractional_coefficient
 
 
@@ -73,8 +73,14 @@ def riesz_apply(table: CoefficientTable, f: GridFunction) -> GridFunction:
     return GridFunction(grid=f.grid, values=out)
 
 
+def _check_degree(p) -> None:
+    if not (isinstance(p, (int, np.integer)) and 0 <= p <= 64):
+        raise ValueError(f"p must be an integer in 0..64, got {p}")
+
+
 def poly_profile(p: int, x):
-    """Benchmark profile x^p (1-x)^p on [0, 1], zero outside; x must not be nan."""
+    """Profile x^p (1-x)^p on [0, 1], zero outside; integer p in 0..64, x not nan."""
+    _check_degree(p)
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValueError("x must not be nan")
@@ -86,12 +92,12 @@ def reference_riesz(p: int, alpha: float, x: float) -> float:
     """Closed-form Riesz derivative of x^p (1-x)^p on [0, 1].
 
     Finite sum over the binomial expansion, for alpha in (0, 1) or (1, 2),
-    0 <= x <= 1 and 0 <= p <= 64, beyond which p! (2p)! overflows a float.
-    At the end nodes it is singular for p < alpha, and raises ValueError.
-    The sum alternates in sign, so it loses accuracy long before p = 64.
+    0 <= x <= 1 and an integer 0 <= p <= 64, beyond which p! (2p)!
+    overflows a float.  For p < alpha it is singular at the end nodes and
+    overflows next to them, and raises ValueError.  The sum alternates in
+    sign, so it loses accuracy long before p = 64.
     """
-    if not 0 <= p <= 64:
-        raise ValueError(f"p must lie in 0..64, got {p}")
+    _check_degree(p)
     if not (0.0 < alpha < 2.0) or alpha == 1.0:
         raise ValueError(f"alpha must lie in (0,1) or (1,2), got {alpha}")
     if not 0.0 <= x <= 1.0:
@@ -100,11 +106,15 @@ def reference_riesz(p: int, alpha: float, x: float) -> float:
         raise ValueError(f"the derivative is singular at the end node x = {x} "
                          f"for p = {p} < alpha = {alpha}")
     s = 0.0
-    for ell in range(p + 1):
-        coef = ((-1) ** ell * math.factorial(p) * math.factorial(p + ell)
-                / (math.factorial(ell) * math.factorial(p - ell)
-                   * math.gamma(p + ell + 1 - alpha)))
-        s += coef * (x ** (p + ell - alpha) + (1.0 - x) ** (p + ell - alpha))
+    try:
+        for ell in range(p + 1):
+            coef = ((-1) ** ell * math.factorial(p) * math.factorial(p + ell)
+                    / (math.factorial(ell) * math.factorial(p - ell)
+                       * math.gamma(p + ell + 1 - alpha)))
+            s += coef * (x ** (p + ell - alpha) + (1.0 - x) ** (p + ell - alpha))
+    except OverflowError:
+        raise ValueError(f"the derivative overflows at x = {x} for p = {p}, "
+                         f"alpha = {alpha}") from None
     return -s / (2.0 * math.cos(math.pi * alpha / 2.0))
 
 
@@ -118,8 +128,11 @@ def point_approximation(table: CoefficientTable, h: float, x0: float) -> float:
     _check_step(h)
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
+    reach = max(x0, 1.0 - x0) / h
+    if not math.isfinite(abs(x0) + (reach + 2.0) * h):  # bounds x0 -+ L h
+        raise ValueError(f"samples leave double range at h = {h}, x0 = {x0}")
     p = table.p
-    L = int(math.ceil(max(x0, 1.0 - x0) / h)) + 1
+    L = int(math.ceil(reach)) + 1
     if table.length < L:
         raise ValueError(f"coefficient table too short: {table.length} < {L}")
     ells = np.arange(L + 1)
@@ -155,8 +168,7 @@ def operator_convergence(p: int, alpha: float, h_list,
         raise ValueError(f"unknown metric '{metric}'")
     meshes = [_resolve_mesh(h) for h in h_list]
     table = expand_generating_function(p, alpha, max(meshes) + 1)
-    rows: list[ConvergenceRow] = []
-    prev: tuple[float, float] | None = None
+    rungs = []
     for M in meshes:
         h = 1.0 / M
         if metric == "midpoint":
@@ -169,12 +181,7 @@ def operator_convergence(p: int, alpha: float, h_list,
             num = riesz_apply(table, f)
             exact = np.array([reference_riesz(p, alpha, xx) for xx in x[1:M]])
             err = float(np.max(np.abs(num.values[1:M] - exact)))
-        order = None
-        if prev is not None and prev[0] != h and err > 0.0 and prev[1] > 0.0:
-            order = math.log(prev[1] / err) / math.log(prev[0] / h)
-        rows.append(ConvergenceRow(h=h, tau=None, error=err,
-                                   temporal_order=None, spatial_order=order))
-        prev = (h, err)
+        rungs.append((h, None, err))
     label = "abs-at-midpoint" if metric == "midpoint" else "max-abs-interior"
     return ConvergenceReport(study=f"riesz-p{p}", problem=f"x^{p}(1-x)^{p}",
-                             alpha=alpha, norm=label, rows=tuple(rows))
+                             alpha=alpha, norm=label, rows=convergence_rows(rungs))

@@ -26,7 +26,7 @@ from scipy.linalg.lapack import dgetrs
 
 from .analysis import alpha_limit_order4
 from .coefficients import expand_generating_function
-from .reports import ConvergenceReport, ConvergenceRow
+from .reports import ConvergenceReport, convergence_rows
 from .schemes import (check_coefficients, check_step, fractional_coefficient,
                       right_compact, stencils, weight_order)
 
@@ -486,20 +486,7 @@ def convergence_study(scheme: str, problem: str | ProblemSpec, alpha: float,
         pname = problem
     if spec.exact is None:
         raise ValueError("convergence study requires an exact solution")
-    rows: list[ConvergenceRow] = []
-    prev: tuple[float, float, float] | None = None
-    for M, N in ladder:
-        grid = solve(scheme, spec, M, N)
-        h, tau, err = grid.h, grid.tau, grid.max_error
-        t_order = s_order = None
-        if prev is not None:
-            h0, tau0, e0 = prev
-            if tau0 != tau and err > 0 and e0 > 0:
-                t_order = math.log(e0 / err) / math.log(tau0 / tau)
-            if h0 != h and err > 0 and e0 > 0:
-                s_order = math.log(e0 / err) / math.log(h0 / h)
-        rows.append(ConvergenceRow(h=h, tau=tau, error=err,
-                                   temporal_order=t_order, spatial_order=s_order))
-        prev = (h, tau, err)
+    grids = (solve(scheme, spec, M, N) for M, N in ladder)
+    rows = convergence_rows((g.h, g.tau, g.max_error) for g in grids)
     return ConvergenceReport(study=scheme, problem=pname, alpha=alpha,
-                             norm="max-abs-all-levels", rows=tuple(rows))
+                             norm="max-abs-all-levels", rows=rows)

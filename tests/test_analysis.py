@@ -8,18 +8,21 @@ import pytest
 from rieszkit import (
     alpha_limit_order4,
     check_symbol_nonnegativity,
-    compare_lower_bounds,
     evaluate_bounds,
     bound_families,
     monotonicity_scan,
-    symbol_value,
     symbol_values,
 )
-from rieszkit.analysis import (
-    first_order_tail,
-    pointwise_lower_crossing,
-    truncated_symbol,
-)
+from rieszkit.analysis import pointwise_lower_crossing, truncated_symbol
+
+
+def _symbol_at(p, alpha, theta):
+    [value] = symbol_values(p, alpha, np.array([theta]))
+    return value
+
+
+def _lower(family, alpha, ell):
+    return evaluate_bounds(family, alpha, ell, ell)[0].lower
 
 
 class TestSymbol:
@@ -30,15 +33,15 @@ class TestSymbol:
         plus = symbol_values(p, alpha, thetas)
         minus = symbol_values(p, alpha, -thetas)
         assert np.allclose(plus, minus, rtol=0, atol=1e-13)
-        assert symbol_value(p, alpha, 0.0) == 0.0
+        assert _symbol_at(p, alpha, 0.0) == 0.0
 
     def test_value_at_pi(self):
         # W_2(-1) = 4, so the half-order symbol at pi equals 2
-        assert abs(symbol_value(2, 0.5, math.pi) - 2.0) < 1e-14
+        assert abs(_symbol_at(2, 0.5, math.pi) - 2.0) < 1e-14
         assert abs(truncated_symbol(2, 0.5, math.pi, 10_000) - 2.0) < 1e-6
 
     def test_agrees_with_truncated_series_quarter_turn(self):
-        direct = symbol_value(2, 0.5, math.pi / 2)
+        direct = _symbol_at(2, 0.5, math.pi / 2)
         series = truncated_symbol(2, 0.5, math.pi / 2, 10_000)
         assert abs(direct - series) < 1e-6
 
@@ -48,7 +51,7 @@ class TestSymbol:
         with pytest.raises(ValueError, match="theta"):
             symbol_values(6, 0.5, np.array([0.5, theta]))
         with pytest.raises(ValueError, match="theta"):
-            symbol_value(2, 0.5, theta)
+            _symbol_at(2, 0.5, theta)
         for length in (0, 10):
             with pytest.raises(ValueError, match="theta"):
                 truncated_symbol(2, 0.5, theta, length)
@@ -59,7 +62,7 @@ class TestSymbol:
         with pytest.raises(ValueError, match="length \\* theta"):
             truncated_symbol(2, 0.5, 1e308, 10)
         assert math.isfinite(truncated_symbol(2, 0.5, 1e307, 10))
-        assert math.isfinite(symbol_value(2, 0.5, 1e308))
+        assert math.isfinite(_symbol_at(2, 0.5, 1e308))
 
     @pytest.mark.parametrize("p,alpha", [(2, 0.5), (3, 0.5), (4, 0.5),
                                          (5, 0.5), (6, 0.5), (3, 1.5)])
@@ -224,15 +227,17 @@ class TestBounds:
         K = 400_000
         for alpha in (0.2, 0.6):
             w = first_order_sequence(alpha, K)
+            records = evaluate_bounds("first-tail", alpha, 3, 50)
             for ell in (3, 10, 50):
                 brute = float(np.sum(np.abs(w[ell:])))
-                ident = first_order_tail(alpha, ell)
+                ident = records[ell - 3].observed
                 remainder = ident - brute
                 assert 0.0 < remainder < 2.0 * (2.0 / (K + ell)) ** alpha
 
     def test_tail_index_validation(self):
-        with pytest.raises(ValueError):
-            first_order_tail(0.5, 0)
+        for ell in (0, 2):
+            with pytest.raises(ValueError, match="requires ell >= 3"):
+                evaluate_bounds("first-tail", 0.5, ell, 5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -248,24 +253,27 @@ class TestBounds:
 
 
 class TestLowerBoundComparison:
+    # the plain and damped lower bounds of one observed quantity, compared
+    # through the bound records
     def test_small_alpha_small_index(self):
-        cmp = compare_lower_bounds(0.02, 3)
-        assert cmp.pointwise_plain_below_damped
+        assert (_lower("first-pointwise", 0.02, 3)
+                < _lower("first-pointwise-damped", 0.02, 3))
 
     def test_mid_alpha_index_four(self):
-        cmp = compare_lower_bounds(0.5, 4)
-        assert cmp.pointwise_plain_below_damped
+        assert (_lower("first-pointwise", 0.5, 4)
+                < _lower("first-pointwise-damped", 0.5, 4))
 
     def test_tail_always_plain_below(self):
         for alpha in np.linspace(0.05, 0.95, 19):
             for ell in (3, 10, 50):
-                assert compare_lower_bounds(float(alpha), ell).tail_plain_below_damped
+                assert (_lower("first-tail", float(alpha), ell)
+                        < _lower("first-tail-damped", float(alpha), ell))
 
     @pytest.mark.parametrize("alpha", [math.nan, 1.5, 1.0, 0.0, -0.2, math.inf])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
-        # nan used to give nan fields and 1.5 negative lower bounds
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-            compare_lower_bounds(alpha, 3)
+        for family in bound_families():
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                evaluate_bounds(family, alpha, 5, 5)
 
     @pytest.mark.parametrize("ell", [-1, 0, 1, 2])
     def test_crossing_rejects_short_index(self, ell):

@@ -13,6 +13,7 @@ from rieszkit.reports import (
     CONVERGENCE_HEADER,
     ConvergenceReport,
     ConvergenceRow,
+    convergence_rows,
     fmt,
     fmt_column,
     read_convergence_csv,
@@ -94,3 +95,29 @@ def test_fmt_column_matches_fmt():
     assert fmt_column(values) == [fmt(v) for v in values]
     assert fmt_column(np.array(values)) == [fmt(v) for v in values]
 
+
+
+def test_convergence_rows_observed_orders():
+    rows = convergence_rows([(0.5, 0.25, 4e-3), (0.25, 0.0625, 1e-3)])
+    assert rows[0] == ConvergenceRow(0.5, 0.25, 4e-3, None, None)
+    assert rows[1] == ConvergenceRow(0.25, 0.0625, 1e-3,
+                                     math.log(4e-3 / 1e-3) / math.log(0.25 / 0.0625),
+                                     math.log(4e-3 / 1e-3) / math.log(0.5 / 0.25))
+    assert (rows[1].temporal_order, rows[1].spatial_order) == (1.0, 2.0)
+    assert convergence_rows([]) == ()
+
+
+@pytest.mark.parametrize("e0, e", [(0.0, 1.0), (1.0, 0.0), (-1.0, 0.5), (math.nan, 0.5)])
+def test_convergence_rows_need_positive_errors(e0, e):
+    rows = convergence_rows([(0.5, 0.5, e0), (0.25, 0.25, e)])
+    assert (rows[1].temporal_order, rows[1].spatial_order) == (None, None)
+
+
+def test_convergence_rows_unchanged_step_has_no_order():
+    # tau None in both rungs is the operator studies' case
+    for tau0, tau in ((None, None), (0.1, 0.1)):
+        rows = convergence_rows([(0.5, tau0, 4e-3), (0.25, tau, 1e-3)])
+        assert rows[1].temporal_order is None
+        assert rows[1].spatial_order == 2.0
+    rows = convergence_rows([(0.5, 0.2, 4e-3), (0.5, 0.1, 2e-3)])
+    assert (rows[1].temporal_order, rows[1].spatial_order) == (1.0, None)

@@ -1,6 +1,7 @@
 """Grid operator and closed-form reference tests for the benchmark profiles."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -143,8 +144,31 @@ class TestReference:
     def test_p_beyond_float_range_rejected(self, p):
         # p! (2p)! overflows a float from p = 65 on; 200 used to raise
         # OverflowError
-        with pytest.raises(ValueError, match=f"p must lie in 0..64, got {p}"):
+        with pytest.raises(ValueError, match=f"p must be an integer in 0..64, got {p}"):
             reference_riesz(p, 0.5, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [2.5, 2.0, -1, 65, "2"])
+    def test_non_integer_degree_rejected(self, p):
+        # 2.5 used to raise a bare TypeError from math.factorial, and
+        # poly_profile(-1, [0.0]) returned inf after a divide-by-zero warning
+        with pytest.raises(ValueError, match=f"p must be an integer in 0..64, got {p}"):
+            reference_riesz(p, 0.5, 0.5)
+        with pytest.raises(ValueError, match=f"p must be an integer in 0..64, got {p}"):
+            poly_profile(p, [0.0, 0.5])
+
+    @pytest.mark.parametrize("p, alpha, x", [(0, 1.5, 1e-300), (0, 1.5, 5e-324),
+                                             (0, 1.9, 1e-170)])
+    def test_overflow_next_to_an_end_node_rejected(self, p, alpha, x):
+        # x ** (p - alpha) leaves the double range before the end node; this
+        # used to raise a bare OverflowError
+        with pytest.raises(ValueError, match=f"overflows at x = {x} for p = {p}, "
+                                             f"alpha = {alpha}"):
+            reference_riesz(p, alpha, x)
+
+    def test_finite_next_to_an_end_node(self):
+        assert math.isfinite(reference_riesz(1, 1.5, 5e-324))
+        assert math.isfinite(reference_riesz(0, 0.5, 5e-324))
 
     def test_largest_p_is_finite(self):
         with warnings.catch_warnings():
@@ -188,6 +212,15 @@ class TestPointApproximation:
             far = poly_profile(4, np.array([-1e300, 1e300, -math.inf, math.inf]))
         assert math.isfinite(value)
         assert np.array_equal(far, np.zeros(4))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h, x0", [(1e308, 0.5), (1e-5, 1e305), (0.1, -1.7e308)])
+    def test_samples_beyond_double_range_rejected(self, h, x0):
+        # h = 1e308 passed the step check and then overflowed ell * h with a
+        # RuntimeWarning; x0 = 1e305 overflowed the sample count
+        table = expand_generating_function(2, 0.5, 20)
+        with pytest.raises(ValueError, match=re.escape(f"double range at h = {h}")):
+            point_approximation(table, h, x0)
 
     @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
     def test_non_finite_position_rejected(self, x0):

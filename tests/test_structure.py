@@ -5,10 +5,12 @@ tests a scheme by its name, the stability scans do not reach into the
 solver, no module borrows a sibling's private helpers, every module-level
 import is used, the Fraction oracle of the nested sums reads nothing of
 the production nested-sum route, and one solver kernel alone marches a
-time level.
+time level, and every public function and class has a user outside the
+unit tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -140,3 +142,39 @@ def test_one_kernel_marches_a_level():
     # own: a second level loop would read dgetrs or mats.B
     readers = _functions_reading(PACKAGE / "solver.py", {"dgetrs"}, {"B"})
     assert readers == {"_march"}, readers
+
+
+# where a public name counts as used: the package itself, the benchmark,
+# which also names what it traces in strings such as "solver.solve", and
+# the acceptance gate
+API_USERS = ([p for p in MODULES if p.name != "__init__.py"]
+             + sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
+             + [Path(__file__).with_name("test_acceptance.py")])
+
+
+def _referenced_names(path):
+    """Names that `path` reads, imports, or ends a dotted string with."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.]+", node.value)):
+            names.add(node.value.split(".")[-1])
+    return names
+
+
+def test_every_public_definition_has_a_user():
+    # an export that only its unit tests call answers no question of the
+    # paper that another function does not already answer
+    used = set().union(*map(_referenced_names, API_USERS))
+    unused = [f"{path.stem}.{node.name}" for path in MODULES
+              if path.name != "__init__.py"
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == [], f"public definitions without a user: {unused}"
