@@ -21,8 +21,6 @@ from .coefficients import (
 )
 from .reports import ConvergenceReport, ConvergenceRow
 from .riesz import (
-    GridFunction,
-    UniformGrid,
     operator_convergence,
     point_approximation,
     poly_profile,

@@ -78,7 +78,7 @@ def parse_float_list(text: str, key: str) -> list[float]:
     return items
 
 
-def parse_ladder(text: str, key: str = "ladder") -> list[tuple[int, int]]:
+def parse_ladder(text: str) -> list[tuple[int, int]]:
     """Comma list of M:N pairs, strictly refining in both directions."""
     pairs: list[tuple[int, int]] = []
     for chunk in text.split(","):
@@ -87,11 +87,11 @@ def parse_ladder(text: str, key: str = "ladder") -> list[tuple[int, int]]:
             continue
         parts = chunk.split(":")
         if len(parts) != 2:
-            raise UsageError(f"invalid ladder entry for '{key}': {chunk!r}")
-        pairs.append((parse_int(parts[0], key), parse_int(parts[1], key)))
+            raise UsageError(f"invalid ladder entry for 'ladder': {chunk!r}")
+        pairs.append((parse_int(parts[0], "ladder"), parse_int(parts[1], "ladder")))
     if not pairs:
-        raise UsageError(f"'{key}' must contain at least one M:N pair")
+        raise UsageError("'ladder' must contain at least one M:N pair")
     for (m0, n0), (m1, n1) in zip(pairs, pairs[1:]):
         if m1 <= m0 or n1 <= n0:
-            raise UsageError(f"'{key}' must be strictly refining, got {pairs}")
+            raise UsageError(f"'ladder' must be strictly refining, got {pairs}")
     return pairs

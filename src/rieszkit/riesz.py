@@ -4,46 +4,12 @@ benchmark profiles x^p (1-x)^p with their closed-form derivatives."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import CoefficientTable, expand_generating_function
 from .reports import ConvergenceReport, convergence_rows
 from .schemes import fractional_coefficient
-
-
-@dataclass(frozen=True)
-class UniformGrid:
-    a: float
-    b: float
-    M: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.b - self.a):
-            raise ValueError(f"grid requires finite a, b and b - a, "
-                             f"got a={self.a}, b={self.b}")
-        if self.b <= self.a:
-            raise ValueError("grid requires b > a")
-        if self.M < 2:
-            raise ValueError("grid requires at least two intervals")
-
-    @property
-    def h(self) -> float:
-        return (self.b - self.a) / self.M
-
-    def nodes(self) -> np.ndarray:
-        return self.a + self.h * np.arange(self.M + 1)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    grid: UniformGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != self.grid.M + 1:
-            raise ValueError("value count must match grid node count")
 
 
 def riesz_prefactor(alpha: float, h: float) -> float:
@@ -53,24 +19,28 @@ def riesz_prefactor(alpha: float, h: float) -> float:
     return -fractional_coefficient(1.0, alpha, h)
 
 
-def riesz_apply(table: CoefficientTable, f: GridFunction) -> GridFunction:
-    """Two-sided convolution approximation of the Riesz derivative.
+def riesz_apply(table: CoefficientTable, values, h: float) -> np.ndarray:
+    """Two-sided convolution approximation of the Riesz derivative of
+    samples on M + 1 equispaced nodes with step h, M >= 2.
 
     Boundary rows are returned as zero under the homogeneous-condition
     contract; out-of-range samples are treated as zero.
     """
-    M = f.grid.M
+    _check_step(h)
+    v = np.asarray(values, dtype=float)
+    M = len(v) - 1
+    if M < 2:
+        raise ValueError(f"values must hold at least three samples, got {M + 1}")
     if table.length < M:
         raise ValueError(f"coefficient table too short: {table.length} < M={M}")
-    pref = riesz_prefactor(table.alpha, f.grid.h)
+    pref = riesz_prefactor(table.alpha, h)
     w = table.values[:M + 1]
-    v = f.values
     left = np.convolve(w, v)[:M + 1]
     right = np.convolve(w, v[::-1])[:M + 1][::-1]
     out = pref * (left + right)
     out[0] = 0.0
     out[M] = 0.0
-    return GridFunction(grid=f.grid, values=out)
+    return out
 
 
 def _check_degree(p) -> None:
@@ -118,27 +88,25 @@ def reference_riesz(p: int, alpha: float, x: float) -> float:
     return -s / (2.0 * math.cos(math.pi * alpha / 2.0))
 
 
-def point_approximation(table: CoefficientTable, h: float, x0: float) -> float:
-    """Two-sided convolution for the profile x^p (1-x)^p at a single point.
+def point_approximation(table: CoefficientTable, h: float) -> float:
+    """Two-sided convolution for the profile x^p (1-x)^p at x = 1/2.
 
     Samples may fall off the unit interval; they contribute zero there.
-    Coincides with the grid midpoint value of :func:`riesz_apply` when
-    x0 = 1/2 lies on the grid.
+    Coincides with the midpoint value of :func:`riesz_apply` when 1/h is
+    an even integer.
     """
     _check_step(h)
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
-    reach = max(x0, 1.0 - x0) / h
-    if not math.isfinite(abs(x0) + (reach + 2.0) * h):  # bounds x0 -+ L h
-        raise ValueError(f"samples leave double range at h = {h}, x0 = {x0}")
+    reach = 0.5 / h
+    if not math.isfinite(0.5 + (reach + 2.0) * h):  # bounds 1/2 -+ L h
+        raise ValueError(f"samples leave double range at h = {h}")
     p = table.p
     L = int(math.ceil(reach)) + 1
     if table.length < L:
         raise ValueError(f"coefficient table too short: {table.length} < {L}")
     ells = np.arange(L + 1)
     w = table.values[:L + 1]
-    s = float(np.dot(w, poly_profile(p, x0 - ells * h))
-              + np.dot(w, poly_profile(p, x0 + ells * h)))
+    s = float(np.dot(w, poly_profile(p, 0.5 - ells * h))
+              + np.dot(w, poly_profile(p, 0.5 + ells * h)))
     return riesz_prefactor(table.alpha, h) * s
 
 
@@ -151,8 +119,10 @@ def _check_step(h: float) -> None:
 def _resolve_mesh(h: float) -> int:
     _check_step(h)
     M = round(1.0 / h)
-    if M < 2 or abs(1.0 / h - M) > 1e-9 * M:
-        raise ValueError(f"step {h} is not the reciprocal of an integer")
+    if abs(1.0 / h - M) > 1e-9 * M:
+        raise ValueError(f"h_list step {h} is not the reciprocal of an integer")
+    if M < 2:
+        raise ValueError(f"h_list step {h} must be at most 1/2 (M >= 2)")
     return M
 
 
@@ -167,20 +137,20 @@ def operator_convergence(p: int, alpha: float, h_list,
     if metric not in ("midpoint", "max-interior"):
         raise ValueError(f"unknown metric '{metric}'")
     meshes = [_resolve_mesh(h) for h in h_list]
+    if not meshes:
+        raise ValueError("h_list must contain at least one step")
     table = expand_generating_function(p, alpha, max(meshes) + 1)
     rungs = []
     for M in meshes:
         h = 1.0 / M
         if metric == "midpoint":
-            err = abs(point_approximation(table, h, 0.5)
+            err = abs(point_approximation(table, h)
                       - reference_riesz(p, alpha, 0.5))
         else:
-            grid = UniformGrid(0.0, 1.0, M)
-            x = grid.nodes()
-            f = GridFunction(grid, poly_profile(p, x))
-            num = riesz_apply(table, f)
+            x = h * np.arange(M + 1)
+            num = riesz_apply(table, poly_profile(p, x), h)
             exact = np.array([reference_riesz(p, alpha, xx) for xx in x[1:M]])
-            err = float(np.max(np.abs(num.values[1:M] - exact)))
+            err = float(np.max(np.abs(num[1:M] - exact)))
         rungs.append((h, None, err))
     label = "abs-at-midpoint" if metric == "midpoint" else "max-abs-interior"
     return ConvergenceReport(study=f"riesz-p{p}", problem=f"x^{p}(1-x)^{p}",

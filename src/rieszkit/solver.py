@@ -465,9 +465,10 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
     raise ValueError(f"unknown problem '{name}', expected example2 or example3")
 
 
-def convergence_study(scheme: str, problem: str | ProblemSpec, alpha: float,
+def convergence_study(scheme: str, problem: str, alpha: float,
                       ladder) -> ConvergenceReport:
-    """Errors and observed orders over a refinement ladder of (M, N) pairs.
+    """Errors and observed orders of a built-in problem over a refinement
+    ladder of (M, N) pairs.
 
     Temporal order compares consecutive errors against the tau ratio,
     spatial order against the h ratio; the benchmark ladders couple the two,
@@ -476,17 +477,8 @@ def convergence_study(scheme: str, problem: str | ProblemSpec, alpha: float,
     ladder = list(ladder)
     if not ladder:
         raise ValueError("ladder must contain at least one (M, N) pair")
-    if isinstance(problem, ProblemSpec):
-        spec = problem
-        if spec.alpha != alpha:
-            raise ValueError("alpha does not match the supplied problem")
-        pname = "custom"
-    else:
-        spec = builtin_problem(problem, alpha)
-        pname = problem
-    if spec.exact is None:
-        raise ValueError("convergence study requires an exact solution")
+    spec = builtin_problem(problem, alpha)
     grids = (solve(scheme, spec, M, N) for M, N in ladder)
     rows = convergence_rows((g.h, g.tau, g.max_error) for g in grids)
-    return ConvergenceReport(study=scheme, problem=pname, alpha=alpha,
+    return ConvergenceReport(study=scheme, problem=problem, alpha=alpha,
                              norm="max-abs-all-levels", rows=rows)

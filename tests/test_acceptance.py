@@ -23,9 +23,11 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from naive_reference import NAIVE_STEPS, naive_scheme
 from rieszkit import (
+    BoundCheckRecord,
     alpha_limit_order4,
     assemble,
     builtin_problem,
@@ -418,7 +420,7 @@ def test_criterion_09_symbols_and_bounds():
         for alpha in ALPHA_GRID_19:
             for rec in evaluate_bounds(family, alpha, ell_min, 100):
                 if not rec.holds:
-                    bad.append(f"{family} a={alpha} ell={ell}: "
+                    bad.append(f"{family} a={alpha} ell={rec.ell}: "
                                f"{rec.lower:.3e} !< {rec.observed:.3e} "
                                f"!< {rec.upper:.3e}")
     for ell, ref in ((3, 0.0267), (4, 0.7551)):
@@ -426,6 +428,19 @@ def test_criterion_09_symbols_and_bounds():
         if abs(got - ref) > 1e-3:
             bad.append(f"crossing ell={ell}: {got:.4f} vs {ref}")
     _report(9, "symbol nonnegativity and bound sandwiches", bad)
+
+
+def test_criterion_09_names_a_failing_bound(monkeypatch, capsys):
+    # the gate's own failure path: one broken sandwich used to end in an
+    # UnboundLocalError on `ell` instead of a report of the violation
+    def evaluate_one_failing(family, alpha, ell_min, ell_max):
+        holds = not (family == "first-tail" and alpha == 0.5)
+        return [BoundCheckRecord(family, alpha, 7, 1.0, 2.0, 3.0, holds)]
+
+    monkeypatch.setitem(globals(), "evaluate_bounds", evaluate_one_failing)
+    with pytest.raises(AssertionError, match=r"first-tail a=0\.5 ell=7: "):
+        test_criterion_09_symbols_and_bounds()
+    assert "ACCEPTANCE 09 [FAIL (1 violations)]" in capsys.readouterr().out
 
 
 def test_criterion_10_stability():

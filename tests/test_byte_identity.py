@@ -11,9 +11,12 @@ benchmark's ``sweeps`` workload; they were taken before the CLI tables
 were formatted by column and written in one pass, which left every byte
 as it was.  The `second-shifted-pointwise` digest runs the exact
 nested-sum weights at orders 1.37 (non-dyadic) and 1.5 (dyadic); it was
-taken before those sums moved to Horner's rule.  A change that moves one
-bit of a solution, an error or a formatted figure fails here; one that is
-meant to do so records the old and new values and replaces the digests.
+taken before those sums moved to Horner's rule.  The
+`riesz-p4-max-interior` digest covers the interior-maximum metric of the
+operator study; it was taken before `riesz_apply` moved from grid wrapper
+types to plain arrays.  A change that moves one bit of a solution, an
+error or a formatted figure fails here; one that is meant to do so
+records the old and new values and replaces the digests.
 The figures come from IEEE double arithmetic through NumPy and LAPACK, so
 another BLAS/LAPACK build can round differently."""
 
@@ -100,6 +103,13 @@ CASES = {
         {"riesz.csv": "4910a78f499c48b384591c4b873abf60a0a92ad744fd5ba648915cd693f44f87",
          "riesz.txt": "6663aba02c4440abece05aab1da3e2ec96d068f98753327a026a6336d1cc6388",
          "manifest.txt": "b9c77061aaa27119ee425adf16b466685fdc7c50de9c783004ee47ba4f6dc49a"}),
+    "riesz-p4-max-interior": (
+        "riesz",
+        "p = 4\nalpha = 0.37, 0.81\nh = 1/20, 1/40, 1/80, 1/160, 1/320\n"
+        "metric = max-interior\n",
+        {"riesz.csv": "981dba3099477b885e4963bd74c4a18d1f5e43d83cdd8f91866d8ebd03ee2230",
+         "riesz.txt": "4cff40de52fcdc7f49ef3c0932ee9528f2ba6070e0264f596a1e7d6fbbf31207",
+         "manifest.txt": "7a43172a2ca7e1f68fbf94bae95fc465cda97a2b7c6a1bf78e68f45ed04844d2"}),
     "stability-order6": (
         "stability",
         f"scheme = order6\nalpha = 0.37, 0.81\nh = {_STEPS}\ntau = {_STEPS}\n"

@@ -9,8 +9,6 @@ import pytest
 from scipy.integrate import quad
 
 from rieszkit import (
-    GridFunction,
-    UniformGrid,
     expand_generating_function,
     operator_convergence,
     point_approximation,
@@ -20,81 +18,84 @@ from rieszkit import (
 )
 
 
-def _grid_fn(p, M):
-    grid = UniformGrid(0.0, 1.0, M)
-    return GridFunction(grid, poly_profile(p, grid.nodes()))
+def _profile_apply(table, p, M):
+    h = 1.0 / M
+    return riesz_apply(table, poly_profile(p, h * np.arange(M + 1)), h)
 
 
 class TestRieszApply:
     def test_zero_input(self):
-        grid = UniformGrid(0.0, 1.0, 16)
         table = expand_generating_function(2, 0.5, 20)
-        out = riesz_apply(table, GridFunction(grid, np.zeros(17)))
-        assert np.array_equal(out.values, np.zeros(17))
+        out = riesz_apply(table, np.zeros(17), 1.0 / 16)
+        assert np.array_equal(out, np.zeros(17))
 
     def test_linearity(self):
         M = 32
-        grid = UniformGrid(0.0, 1.0, M)
+        h = 1.0 / M
         table = expand_generating_function(3, 0.4, M + 1)
         rng = np.random.default_rng(7)
         f = rng.standard_normal(M + 1)
         g = rng.standard_normal(M + 1)
         f[0] = f[M] = g[0] = g[M] = 0.0
-        combined = riesz_apply(table, GridFunction(grid, 2 * f + 3 * g)).values
-        split = (2 * riesz_apply(table, GridFunction(grid, f)).values
-                 + 3 * riesz_apply(table, GridFunction(grid, g)).values)
+        combined = riesz_apply(table, 2 * f + 3 * g, h)
+        split = 2 * riesz_apply(table, f, h) + 3 * riesz_apply(table, g, h)
         assert np.max(np.abs(combined - split)) < 1e-12
 
     def test_midpoint_reference_value(self):
         # order-2 approximation of the p = 2 profile at h = 1/40
         M = 40
         table = expand_generating_function(2, 0.4, M + 1)
-        out = riesz_apply(table, _grid_fn(2, M))
+        out = _profile_apply(table, 2, M)
         exact = reference_riesz(2, 0.4, 0.5)
-        assert abs(abs(out.values[M // 2] - exact) - 1.696639e-4) < 2e-10
+        assert abs(abs(out[M // 2] - exact) - 1.696639e-4) < 2e-10
 
     def test_boundary_rows_zero(self):
         M = 20
         table = expand_generating_function(2, 0.5, M + 1)
-        out = riesz_apply(table, _grid_fn(2, M))
-        assert out.values[0] == 0.0 and out.values[M] == 0.0
+        out = _profile_apply(table, 2, M)
+        assert out[0] == 0.0 and out[M] == 0.0
 
     def test_short_table_rejected(self):
-        grid = UniformGrid(0.0, 1.0, 32)
         table = expand_generating_function(2, 0.5, 10)
         with pytest.raises(ValueError):
-            riesz_apply(table, GridFunction(grid, np.zeros(33)))
+            riesz_apply(table, np.zeros(33), 1.0 / 32)
 
     def test_alpha_one_rejected(self):
-        grid = UniformGrid(0.0, 1.0, 8)
         table = expand_generating_function(2, 1.0, 10)
         with pytest.raises(ValueError):
-            riesz_apply(table, GridFunction(grid, np.zeros(9)))
+            riesz_apply(table, np.zeros(9), 1.0 / 8)
 
-    @pytest.mark.parametrize("b, M, alpha", [(5e-324, 2, 0.5), (1e-300, 4, 1.9)],
-                             ids=["zero-step", "underflowing-power"])
+    @pytest.mark.parametrize("b, M, alpha", [(1e-300, 4, 1.9)],
+                             ids=["underflowing-power"])
     def test_vanishing_denominator_overflows_nu(self, b, M, alpha):
-        # h = 0.0 on the first grid; h**1.9 underflows to 0.0 on the second
-        grid = UniformGrid(0.0, b, M)
+        # h**1.9 underflows to 0.0
         table = expand_generating_function(2, alpha, M + 1)
         with pytest.raises(ValueError, match="nu overflows"):
-            riesz_apply(table, GridFunction(grid, np.ones(M + 1)))
+            riesz_apply(table, np.ones(M + 1), b / M)
 
     def test_overflowing_power_is_value_error(self):
         # h = 5e307 makes h**1.9 overflow, which float ** raises as an
         # OverflowError
-        grid = UniformGrid(0.0, 1e308, 2)
         table = expand_generating_function(2, 1.9, 4)
         with pytest.raises(ValueError, match=r"h\*\*alpha is out of double range"):
-            riesz_apply(table, GridFunction(grid, np.zeros(3)))
+            riesz_apply(table, np.zeros(3), 1e308 / 2)
 
-    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.inf),
-                                      (-math.inf, 0.0), (-1e308, 1e308)],
-                             ids=["nan-a", "inf-b", "inf-a", "overflowing-span"])
-    def test_non_finite_grid_rejected(self, a, b):
-        # h = inf would make nu = 0 and every value +-0.0
-        with pytest.raises(ValueError, match="grid requires finite a, b"):
-            UniformGrid(a, b, 4)
+    @pytest.mark.parametrize("a, b, M", [(math.nan, 1.0, 4), (0.0, math.inf, 4),
+                                         (-math.inf, 0.0, 4), (-1e308, 1e308, 4),
+                                         (0.0, 5e-324, 2), (1.0, 0.0, 4)],
+                             ids=["nan-a", "inf-b", "inf-a", "overflowing-span",
+                                  "zero-step", "negative-step"])
+    def test_non_finite_grid_rejected(self, a, b, M):
+        # h = (b - a) / M; h = inf would make nu = 0 and every value +-0.0,
+        # and h = 5e-324 / 2 rounds to 0.0
+        table = expand_generating_function(2, 0.5, M + 1)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            riesz_apply(table, np.zeros(M + 1), (b - a) / M)
+
+    def test_two_samples_rejected(self):
+        table = expand_generating_function(2, 0.5, 4)
+        with pytest.raises(ValueError, match="at least three samples, got 2"):
+            riesz_apply(table, np.zeros(2), 1.0)
 
 
 class TestReference:
@@ -182,15 +183,15 @@ class TestPointApproximation:
     def test_matches_grid_midpoint_for_even_mesh(self):
         p, alpha, M = 4, 0.6, 30
         table = expand_generating_function(p, alpha, M + 2)
-        grid_out = riesz_apply(table, _grid_fn(p, M)).values[M // 2]
-        point_out = point_approximation(table, 1.0 / M, 0.5)
+        grid_out = _profile_apply(table, p, M)[M // 2]
+        point_out = point_approximation(table, 1.0 / M)
         assert abs(grid_out - point_out) < 1e-13
 
     @pytest.mark.parametrize("h", [0.0, 1e-310, -0.1, math.nan])
     def test_bad_step_rejected(self, h):
         table = expand_generating_function(2, 0.5, 20)
         with pytest.raises(ValueError, match="must be positive and finite"):
-            point_approximation(table, h, 0.5)
+            point_approximation(table, h)
 
     def test_profile_vanishes_outside_unit_interval(self):
         assert poly_profile(3, -0.2) == 0.0
@@ -203,30 +204,23 @@ class TestPointApproximation:
             poly_profile(2, x)
 
     def test_far_samples_do_not_overflow(self):
-        # with h = 1e300 the samples x0 -+ ell h lie far outside [0, 1],
+        # with h = 1e300 the samples 1/2 -+ ell h lie far outside [0, 1],
         # where x**p (1-x)**p would overflow before it is discarded
         table = expand_generating_function(2, 0.5, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = point_approximation(table, 1e300, 0.5)
+            value = point_approximation(table, 1e300)
             far = poly_profile(4, np.array([-1e300, 1e300, -math.inf, math.inf]))
         assert math.isfinite(value)
         assert np.array_equal(far, np.zeros(4))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("h, x0", [(1e308, 0.5), (1e-5, 1e305), (0.1, -1.7e308)])
-    def test_samples_beyond_double_range_rejected(self, h, x0):
+    def test_samples_beyond_double_range_rejected(self):
         # h = 1e308 passed the step check and then overflowed ell * h with a
-        # RuntimeWarning; x0 = 1e305 overflowed the sample count
+        # RuntimeWarning
         table = expand_generating_function(2, 0.5, 20)
-        with pytest.raises(ValueError, match=re.escape(f"double range at h = {h}")):
-            point_approximation(table, h, x0)
-
-    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
-    def test_non_finite_position_rejected(self, x0):
-        table = expand_generating_function(2, 0.5, 20)
-        with pytest.raises(ValueError, match="x0 must be finite"):
-            point_approximation(table, 0.1, x0)
+        with pytest.raises(ValueError, match=re.escape("double range at h = 1e+308")):
+            point_approximation(table, 1e308)
 
 
 class TestOperatorConvergence:
@@ -261,8 +255,18 @@ class TestOperatorConvergence:
         assert all(math.isfinite(row.error) for row in rep.rows)
 
     def test_non_reciprocal_step_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="h_list step 0.3 is not the reciprocal"):
             operator_convergence(2, 0.5, [0.3])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h_list, message", [
+        ([], "h_list must contain at least one step"),
+        ([1.0], r"h_list step 1\.0 must be at most 1/2 \(M >= 2\)")])
+    def test_bad_step_list_names_the_argument(self, h_list, message):
+        # [] used to raise "max() arg is an empty sequence", and [1.0] to
+        # call 1.0 "not the reciprocal of an integer"
+        with pytest.raises(ValueError, match=message):
+            operator_convergence(2, 0.5, h_list)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
