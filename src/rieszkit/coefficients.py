@@ -13,6 +13,7 @@ per weight.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,10 @@ _GENERATOR_COEFFS: dict[int, tuple[Fraction, ...]] = {
                  for k in range(max(i, 1), p + 1))
              for i in range(p + 1))
     for p in range(1, MAX_ORDER + 1)
+}
+# The same coefficients as floats, for the series route and the symbol.
+_GENERATOR_FLOATS: dict[int, tuple[float, ...]] = {
+    p: tuple(float(c) for c in g) for p, g in _GENERATOR_COEFFS.items()
 }
 
 
@@ -65,16 +70,21 @@ class CoefficientTable:
         return len(self.values) - 1
 
 
-def generator_polynomial(p: int) -> GeneratorPolynomial:
-    """Exact coefficients of W_p, p = 1..6."""
+def _check_generator_order(p: int) -> None:
     if p not in _GENERATOR_COEFFS:
         raise ValueError(f"unsupported order p={p}, expected 1..{MAX_ORDER}")
+
+
+def generator_polynomial(p: int) -> GeneratorPolynomial:
+    """Exact coefficients of W_p, p = 1..6."""
+    _check_generator_order(p)
     return GeneratorPolynomial(order=p, coeffs=_GENERATOR_COEFFS[p])
 
 
 def generator_on_circle(p: int, thetas: np.ndarray) -> np.ndarray:
     """W_p(e^{i theta}) by Horner's rule."""
-    g = generator_polynomial(p).as_floats()
+    _check_generator_order(p)
+    g = _GENERATOR_FLOATS[p]
     z = np.exp(1j * thetas)
     w = np.full(z.shape, complex(g[p]))
     for i in range(p - 1, -1, -1):
@@ -116,7 +126,8 @@ def expand_generating_function(p: int, alpha: float, length: int) -> Coefficient
     validate_alpha(alpha)
     if length < 0:
         raise ValueError("length must be nonnegative")
-    g = generator_polynomial(p).as_floats().tolist()
+    _check_generator_order(p)
+    g = _GENERATOR_FLOATS[p]
     c = [g[0] ** alpha]
     ap1 = alpha + 1.0
     for m in range(1, length + 1):
@@ -154,10 +165,14 @@ def expand_generating_function(p: int, alpha: float, length: int) -> Coefficient
 # expanded term, both grow about 55 bits per index.
 # The one rounding is the final int / int true division, which CPython rounds
 # correctly, as float(Fraction) does for the same rational.
+# B, C and the binomial rows do not depend on alpha: they are built once per
+# (p, length) and kept in small LRU caches, as tuples so no caller can alter
+# them.  Their size grows like length**3 (about 0.7 MB at p = 6, length 100).
 # ---------------------------------------------------------------------------
 
 
-def _inner_weights(p: int, length: int) -> tuple[int, list[list[int]]]:
+@functools.lru_cache(maxsize=8)
+def _inner_weights(p: int, length: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(B, C) with C[l1][m] = B**l1 * [z^l1] P(z)^m, exact.
 
     P(B z) / z has integer coefficients, so C[l1][m] = [z^(l1-m)] (P(B z) / z)^m
@@ -178,7 +193,17 @@ def _inner_weights(p: int, length: int) -> tuple[int, list[list[int]]]:
             for k in range(min(len(power), len(nxt) - i)):
                 nxt[i + k] += c * power[k]
         power = nxt
-    return B, C
+    return B, tuple(map(tuple, C))
+
+
+@functools.lru_cache(maxsize=8)
+def _binomial_rows(length: int) -> tuple[tuple[int, ...], ...]:
+    """Pascal's rows binom(ell, 0..ell), ell = 0..length."""
+    rows = [(1,)]
+    for _ in range(length):
+        row = rows[-1]
+        rows.append((1, *[a + b for a, b in zip(row, row[1:])], 1))
+    return tuple(rows)
 
 
 def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
@@ -198,24 +223,28 @@ def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
     n, d = float(alpha).as_integer_ratio()
     f = [i * d - n - d for i in range(length + 1)]  # f[i] = P_i / P_{i-1}, i >= 1
     P = [1]
-    for i in range(1, length + 1):
-        P.append(P[-1] * f[i])
+    for fi in f[1:]:
+        P.append(P[-1] * fi)
     # I[l1] = B**l1 * l1! * d**l1 * inner[l1]; row[m] = 0 for m < l1 / (p - 1)
+    md = [m * d for m in range(length + 1)]
     I = []
     for l1, row in enumerate(C):
+        lo = -(-l1 // (p - 1))
         acc = 0
-        for m in range(-(-l1 // (p - 1)), l1 + 1):
-            acc = acc * (m * d) + row[m] * P[m]
+        for factor, c, Pm in zip(md[lo:l1 + 1], row[lo:], P[lo:]):
+            acc = acc * factor + c * Pm
         I.append(acc)
+    # row ell: Horner's rule in B f_k, k = ell..1, over binom(ell, j) I[j], j = 1..ell
+    Bf = [B * fk for fk in f]
     g0 = float(_GENERATOR_COEFFS[p][0]) ** alpha
     out = np.empty(length + 1)
     denom = 1  # B**ell * ell! * d**ell
-    for ell in range(length + 1):
+    for ell, binomials in enumerate(_binomial_rows(length)):
         if ell:
             denom *= B * ell * d
         # num / denom = sum_{l1} inner[l1] * w_{1,ell-l1}
         num = I[0]
-        for k in range(ell - 1, -1, -1):
-            num = num * (B * f[k + 1]) + math.comb(ell, k) * I[ell - k]
+        for factor, binomial, Ij in zip(Bf[ell:0:-1], binomials[1:], I[1:]):
+            num = num * factor + binomial * Ij
         out[ell] = g0 * (num / denom)
     return out

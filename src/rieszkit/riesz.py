@@ -65,7 +65,11 @@ def reference_riesz(p: int, alpha: float, x: float) -> float:
     0 <= x <= 1 and an integer 0 <= p <= 64, beyond which p! (2p)!
     overflows a float.  For p < alpha it is singular at the end nodes and
     overflows next to them, and raises ValueError.  The sum alternates in
-    sign, so it loses accuracy long before p = 64.
+    sign and cancels, so it loses accuracy long before p = 64.  Against the
+    same sum in 80-digit arithmetic at alpha = 0.5, x = 0.3, the relative
+    error is about 2e-12 at p = 6, 5e-10 at p = 8, 4e-5 at p = 16 and 3e-3
+    at p = 20, and at p = 32 even the sign is wrong.  Only p <= 64 is
+    enforced; the package itself uses p <= 6.
     """
     _check_degree(p)
     if not (0.0 < alpha < 2.0) or alpha == 1.0:

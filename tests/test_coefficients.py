@@ -16,7 +16,7 @@ from rieszkit import (
     first_order_sequence,
     generator_polynomial,
 )
-from rieszkit.coefficients import _inner_weights
+from rieszkit.coefficients import _binomial_rows, _inner_weights
 
 ALPHAS_LT1 = [0.1, 0.3, 0.5, 0.7, 0.9]
 ALPHAS_GT1 = [1.1, 1.4, 1.6, 1.9]
@@ -260,6 +260,56 @@ class TestInnerWeights:
             product[i] += g[0] * c
             product[i + 1] -= g[0] * c
         assert tuple(product) == g
+
+
+class TestAlphaFreeCache:
+    """B, C and the binomial rows are kept per (p, length); whatever the
+    order of the calls, every weight must keep its bits."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_caches(self):
+        _inner_weights.cache_clear()
+        _binomial_rows.cache_clear()
+
+    @staticmethod
+    def _assert_oracle_bits(p, alpha, length):
+        got = closed_form_table(p, alpha, length)
+        assert got.tobytes() == naive_closed_form_table(p, alpha, length).tobytes(), \
+            (p, alpha, length)
+
+    def test_interleaved_alphas_build_each_table_once(self):
+        for alpha in [0.37, 1.5, 1e-3, 0.37, 1.999, 1.5]:
+            for p in (2, 6):
+                self._assert_oracle_bits(p, alpha, 24)
+        assert _inner_weights.cache_info().misses == 2
+        assert _binomial_rows.cache_info().misses == 1
+
+    @pytest.mark.parametrize("lengths", [(24, 7, 0), (0, 7, 24)],
+                             ids=["shorter-after-longer", "longer-after-shorter"])
+    def test_lengths_in_either_order(self, lengths):
+        for length in lengths + lengths[:1]:
+            for p in (3, 6):
+                self._assert_oracle_bits(p, 0.77, length)
+        assert _inner_weights.cache_info().misses == 2 * len(lengths)
+
+    def test_returned_array_is_the_callers_own(self):
+        first = closed_form_table(4, 0.3, 16)
+        first[:] = np.nan
+        self._assert_oracle_bits(4, 0.3, 16)
+        B, C = _inner_weights(4, 16)
+        with pytest.raises(TypeError):
+            C[3][1] = 0
+
+    def test_caches_are_bounded(self):
+        for cached in (_inner_weights, _binomial_rows):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and maxsize <= 64
+        for length in range(_inner_weights.cache_info().maxsize + 3):
+            closed_form_table(2, 0.5, length)
+        info = _inner_weights.cache_info()
+        assert info.currsize == info.maxsize
+        self._assert_oracle_bits(2, 0.5, 0)  # evicted first, so built again
+        assert _inner_weights.cache_info().misses == info.misses + 1
 
 
 class TestSignsAndSums:

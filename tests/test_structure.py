@@ -89,8 +89,8 @@ def test_only_schemes_compares_scheme_names(path):
 
 
 # what production's nested-sum weights are built from
-NESTED_SUM_ROUTE = {"closed_form_table", "_inner_weights", "_GENERATOR_COEFFS",
-                    "generator_polynomial"}
+NESTED_SUM_ROUTE = {"closed_form_table", "_inner_weights", "_binomial_rows",
+                    "_GENERATOR_COEFFS", "generator_polynomial"}
 
 
 def test_fraction_oracle_is_independent_of_the_nested_sum_route():
