@@ -81,18 +81,29 @@ class ProblemSpec:
 
 @dataclass
 class SchemeMatrices:
-    """Assembled time-step operators; the implicit factor is reused."""
+    """Assembled time-step operators: the LU factor of the implicit matrix
+    A, which is reused at every level, the explicit B and the source matrix
+    S, the three dense arrays that the march reads.  A itself is kept as
+    its O(M) generating data (see :func:`assemble`), and the ``A`` property
+    rebuilds the dense matrix on demand."""
 
     scheme: str
     M: int
     tau: float
     h: float
     nu: float
-    A: np.ndarray
     B: np.ndarray
     source_matrix: np.ndarray
     source_x: np.ndarray
-    lu: tuple = field(repr=False, default=None)
+    lu: tuple = field(repr=False)
+    # A's generating vector and its two edge columns, as in _fill
+    _a_data: np.ndarray = field(repr=False)
+
+    @property
+    def A(self) -> np.ndarray:
+        """The implicit matrix, rebuilt from its generating data."""
+        n = self.M - 1
+        return _fill(np.empty((n, n)), self._a_data)
 
 
 @dataclass(frozen=True)
@@ -115,6 +126,12 @@ class SolutionGrid:
     @property
     def tau(self) -> float:
         return self.spec.T / self.N
+
+
+def _check_count(name: str, value) -> None:
+    """Accept an int or NumPy integer, not a bool, as the count ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _diagonal(X: np.ndarray, k: int) -> np.ndarray:
@@ -161,6 +178,21 @@ def _convolution_diagonals(M: int, w: np.ndarray, compact, right, nu: float):
     return np.add.accumulate(P)[-1] * nu
 
 
+def _fill(X: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Fill the n x n matrix X from its (3, 2n - 1) generating data g, laid
+    out as in :func:`_convolution_diagonals`, and return it.
+
+    X[r, col] = g[0, n - 1 + r - col], so row r of X is window n - 1 - r
+    of g[0] reversed; columns 0 and n - 1 are rows 1 and 2 of g, which
+    replace the Toeplitz entries there.
+    """
+    n = len(X)
+    X[...] = sliding_window_view(g[0, ::-1], n)[::-1]
+    X[:, 0] = g[1, n - 1:]
+    X[:, -1] = g[2, :n]
+    return X
+
+
 def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatrices:
     """Build the implicit/explicit matrices A u^{k+1} = B u^k + S s^{k+1/2}.
 
@@ -178,10 +210,16 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
     term per diagonal.  The generating vectors of A = (2/tau) C - D + nu K
     and B = (2/tau) C + D - nu K take the elementwise operations of the
     dense sums, and each matrix is one strided copy plus its two edge
-    columns, so no other (M-1) x (M-1) buffer is made, and A, B and
-    ``source_matrix`` are bitwise equal to the entry loops that
-    ``tests/naive_reference.py`` keeps as the oracle.
+    columns (:func:`_fill`).  A is filled in Fortran order and factored in
+    place, so ``assemble`` holds three (M-1) x (M-1) arrays, the factor, B
+    and ``source_matrix``, plus A's O(M) generating data, from which
+    ``mats.A`` rebuilds A on demand; no other such buffer is made.  A, B
+    and ``source_matrix`` are bitwise equal to the entry loops that
+    ``tests/naive_reference.py`` keeps as the oracle.  A non-finite entry
+    of A, which the finite check before the factorization finds in its
+    generating data, or a zero pivot raises :class:`SolverError`.
     """
+    _check_count("M", M)
     p = weight_order(scheme)
     if M < (6 if p == 6 else 4):
         raise ValueError(f"{scheme} requires a finer mesh than M={M}")
@@ -213,12 +251,24 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
         ab[0, :, n - 1 - off], ab[1, :, n - 1 - off] = sc - dv, sc + dv
     ab[0] += nuK
     ab[1] -= nuK
-    # X[r, col] = v[n - 1 + r - col] for the generating vector v of A or B:
-    # row r of X is window n - 1 - r of v reversed
-    windows = sliding_window_view(ab[:, 0, ::-1], n, axis=1)[:, ::-1]
-    A, B = windows[0].copy(), windows[1].copy()
-    A[:, 0], B[:, 0] = ab[:, 1, n - 1:]
-    A[:, -1], B[:, -1] = ab[:, 2, :n]
+    singular = (f"singular system for scheme={scheme}, M={M}, tau={tau}, "
+                f"alpha={spec.alpha}")
+    # the finite check of lu_factor, on every distinct entry of A: its
+    # generating vector bar the two corners that the edge columns replace,
+    # and the edge columns
+    a_data = ab[0]
+    used = (a_data[0, 1:-1], a_data[1, n - 1:], a_data[2, :n])
+    if not all(np.isfinite(v).all() for v in used):
+        raise SolverError(singular)
+    try:
+        # a Fortran-ordered A is factored in place, with no copy
+        lu = lu_factor(_fill(np.empty((n, n), order="F"), a_data),
+                       overwrite_a=True, check_finite=False)
+    except Exception as exc:
+        raise SolverError(singular) from exc
+    # lu_factor only warns about an exactly zero pivot
+    if not np.diagonal(lu[0]).all():
+        raise SolverError(singular)
 
     # nodes beyond [a, b] that the compact stencil of rows 1 and M-1 reaches
     ghost = max(0, compact[-1][0] - 1)
@@ -227,19 +277,10 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
         # row j samples the source at node j + off, column j + off + ghost
         _diagonal(S, 1 + off + ghost)[:] = 0.0 + 2.0 * c
 
-    mats = SchemeMatrices(scheme=scheme, M=M, tau=tau, h=h, nu=nu,
-                          A=A, B=B, source_matrix=S,
-                          source_x=spec.a + h * np.arange(-ghost, M + 1 + ghost))
-    singular = (f"singular system for scheme={scheme}, M={M}, tau={tau}, "
-                f"alpha={spec.alpha}")
-    try:
-        mats.lu = lu_factor(A)
-    except Exception as exc:
-        raise SolverError(singular) from exc
-    # lu_factor only warns about an exactly zero pivot
-    if not np.diagonal(mats.lu[0]).all():
-        raise SolverError(singular)
-    return mats
+    return SchemeMatrices(scheme=scheme, M=M, tau=tau, h=h, nu=nu,
+                          B=_fill(np.empty((n, n)), ab[1]), source_matrix=S,
+                          source_x=spec.a + h * np.arange(-ghost, M + 1 + ghost),
+                          lu=lu, _a_data=a_data)
 
 
 def _non_finite(mats: SchemeMatrices, t: float | None = None) -> SolverError:
@@ -293,8 +334,12 @@ def step(mats: SchemeMatrices, u: np.ndarray, s_half: np.ndarray) -> np.ndarray:
     b + h, see :func:`assemble`).  The level is a one-row block of
     :func:`_march`, so a non-finite source term or result raises
     :class:`SolverError`, never a NumPy warning.  u and s_half are left as
-    they are, and the result shares no memory with them.
+    they are, and the result shares no memory with them.  A u or s_half
+    of the wrong length raises ValueError.
     """
+    for name, v, size in (("u", u, mats.M - 1), ("s_half", s_half, len(mats.source_x))):
+        if np.shape(v) != (size,):
+            raise ValueError(f"{name} must have length {size}, got shape {np.shape(v)}")
     x = np.empty((1, mats.M - 1))
     if _march(mats, u, np.reshape(s_half, (1, -1)), x) is not None:
         raise _non_finite(mats)
@@ -317,6 +362,7 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     tables use the all-level maximum.  A nan in the exact solution at any
     level makes that maximum nan.
     """
+    _check_count("N", N)
     if N < 1:
         raise ValueError("need at least one time step")
     tau = spec.T / N

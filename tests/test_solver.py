@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from scipy.linalg import toeplitz
+from scipy.linalg import lu_factor, toeplitz
 from scipy.linalg.lapack import dgetrs
 
 from naive_reference import (
@@ -158,20 +159,41 @@ class TestAssemble:
 
     def test_zero_pivot_is_singular(self, monkeypatch):
         # lu_factor only warns about an exactly zero pivot, so assemble
-        # checks the factor's diagonal itself
-        def zero_pivot(A):
+        # checks the factor's diagonal itself; the fake takes assemble's
+        # keywords, so the error comes from that check, not from the call
+        calls = []
+
+        def zero_pivot(A, **kwargs):
+            calls.append(kwargs)
             lu = np.triu(A)
             lu[3, 3] = 0.0
             return lu, np.arange(len(A), dtype=np.int32)
 
         monkeypatch.setattr(solver_module, "lu_factor", zero_pivot)
-        with pytest.raises(SolverError, match="singular system"):
+        with pytest.raises(SolverError, match="singular system") as info:
             assemble("order2", builtin_problem("example2", 0.5), 16, 0.1)
+        assert len(calls) == 1
+        assert info.value.__cause__ is None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scheme", ["order2", "order6"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    def test_non_finite_matrix_is_singular(self, scheme, alpha):
+        # nu = 0.9 DBL_MAX passes the step check, but nu K overflows; A is
+        # factored without lu_factor's finite check, so assemble's own
+        # check of A's generating data must report it
+        M = 16
+        d_alpha = (0.9 * 2.0 * math.cos(math.pi * alpha / 2.0) * (1.0 / M) ** alpha
+                   * sys.float_info.max)
+        spec = dataclasses.replace(_zero_problem(), alpha=alpha, d_alpha=d_alpha)
+        with pytest.raises(SolverError, match="singular system"):
+            assemble(scheme, spec, M, 0.1)
 
     @pytest.mark.parametrize("scheme", ["order6", "order2"])
     def test_no_scratch_matrix(self, scheme):
-        # assemble returns A, B, the LU factor and S, four (M-1)^2 matrices,
-        # and builds them without a further (M-1)^2 buffer
+        # assemble returns B, the LU factor and S, three (M-1)^2 matrices,
+        # and A as its O(M) generating data; it builds them without a
+        # further (M-1)^2 buffer, since A is factored in place
         M, matrix = 513, 8 * 512 ** 2
         spec = builtin_problem("example3", 0.4)
         assemble(scheme, spec, M, 0.01)  # warm-up
@@ -181,7 +203,8 @@ class TestAssemble:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held >= 4 * matrix, "tracemalloc misses the returned matrices"
+        assert held >= 3 * matrix, "tracemalloc misses the returned matrices"
+        assert held <= 3.1 * matrix, held / matrix
         assert peak - held <= 0.1 * matrix, (peak - held) / matrix
         assert mats.A.shape == (M - 1, M - 1)
 
@@ -223,6 +246,20 @@ class TestAssemblyOracle:
         assert mats.A.tobytes() == A.tobytes()
         assert mats.B.tobytes() == B.tobytes()
         assert mats.source_matrix.tobytes() == S.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:order4 stability:UserWarning")
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("M", [8, 17, 65])
+    def test_factor_in_place_bitwise_equal_lu_factor(self, scheme, M):
+        # the factor of A filled in Fortran order and factored in place is
+        # the factor of the dense A, which equals the entry loops
+        spec = builtin_problem("example3", 0.37)
+        mats = assemble(scheme, spec, M, 1.0 / M)
+        A, _, _ = naive_assembly_matrices(scheme, spec, M, 1.0 / M)
+        assert mats.A.tobytes() == A.tobytes()
+        lu, piv = lu_factor(A)
+        assert mats.lu[0].tobytes() == lu.tobytes()
+        assert mats.lu[1].tobytes() == piv.tobytes()
 
     def test_oracle_names_every_scheme(self):
         assert sorted(NAIVE_SCHEMES) == sorted(SCHEMES)
@@ -511,6 +548,25 @@ class TestSolve:
         assert grid.final.shape == (17,)
         assert grid.final[0] == 0.0 and grid.final[16] == 0.0
         assert np.all(grid.final[1:16] != 0.0)
+
+    @pytest.mark.parametrize("M, N, name", [
+        (4.5, 4, "M"), (16, 4.5, "N"), (True, 4, "M"), (16, True, "N"),
+        (np.float64(16.0), 4, "M")])
+    def test_counts_must_be_integers(self, M, N, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            solve("order2", builtin_problem("example2", 0.5), M, N)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = builtin_problem("example2", 0.5)
+        got = solve("order2", spec, np.int64(16), np.int32(4))
+        assert got.final.tobytes() == solve("order2", spec, 16, 4).final.tobytes()
+
+    @pytest.mark.parametrize("u_size, s_size, name", [
+        (3, 17, "u"), (16, 17, "u"), (15, 15, "s_half"), (15, 18, "s_half")])
+    def test_step_lengths_checked(self, u_size, s_size, name):
+        mats = assemble("order2", builtin_problem("example2", 0.5), 16, 0.1)
+        with pytest.raises(ValueError, match=f"{name} must have length"):
+            step(mats, np.zeros(u_size), np.zeros(s_size))
 
     def test_first_row_is_initial_data(self):
         # the march starts from the initial data: one step of solve is one
