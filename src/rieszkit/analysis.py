@@ -9,6 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (
+    MAX_EXACT_LENGTH,
+    MAX_GRID,
+    MAX_SERIES_LENGTH,
+    check_count,
     closed_form_table,
     expand_generating_function,
     first_order_sequence,
@@ -57,6 +61,7 @@ def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
 
 def truncated_symbol(p: int, alpha: float, theta: float, length: int) -> float:
     """Partial cosine sum sum_{l<=length} w_{p,l} cos(l theta)."""
+    check_count("length", length, 0, MAX_SERIES_LENGTH)
     if not math.isfinite(length * theta):  # the largest angle, l = length
         raise ValueError(f"theta and length * theta must be finite, got theta = {theta}")
     w = expand_generating_function(p, alpha, length).values
@@ -66,6 +71,7 @@ def truncated_symbol(p: int, alpha: float, theta: float, length: int) -> float:
 
 def check_symbol_nonnegativity(p: int, alpha: float, grid_size: int) -> SymbolScan:
     """Minimum of the symbol over a uniform theta grid on [-pi, pi]."""
+    check_count("grid_size", grid_size, 1024, MAX_GRID)
     thetas = np.linspace(-math.pi, math.pi, grid_size)
     return symbol_scan(p, alpha, thetas, symbol_values(p, alpha, thetas))
 
@@ -73,8 +79,7 @@ def check_symbol_nonnegativity(p: int, alpha: float, grid_size: int) -> SymbolSc
 def symbol_scan(p: int, alpha: float, thetas: np.ndarray,
                  vals: np.ndarray) -> SymbolScan:
     """Minimum and verdict of symbol values `vals` taken on the grid `thetas`."""
-    if len(thetas) < 1024:
-        raise ValueError("grid_size must be at least 1024")
+    check_count("grid_size", len(thetas), 1024, MAX_GRID)
     k = int(np.argmin(vals))
     return SymbolScan(p=p, alpha=alpha, grid_size=len(thetas),
                       min_value=float(vals[k]), theta_at_min=float(thetas[k]),
@@ -115,10 +120,8 @@ def monotonicity_scan(p: int, alpha: float, length: int) -> int | None:
     Nondecreasing tail for alpha < 1, nonincreasing for alpha > 1.  Returns
     None when no monotone tail exists below `length` (observed for p = 6).
     """
-    if length < 200:
-        raise ValueError("length must be at least 200")
-    if not 2 <= p <= 6:
-        raise ValueError(f"unsupported order p={p}, expected 2..6")
+    check_count("length", length, 200, MAX_SERIES_LENGTH)
+    check_count("p", p, 2, 6)
     w = expand_generating_function(p, alpha, length).values
     diffs = np.diff(w)
     ok = diffs >= 0.0 if alpha < 1.0 else diffs <= 0.0
@@ -231,6 +234,9 @@ _BOUND_FAMILIES = {
 }
 
 
+_MAX_ELL = 10**5  # largest bound index: the tail sums take 2 s, O(ell_max**2)
+
+
 def bound_families() -> tuple[str, ...]:
     return tuple(_BOUND_FAMILIES)
 
@@ -252,10 +258,9 @@ def evaluate_bounds(family: str, alpha: float, ell_min: int,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     min_ell, shift, observed, bounds = _BOUND_FAMILIES[family]
-    if ell_min < min_ell:
-        raise ValueError(f"family '{family}' requires ell >= {min_ell}")
-    if ell_max < ell_min:
-        raise ValueError("ell_max must be at least ell_min")
+    top = MAX_EXACT_LENGTH if observed == "second" else _MAX_ELL
+    check_count("ell_min", ell_min, min_ell, top)
+    check_count("ell_max", ell_max, ell_min, top)
 
     order = shift + alpha
     if observed == "second":
@@ -280,8 +285,7 @@ def pointwise_lower_crossing(ell: int) -> float:
     Bisection on the sign of (plain - damped); the regime split is
     analytically 12*ln(ell/2)/(2*pi**2 - 15) - 1 for ell = 3, 4.
     """
-    if ell < 3:
-        raise ValueError("ell must be at least 3")
+    check_count("ell", ell, 3, _MAX_ELL)
     f = lambda a: _b1_lower(a, ell) - _b1_lower_damped(a, ell)
     lo, hi = 1e-9, 1.0 - 1e-9
     if f(lo) * f(hi) > 0:

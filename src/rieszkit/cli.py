@@ -25,7 +25,7 @@ from .analysis import (
     symbol_scan,
     symbol_values,
 )
-from .coefficients import expand_generating_function
+from .coefficients import MAX_GRID, check_count, expand_generating_function
 from .config import (
     UsageError,
     load_config,
@@ -96,6 +96,7 @@ def _cmd_symbol(sec):
     p = parse_int(sec.get("p", ""), "p")
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     grid = parse_int(sec.get("theta_grid", "4096"), "theta_grid")
+    check_count("theta_grid", grid, 1024, MAX_GRID)
     thetas = np.linspace(-math.pi, math.pi, grid)
     theta_text = fmt_column(thetas)
     rows, summary = [], []
@@ -259,8 +260,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # a huge length or grid size fails its allocation (NumPy raises a
-        # MemoryError subclass naming the shape)
+        # counts are bounded before work: this is an allocation within the
+        # bounds, such as a dense solve at a large M, on a small machine
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (UsageError, configparser.Error, ValueError, OSError) as exc:

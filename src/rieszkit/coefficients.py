@@ -21,6 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 MAX_ORDER = 6
+# Upper bounds on counts, each from a budget of about 10 s and 1 GB on 2 cores:
+MAX_SERIES_LENGTH = 10**6  # series weights: 1.2 s at p = 6, 32 MB
+MAX_EXACT_LENGTH = 500  # nested sums, work ~ length**3: 4.3 s at p = 6, 50 MB
+MAX_GRID = 10**6  # theta grid of a symbol or stability scan: 0.5 s per h, 300 MB
 
 # W_p coefficients (g_0 .. g_p), exact: [z^i] sum_{k=1..p} (1-z)^k / k.
 _GENERATOR_COEFFS: dict[int, tuple[Fraction, ...]] = {
@@ -70,20 +74,23 @@ class CoefficientTable:
         return len(self.values) - 1
 
 
-def _check_generator_order(p: int) -> None:
-    if p not in _GENERATOR_COEFFS:
-        raise ValueError(f"unsupported order p={p}, expected 1..{MAX_ORDER}")
+def check_count(name: str, value, lo: int, hi: int) -> None:
+    """Accept an int or NumPy integer, not a bool, in lo..hi as the count
+    ``name``; the one owner of what a valid count is."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not lo <= value <= hi):
+        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {value}")
 
 
 def generator_polynomial(p: int) -> GeneratorPolynomial:
     """Exact coefficients of W_p, p = 1..6."""
-    _check_generator_order(p)
+    check_count("p", p, 1, MAX_ORDER)
     return GeneratorPolynomial(order=p, coeffs=_GENERATOR_COEFFS[p])
 
 
 def generator_on_circle(p: int, thetas: np.ndarray) -> np.ndarray:
     """W_p(e^{i theta}) by Horner's rule."""
-    _check_generator_order(p)
+    check_count("p", p, 1, MAX_ORDER)
     g = _GENERATOR_FLOATS[p]
     z = np.exp(1j * thetas)
     w = np.full(z.shape, complex(g[p]))
@@ -96,8 +103,7 @@ def first_order_sequence(alpha: float, length: int) -> np.ndarray:
     """Weights w_{1,j} = (-1)^j C(alpha, j), j = 0..length, by the pole-free
     recurrence w_j = w_{j-1} (1 - (alpha + 1) / j)."""
     validate_alpha(alpha)
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    check_count("length", length, 0, MAX_SERIES_LENGTH)
     w = [1.0]
     for j in range(1, length + 1):
         w.append(w[-1] * (1.0 - (alpha + 1.0) / j))
@@ -124,9 +130,8 @@ def expand_generating_function(p: int, alpha: float, length: int) -> Coefficient
     half the cost, and the table becomes one array at the end.
     """
     validate_alpha(alpha)
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    _check_generator_order(p)
+    check_count("length", length, 0, MAX_SERIES_LENGTH)
+    check_count("p", p, 1, MAX_ORDER)
     g = _GENERATOR_FLOATS[p]
     c = [g[0] ** alpha]
     ap1 = alpha + 1.0
@@ -214,11 +219,9 @@ def closed_form_table(p: int, alpha: float, length: int) -> np.ndarray:
     rule; see the comment block above for the integer scaling and for why
     each Horner step multiplies the big accumulator by a small integer only.
     """
-    if p not in range(2, MAX_ORDER + 1):
-        raise ValueError(f"unsupported order p={p}, expected 2..{MAX_ORDER}")
+    check_count("p", p, 2, MAX_ORDER)
     validate_alpha(alpha)
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    check_count("length", length, 0, MAX_EXACT_LENGTH)
     B, C = _inner_weights(p, length)
     n, d = float(alpha).as_integer_ratio()
     f = [i * d - n - d for i in range(length + 1)]  # f[i] = P_i / P_{i-1}, i >= 1

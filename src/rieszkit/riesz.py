@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .coefficients import CoefficientTable, expand_generating_function
+from .coefficients import CoefficientTable, check_count, expand_generating_function
 from .reports import ConvergenceReport, convergence_rows
 from .schemes import fractional_coefficient
 
@@ -24,13 +24,16 @@ def riesz_apply(table: CoefficientTable, values, h: float) -> np.ndarray:
     samples on M + 1 equispaced nodes with step h, M >= 2.
 
     Boundary rows are returned as zero under the homogeneous-condition
-    contract; out-of-range samples are treated as zero.
+    contract; out-of-range samples are treated as zero.  The samples must
+    be finite.
     """
     _check_step(h)
     v = np.asarray(values, dtype=float)
     M = len(v) - 1
     if M < 2:
         raise ValueError(f"values must hold at least three samples, got {M + 1}")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
     if table.length < M:
         raise ValueError(f"coefficient table too short: {table.length} < M={M}")
     pref = riesz_prefactor(table.alpha, h)
@@ -43,14 +46,9 @@ def riesz_apply(table: CoefficientTable, values, h: float) -> np.ndarray:
     return out
 
 
-def _check_degree(p) -> None:
-    if not (isinstance(p, (int, np.integer)) and 0 <= p <= 64):
-        raise ValueError(f"p must be an integer in 0..64, got {p}")
-
-
 def poly_profile(p: int, x):
     """Profile x^p (1-x)^p on [0, 1], zero outside; integer p in 0..64, x not nan."""
-    _check_degree(p)
+    check_count("p", p, 0, 64)
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValueError("x must not be nan")
@@ -71,7 +69,7 @@ def reference_riesz(p: int, alpha: float, x: float) -> float:
     at p = 20, and at p = 32 even the sign is wrong.  Only p <= 64 is
     enforced; the package itself uses p <= 6.
     """
-    _check_degree(p)
+    check_count("p", p, 0, 64)
     if not (0.0 < alpha < 2.0) or alpha == 1.0:
         raise ValueError(f"alpha must lie in (0,1) or (1,2), got {alpha}")
     if not 0.0 <= x <= 1.0:
@@ -125,8 +123,8 @@ def _resolve_mesh(h: float) -> int:
     M = round(1.0 / h)
     if abs(1.0 / h - M) > 1e-9 * M:
         raise ValueError(f"h_list step {h} is not the reciprocal of an integer")
-    if M < 2:
-        raise ValueError(f"h_list step {h} must be at most 1/2 (M >= 2)")
+    # the max-interior metric's 10**5 closed forms take 5 s at p = 6
+    check_count(f"h_list step {h}: M = 1/h", M, 2, 10**5)
     return M
 
 

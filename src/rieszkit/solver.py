@@ -25,7 +25,7 @@ from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
 from .analysis import alpha_limit_order4
-from .coefficients import expand_generating_function
+from .coefficients import check_count, expand_generating_function
 from .reports import ConvergenceReport, convergence_rows
 from .schemes import (check_coefficients, check_step, fractional_coefficient,
                       right_compact, stencils, weight_order)
@@ -33,6 +33,8 @@ from .schemes import (check_coefficients, check_step, fractional_coefficient,
 # time levels per block of the march: solve samples the source and the
 # exact solution once per block and holds only that block's levels
 _BLOCK = 256
+_MAX_M = 4096  # largest mesh: assemble's three dense arrays take 400 MB
+_MAX_N = 10**6  # most levels: memory does not grow with N, 5 s at M = 64
 
 
 class SolverError(RuntimeError):
@@ -91,7 +93,6 @@ class SchemeMatrices:
     M: int
     tau: float
     h: float
-    nu: float
     B: np.ndarray
     source_matrix: np.ndarray
     source_x: np.ndarray
@@ -126,12 +127,6 @@ class SolutionGrid:
     @property
     def tau(self) -> float:
         return self.spec.T / self.N
-
-
-def _check_count(name: str, value) -> None:
-    """Accept an int or NumPy integer, not a bool, as the count ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _diagonal(X: np.ndarray, k: int) -> np.ndarray:
@@ -219,10 +214,8 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
     of A, which the finite check before the factorization finds in its
     generating data, or a zero pivot raises :class:`SolverError`.
     """
-    _check_count("M", M)
     p = weight_order(scheme)
-    if M < (6 if p == 6 else 4):
-        raise ValueError(f"{scheme} requires a finer mesh than M={M}")
+    check_count("M", M, 6 if p == 6 else 4, _MAX_M)
     h = (spec.b - spec.a) / M
     check_step(scheme, spec.alpha, h, tau, spec.d1, spec.d2, spec.d_alpha)
     if p == 4 and spec.alpha > alpha_limit_order4():
@@ -277,7 +270,7 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
         # row j samples the source at node j + off, column j + off + ghost
         _diagonal(S, 1 + off + ghost)[:] = 0.0 + 2.0 * c
 
-    return SchemeMatrices(scheme=scheme, M=M, tau=tau, h=h, nu=nu,
+    return SchemeMatrices(scheme=scheme, M=M, tau=tau, h=h,
                           B=_fill(np.empty((n, n)), ab[1]), source_matrix=S,
                           source_x=spec.a + h * np.arange(-ghost, M + 1 + ghost),
                           lu=lu, _a_data=a_data)
@@ -362,9 +355,7 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     tables use the all-level maximum.  A nan in the exact solution at any
     level makes that maximum nan.
     """
-    _check_count("N", N)
-    if N < 1:
-        raise ValueError("need at least one time step")
+    check_count("N", N, 1, _MAX_N)
     tau = spec.T / N
     mats = assemble(scheme, spec, M, tau)
     x = spec.a + mats.h * np.arange(M + 1)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import MAX_GRID, check_count
 from .schemes import check_step, growth_factors
 
 
@@ -79,13 +80,12 @@ def stability_scan(scheme: str, alpha: float, hs, taus,
     weight symbol and the Fourier basis are evaluated once per scan, the
     stencil symbols once per h.
     """
+    check_count("grid_size", grid_size, 1024, MAX_GRID)
     if len(hs) == 0 or len(taus) == 0:
         raise ValueError("hs and taus must not be empty")
     for h in hs:
         for tau in taus:
             check_step(scheme, alpha, h, tau, d1, d2, d_alpha)
-    if grid_size < 1024:
-        raise ValueError("grid_size must be at least 1024")
     thetas = np.linspace(-math.pi, math.pi, grid_size)
     reports = []
     with np.errstate(**_QUIET):

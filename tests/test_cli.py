@@ -3,6 +3,9 @@
 import contextlib
 import filecmp
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rieszkit
 from rieszkit.cli import main
 from rieszkit.reports import read_convergence_csv
 
@@ -252,8 +256,8 @@ class TestErrors:
     ], ids=["coeffs", "solve"])
     def test_out_of_memory_is_error(self, tmp_path, monkeypatch, capsys,
                                     command, target, keys):
-        # the failing allocation is simulated: a real one of this size
-        # would take the machine's memory
+        # the failing allocation is simulated: the count checks refuse these
+        # sizes first, and what they let through fails only on a small machine
         import rieszkit.cli as cli
 
         def alloc(*args, **kwargs):
@@ -469,6 +473,46 @@ def _config(draw, command):
                 keys[key] = draw(_VALUES[key])
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                    for name, keys in sections.items())
+
+
+class TestOversizedCounts:
+    """A huge count must be refused before any work.  Each case runs in a
+    child whose address space is capped at 1.5 GB, under a timeout, so a
+    missing check fails the test instead of exhausting the machine (before
+    the checks, coeffs ran 29 s under such a cap and a bounds call grew a
+    list until it was killed)."""
+
+    @staticmethod
+    def _capped(code, cwd):
+        cap = 3 << 29
+        prelude = ("import resource, sys, time\n"
+                   f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(rieszkit.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-c", prelude + code], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    def test_coeffs_length_refused_at_once(self, tmp_path):
+        _write(tmp_path, "[coeffs]\np = 2\nalpha = 0.5\nlength = 1000000000\n")
+        run = self._capped(
+            "from rieszkit.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            "code = main(['coeffs', '--config', 'run.cfg', '--out', 'o'])\n"
+            "print(time.perf_counter() - t0)\n"
+            "sys.exit(code)\n", tmp_path)
+        assert run.returncode == 1, run.stderr
+        assert float(run.stdout) < 1.0
+        assert run.stderr.startswith("error: length must be an integer in 0..")
+        assert not (tmp_path / "o").exists()
+
+    def test_bound_index_refused_at_once(self, tmp_path):
+        run = self._capped(
+            "from rieszkit.analysis import evaluate_bounds\n"
+            "try:\n"
+            "    evaluate_bounds('first-pointwise', 0.5, 3, 10**400)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n", tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("ell_max must be an integer in 3..")
 
 
 class TestConfigFuzz:

@@ -1,6 +1,7 @@
 """Weight-generation tests: both evaluation routes, signs, zero sums."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +17,67 @@ from rieszkit import (
     first_order_sequence,
     generator_polynomial,
 )
-from rieszkit.coefficients import _binomial_rows, _inner_weights
+from rieszkit.analysis import (check_symbol_nonnegativity, evaluate_bounds,
+                               monotonicity_scan, pointwise_lower_crossing,
+                               truncated_symbol)
+from rieszkit.coefficients import (MAX_EXACT_LENGTH, MAX_GRID, MAX_SERIES_LENGTH,
+                                   _binomial_rows, _inner_weights, check_count)
+from rieszkit.riesz import operator_convergence
+from rieszkit.stability import stability_scan
 
 ALPHAS_LT1 = [0.1, 0.3, 0.5, 0.7, 0.9]
 ALPHAS_GT1 = [1.1, 1.4, 1.6, 1.9]
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [2, 5, np.int64(3), np.uint8(5)])
+    def test_integers_in_range_accepted(self, value):
+        check_count("n", value, 2, 5)
+
+    @pytest.mark.parametrize("value", [1, 6, True, 2.0, 2.5, np.float64(3.0), "3",
+                                       None, 10**400])
+    def test_others_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^n must be an integer in 2\.\.5, got "):
+            check_count("n", value, 2, 5)
+
+    # a count that is not an integer, a bool or one past its bound; each
+    # call used to raise a bare TypeError, return a value or start the work
+    CASES = [
+        (expand_generating_function, (2, 0.5, 2.5), "length"),
+        (expand_generating_function, (True, 0.5, 4), "p"),
+        (expand_generating_function, (2, 0.5, MAX_SERIES_LENGTH + 1), "length"),
+        (closed_form_table, (2, 0.5, 2.5), "length"),
+        (closed_form_table, (2, 0.5, True), "length"),
+        (closed_form_table, (6, 0.5, MAX_EXACT_LENGTH + 1), "length"),
+        (first_order_sequence, (0.5, 2.5), "length"),
+        (first_order_sequence, (0.5, MAX_SERIES_LENGTH + 1), "length"),
+        (check_symbol_nonnegativity, (2, 0.5, 1024.5), "grid_size"),
+        (check_symbol_nonnegativity, (2, 0.5, MAX_GRID + 1), "grid_size"),
+        (stability_scan, ("order2", 0.5, [0.1], [0.1], 1, 1, 1, 1024.5), "grid_size"),
+        (stability_scan, ("order2", 0.5, [0.1], [0.1], 1, 1, 1, MAX_GRID + 1),
+         "grid_size"),
+        (evaluate_bounds, ("first-tail", 0.5, 3, 10.5), "ell_max"),
+        (evaluate_bounds, ("first-tail", 0.5, 3, True), "ell_max"),
+        (evaluate_bounds, ("first-tail", 0.5, 3, 10**5 + 1), "ell_max"),
+        (evaluate_bounds, ("second-pointwise", 0.5, 4, MAX_EXACT_LENGTH + 1),
+         "ell_max"),
+        (monotonicity_scan, (2, 0.5, 200.5), "length"),
+        (monotonicity_scan, (2, 0.5, MAX_SERIES_LENGTH + 1), "length"),
+        (truncated_symbol, (2, 0.5, 0.1, 10.5), "length"),
+        (truncated_symbol, (2, 0.5, 0.1, 10**400), "length"),
+        (pointwise_lower_crossing, (3.5,), "ell"),
+        (pointwise_lower_crossing, (10**400,), "ell"),
+        (operator_convergence, (2, 0.5, [2.0 ** -17]),
+         "h_list step 7.62939453125e-06: M = 1/h"),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn, args, name", CASES, ids=[
+        f"{fn.__name__}-{i}" for i, (fn, _, _) in enumerate(CASES)])
+    def test_public_counts_checked_first(self, fn, args, name):
+        message = f"^{re.escape(name)} must be an integer in "
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
 
 
 class TestFirstOrder:

@@ -97,6 +97,14 @@ class TestRieszApply:
         with pytest.raises(ValueError, match="at least three samples, got 2"):
             riesz_apply(table, np.zeros(2), 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_samples_rejected(self, bad):
+        # [1.0, 2.0, inf] used to give [0, inf, 0], and a nan sample a nan
+        table = expand_generating_function(2, 0.5, 4)
+        with pytest.raises(ValueError, match="values must be finite"):
+            riesz_apply(table, [1.0, 2.0, bad], 0.5)
+
 
 class TestReference:
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
@@ -149,7 +157,7 @@ class TestReference:
             reference_riesz(p, 0.5, 0.5)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("p", [2.5, 2.0, -1, 65, "2"])
+    @pytest.mark.parametrize("p", [2.5, 2.0, -1, 65, "2", True])
     def test_non_integer_degree_rejected(self, p):
         # 2.5 used to raise a bare TypeError from math.factorial, and
         # poly_profile(-1, [0.0]) returned inf after a divide-by-zero warning
@@ -261,7 +269,7 @@ class TestOperatorConvergence:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("h_list, message", [
         ([], "h_list must contain at least one step"),
-        ([1.0], r"h_list step 1\.0 must be at most 1/2 \(M >= 2\)")])
+        ([1.0], r"h_list step 1\.0: M = 1/h must be an integer in 2\.\.100000, got 1")])
     def test_bad_step_list_names_the_argument(self, h_list, message):
         # [] used to raise "max() arg is an empty sequence", and [1.0] to
         # call 1.0 "not the reciprocal of an integer"

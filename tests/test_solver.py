@@ -34,7 +34,7 @@ from rieszkit import (
 )
 from rieszkit import solver as solver_module
 from rieszkit.reports import convergence_rows
-from rieszkit.schemes import SCHEMES, stencils
+from rieszkit.schemes import SCHEMES, fractional_coefficient, stencils
 
 LADDER_T6 = [(10, 10), (20, 20), (40, 40), (80, 80)]
 # powers of ten over the double range, subnormals included
@@ -75,7 +75,7 @@ class TestAssemble:
     def test_positive_fractional_weight(self):
         spec = builtin_problem("example2", 0.5)
         mats = assemble("order2", spec, 16, 0.1)
-        assert mats.nu > 0.0
+        assert fractional_coefficient(spec.d_alpha, spec.alpha, mats.h) > 0.0
 
     def test_order4_warns_above_limit(self):
         spec = builtin_problem("example2", 0.9)
@@ -282,7 +282,8 @@ class TestAssemblyOracle:
         T = toeplitz(w[:M - 1], np.zeros(M - 1))
         _, operator = stencils("order2", 1.0, 1.0, 1.0 / M)
         D = sum(c * np.eye(M - 1, k=off) for off, c in operator)
-        sC, nuK = (2.0 / tau) * np.eye(M - 1), mats.nu * (T + T.T)
+        nu = fractional_coefficient(1.0, 0.37, mats.h)  # _large_system's spec
+        sC, nuK = (2.0 / tau) * np.eye(M - 1), nu * (T + T.T)
         assert np.array_equal(mats.A, sC - D + nuK)
         assert np.array_equal(mats.B, sC + D - nuK)
 
@@ -551,7 +552,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("M, N, name", [
         (4.5, 4, "M"), (16, 4.5, "N"), (True, 4, "M"), (16, True, "N"),
-        (np.float64(16.0), 4, "M")])
+        (np.float64(16.0), 4, "M"), (3, 4, "M"), (4097, 4, "M"),
+        (16, 0, "N"), (16, 10**6 + 1, "N")])
     def test_counts_must_be_integers(self, M, N, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             solve("order2", builtin_problem("example2", 0.5), M, N)

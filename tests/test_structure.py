@@ -4,9 +4,9 @@ The schemes are defined in one module that needs no SciPy and that alone
 tests a scheme by its name, the stability scans do not reach into the
 solver, no module borrows a sibling's private helpers, every module-level
 import is used, the Fraction oracle of the nested sums reads nothing of
-the production nested-sum route, and one solver kernel alone marches a
-time level, and every public function and class has a user outside the
-unit tests.
+the production nested-sum route, one solver kernel alone marches a
+time level, one helper alone decides what a count is, and every public
+function and class has a user outside the unit tests.
 """
 
 import ast
@@ -86,6 +86,28 @@ def test_only_schemes_compares_scheme_names(path):
     # scheme == "order6" would miss the names that share its stencils
     lines = _scheme_name_comparisons(path)
     assert lines == [], f"{path.stem} compares scheme names on lines {lines}"
+
+
+def _integer_type_tests(path):
+    """Lines of `path` where isinstance or issubclass tests an argument
+    against bool or a NumPy integer type."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in ("isinstance", "issubclass")
+                   for leaf in ast.walk(node.args[-1])
+                   if isinstance(leaf, ast.Name) and leaf.id == "bool"
+                   or isinstance(leaf, ast.Attribute)
+                   and leaf.attr in ("integer", "signedinteger", "bool_")})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "coefficients.py"],
+                         ids=lambda p: p.stem)
+def test_only_check_count_decides_what_a_count_is(path):
+    # coefficients.check_count owns the rule: an int or NumPy integer, not
+    # a bool, within bounds; a second copy would drift from it
+    lines = _integer_type_tests(path)
+    assert lines == [], f"{path.stem} tests integer types on lines {lines}"
 
 
 # what production's nested-sum weights are built from
