@@ -211,15 +211,13 @@ def _cmd_stability(sec):
     d2 = parse_float(sec.get("d2", "1"), "d2")
     d_alpha = parse_float(sec.get("d_alpha", "1"), "d_alpha")
     grid = parse_int(sec.get("theta_grid", "4096"), "theta_grid")
-    scans, rows = [], []
-    for a in alphas:
-        part = stability_scan(scheme, a, hs, taus, d1, d2, d_alpha, grid)
-        scans.extend(part)
-        rows.extend(_rows(scheme, fmt(a), fmt_column([s.h for s in part]),
-                          fmt_column([s.tau for s in part]),
-                          fmt_column([s.max_abs for s in part]),
-                          fmt_column([s.theta_at_max for s in part]),
-                          ["1" if s.passed else "0" for s in part]))
+    scans = stability_scan(scheme, alphas, hs, taus, d1, d2, d_alpha, grid)
+    rows = _rows(scheme, fmt_column([s.alpha for s in scans]),
+                 fmt_column([s.h for s in scans]),
+                 fmt_column([s.tau for s in scans]),
+                 fmt_column([s.max_abs for s in scans]),
+                 fmt_column([s.theta_at_max for s in scans]),
+                 ["1" if s.passed else "0" for s in scans])
     text = text_table(
         f"stability scan {scheme}: {sum(s.passed for s in scans)}/{len(scans)} pass",
         ["alpha", "h", "tau", "max |xi|", "theta at max", "pass"],

@@ -76,9 +76,13 @@ class CoefficientTable:
 
 def check_count(name: str, value, lo: int, hi: int) -> None:
     """Accept an int or NumPy integer, not a bool, in lo..hi as the count
-    ``name``; the one owner of what a valid count is."""
+    ``name``; the one owner of what a valid count is.  An int wider than
+    64 bits is named by its bit length, since Python refuses to print one
+    of more than 4300 digits."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or not lo <= value <= hi):
+        if isinstance(value, int) and value.bit_length() > 64:
+            value = f"an integer of {value.bit_length()} bits"
         raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {value}")
 
 

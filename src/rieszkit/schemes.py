@@ -100,10 +100,11 @@ def right_compact(scheme: str, compact):
     return tuple((-off, c) for off, c in compact) if SCHEME_TABLE[scheme][1] else compact
 
 
-def growth_factors(scheme: str, alpha: float, hs, taus, d1: float,
-                   d2: float, d_alpha: float, thetas: np.ndarray):
+def growth_factors(scheme: str, alphas, hs, taus, d1: float, d2: float,
+                   d_alpha: float, thetas: np.ndarray):
     """Growth factors xi and real groups of the scheme that `assemble`
-    builds, per (h, tau) in hs x taus, h outer and tau inner.
+    builds, per (alpha, h, tau) in alphas x hs x taus, alpha outer and tau
+    inner, as tuples (alpha, h, tau, xi, group).
 
     Each stencil of :func:`stencils` has the symbol sum_off c_off
     e^{i off theta}: C for the compact weights (C_r on the forward-looking
@@ -113,23 +114,32 @@ def growth_factors(scheme: str, alpha: float, hs, taus, d1: float,
     |xi| <= 1 exactly when the group Re[s C conj(G)] is nonnegative;
     theta = 0 gives xi = 1 and group 0 exactly.  Only the paper's abstract
     is at hand, so these factors are not checked against its printed ones.
+
+    Each quantity is computed at the outermost level it depends on, as
+    :func:`rieszkit.stability.stability_scan` states, in O(len(thetas))
+    memory.
     """
     p = weight_order(scheme)
-    zero = thetas == 0.0
+    zero = np.flatnonzero(thetas == 0.0)
     basis = np.exp(1j * np.outer(np.arange(-2, 3), thetas))  # e^{i k theta}
-    Z = np.power(generator_on_circle(p, -thetas), alpha)
-    Zc = np.conj(Z)
+    W = generator_on_circle(p, -thetas)
 
     def symbol(stencil):
         return sum(c * basis[off + 2] for off, c in stencil)
 
-    for h in hs:
-        compact, operator = stencils(scheme, d1, d2, h)
-        C = symbol(compact)
-        K = C * Z + symbol(right_compact(scheme, compact)) * Zc
-        G = fractional_coefficient(d_alpha, alpha, h) * K - symbol(operator)
-        for tau in taus:
-            sC = (2.0 / tau) * C
-            xi = np.where(zero, 1.0 + 0.0j, (sC - G) / (sC + G))
-            group = np.where(zero, 0.0, np.real(sC * np.conj(G)))
-            yield h, tau, xi, group
+    for alpha in alphas:
+        Z = np.power(W, alpha)
+        Zc = np.conj(Z)
+        for h in hs:
+            compact, operator = stencils(scheme, d1, d2, h)
+            C = symbol(compact)
+            K = C * Z + symbol(right_compact(scheme, compact)) * Zc
+            G = fractional_coefficient(d_alpha, alpha, h) * K - symbol(operator)
+            Gc = np.conj(G)
+            for tau in taus:
+                sC = (2.0 / tau) * C
+                xi = (sC - G) / (sC + G)
+                group = np.real(sC * Gc)
+                xi[zero] = 1.0
+                group[zero] = 0.0
+                yield alpha, h, tau, xi, group

@@ -35,6 +35,9 @@ from .schemes import (check_coefficients, check_step, fractional_coefficient,
 _BLOCK = 256
 _MAX_M = 4096  # largest mesh: assemble's three dense arrays take 400 MB
 _MAX_N = 10**6  # most levels: memory does not grow with N, 5 s at M = 64
+# most N (M - 1)**2 of a solve, the work of its dense level updates: 5 to
+# 10 s on 2 cores, N <= 238 at M = 4096 and the whole _MAX_N up to M = 64
+_MAX_WORK = 4 * 10**9
 
 
 class SolverError(RuntimeError):
@@ -188,6 +191,13 @@ def _fill(X: np.ndarray, g: np.ndarray) -> np.ndarray:
     return X
 
 
+def _check_mesh(scheme: str, M: int) -> int:
+    """Weight order of ``scheme``, after checking M against its range."""
+    p = weight_order(scheme)
+    check_count("M", M, 6 if p == 6 else 4, _MAX_M)
+    return p
+
+
 def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatrices:
     """Build the implicit/explicit matrices A u^{k+1} = B u^k + S s^{k+1/2}.
 
@@ -214,8 +224,7 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
     of A, which the finite check before the factorization finds in its
     generating data, or a zero pivot raises :class:`SolverError`.
     """
-    p = weight_order(scheme)
-    check_count("M", M, 6 if p == 6 else 4, _MAX_M)
+    p = _check_mesh(scheme, M)
     h = (spec.b - spec.a) / M
     check_step(scheme, spec.alpha, h, tau, spec.d1, spec.d2, spec.d_alpha)
     if p == 4 and spec.alpha > alpha_limit_order4():
@@ -354,8 +363,12 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     error and the maximum over all time levels; the published benchmark
     tables use the all-level maximum.  A nan in the exact solution at any
     level makes that maximum nan.
+
+    M is checked first, and N is bounded by the work N (M - 1)**2 as well
+    as by _MAX_N.
     """
-    check_count("N", N, 1, _MAX_N)
+    _check_mesh(scheme, M)
+    check_count("N", N, 1, min(_MAX_N, _MAX_WORK // (M - 1) ** 2))
     tau = spec.T / N
     mats = assemble(scheme, spec, M, tau)
     x = spec.a + mats.h * np.arange(M + 1)

@@ -60,37 +60,48 @@ def _overflow(h: float, tau: float) -> ValueError:
 
 def amplification_factor(q: AmplificationQuery) -> complex:
     with np.errstate(**_QUIET):
-        [(_, _, xi, _)] = growth_factors(q.scheme, q.alpha, [q.h], [q.tau],
-                                         q.d1, q.d2, q.d_alpha,
-                                         np.array([q.theta]))
+        [(*_, xi, _)] = growth_factors(q.scheme, [q.alpha], [q.h], [q.tau],
+                                       q.d1, q.d2, q.d_alpha,
+                                       np.array([q.theta]))
     value = complex(xi[0])
     if not cmath.isfinite(value):
         raise _overflow(q.h, q.tau)
     return value
 
 
-def stability_scan(scheme: str, alpha: float, hs, taus,
+def stability_scan(scheme: str, alphas, hs, taus,
                    d1: float, d2: float, d_alpha: float,
                    grid_size: int) -> list[StabilityReport]:
     """Maximum growth factor over a uniform theta grid on [-pi, pi], for
-    every (h, tau) in hs x taus: h outer, tau inner.
+    every (alpha, h, tau) in alphas x hs x taus: alpha outer, then h, then
+    tau.
 
     ``scheme`` is order2, order4, order6, order4-consistent or
-    order6-consistent, in the orientation that ``solve`` marches.  The
-    weight symbol and the Fourier basis are evaluated once per scan, the
-    stencil symbols once per h.
+    order6-consistent, in the orientation that ``solve`` marches.  The grid
+    size and every cell's :func:`check_step` are checked before any array
+    work.  The theta grid, the Fourier basis and W_p(e^{-i theta}) are
+    evaluated once per call, the weight symbol Z = W_p**alpha once per
+    alpha, the stencil symbols and G once per (alpha, h), and only s C, xi
+    and the real group per tau; memory is O(grid_size) whatever the
+    lengths of the lists.
+
+    The group is (2/tau) Re[C conj(G)] and G does not contain tau, so on
+    each theta its sign, and with it the verdict, does not depend on tau.
+    Only a group within rounding of 0 can give a tau-dependent verdict,
+    through the 1 + 1e-12 tolerance on max |xi|.
     """
     check_count("grid_size", grid_size, 1024, MAX_GRID)
-    if len(hs) == 0 or len(taus) == 0:
-        raise ValueError("hs and taus must not be empty")
-    for h in hs:
-        for tau in taus:
-            check_step(scheme, alpha, h, tau, d1, d2, d_alpha)
+    if len(alphas) == 0 or len(hs) == 0 or len(taus) == 0:
+        raise ValueError("alphas, hs and taus must not be empty")
+    for alpha in alphas:
+        for h in hs:
+            for tau in taus:
+                check_step(scheme, alpha, h, tau, d1, d2, d_alpha)
     thetas = np.linspace(-math.pi, math.pi, grid_size)
     reports = []
     with np.errstate(**_QUIET):
-        for h, tau, xi, group in growth_factors(scheme, alpha, hs, taus, d1,
-                                                d2, d_alpha, thetas):
+        for alpha, h, tau, xi, group in growth_factors(
+                scheme, alphas, hs, taus, d1, d2, d_alpha, thetas):
             mags = np.abs(xi)
             k = int(np.argmax(mags))  # the first nan if there is one
             if not math.isfinite(mags[k]):

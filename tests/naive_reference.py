@@ -32,6 +32,12 @@ production loops run on Python floats and must give the same bits.
 `naive_write_csv` is `rieszkit.reports.write_csv` as it was before it
 joined unquoted tables directly: every table goes through `csv.writer`.
 The production function must write the same bytes.
+
+`naive_stability_cells` is one von Neumann scan of a single alpha as it
+ran before one scan served every alpha of a run: the Fourier basis and
+W_p(e^{-i theta}) rebuilt per alpha, conj(G) taken per tau, and theta = 0
+set by two `np.where` passes.  The production scan must give the same
+bits, cell by cell.
 """
 
 import csv
@@ -43,7 +49,9 @@ from fractions import Fraction
 import numpy as np
 
 from rieszkit import expand_generating_function
-from rieszkit.schemes import stencils
+from rieszkit.coefficients import generator_on_circle
+from rieszkit.schemes import (fractional_coefficient, right_compact, stencils,
+                              weight_order)
 
 
 def _weights(p, alpha, length):
@@ -419,3 +427,33 @@ def naive_write_csv(path, header, rows):
     writer.writerows(rows)
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())
+
+
+def naive_stability_cells(scheme, alpha, hs, taus, d1, d2, d_alpha, grid_size):
+    """(h, tau, max |xi|, theta at the max, min real group) per (h, tau),
+    h outer and tau inner."""
+    thetas = np.linspace(-math.pi, math.pi, grid_size)
+    zero = thetas == 0.0
+    basis = np.exp(1j * np.outer(np.arange(-2, 3), thetas))
+    Z = np.power(generator_on_circle(weight_order(scheme), -thetas), alpha)
+    Zc = np.conj(Z)
+
+    def symbol(stencil):
+        return sum(c * basis[off + 2] for off, c in stencil)
+
+    cells = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for h in hs:
+            compact, operator = stencils(scheme, d1, d2, h)
+            C = symbol(compact)
+            K = C * Z + symbol(right_compact(scheme, compact)) * Zc
+            G = fractional_coefficient(d_alpha, alpha, h) * K - symbol(operator)
+            for tau in taus:
+                sC = (2.0 / tau) * C
+                xi = np.where(zero, 1.0 + 0.0j, (sC - G) / (sC + G))
+                group = np.where(zero, 0.0, np.real(sC * np.conj(G)))
+                mags = np.abs(xi)
+                k = int(np.argmax(mags))
+                cells.append((h, tau, float(mags[k]), float(thetas[k]),
+                              float(np.min(group))))
+    return cells

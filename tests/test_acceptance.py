@@ -453,8 +453,8 @@ def test_criterion_10_stability():
               "order6": SYMBOL_LIMIT[6]}
     for scheme in ("order2", "order4", "order6"):
         for alpha in alphas:
-            for rep in stability_scan(scheme, alpha, grid, grid, 1.0, 1.0, 1.0,
-                                      4096):
+            for rep in stability_scan(scheme, [alpha], grid, grid, 1.0, 1.0,
+                                      1.0, 4096):
                 h, tau = rep.h, rep.tau
                 if rep.passed != (rep.min_real_group >= 0.0):
                     bad.append(f"{scheme} a={alpha} h={h} tau={tau}: "

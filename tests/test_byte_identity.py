@@ -14,7 +14,10 @@ nested-sum weights at orders 1.37 (non-dyadic) and 1.5 (dyadic); it was
 taken before those sums moved to Horner's rule.  The
 `riesz-p4-max-interior` digest covers the interior-maximum metric of the
 operator study; it was taken before `riesz_apply` moved from grid wrapper
-types to plain arrays.  A change that moves one bit of a solution, an
+types to plain arrays.  The `stability-order6-consistent-odd-grid` digest
+runs a theta grid that holds theta = 0 exactly, with unstable cells
+(d2 = 0.01, alpha = 0.95); it was taken before one scan served every
+alpha of a run.  A change that moves one bit of a solution, an
 error or a formatted figure fails here; one that is meant to do so
 records the old and new values and replaces the digests.
 The figures come from IEEE double arithmetic through NumPy and LAPACK, so
@@ -124,6 +127,13 @@ CASES = {
         {"stability.csv": "7db8f5acba6262ffb6bdebcaa1a1358ff3d3bd62b9c8e9ad6569b0e6085ec0a5",
          "stability.txt": "0ce4a2c65f2e527b0ae2985be7d61b4708ff7c366f666405a8dde63336f9d611",
          "manifest.txt": "adc333f9bcd5cacccb9abe34b51f9dacf82ffa09b2b55c21b60f7e86c7227e1a"}),
+    "stability-order6-consistent-odd-grid": (
+        "stability",
+        f"scheme = order6-consistent\nalpha = 0.37, 0.81, 0.95\nh = {_STEPS}\n"
+        f"tau = {_STEPS}\nd1 = 2\nd2 = 0.01\ntheta_grid = 4097\n",
+        {"stability.csv": "da1cfd25e8e4a469dafd10df8d04e4c15296387f1b64fa15752388bf558271fe",
+         "stability.txt": "d6589130be7294b852329a29d001f1e870ad82c34221ae66d522e80f9d51b413",
+         "manifest.txt": "2b39e14ad52158a2344bc951bfdc307ffd9b5af454d85eea194a504034608615"}),
 }
 
 

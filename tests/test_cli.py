@@ -134,6 +134,29 @@ class TestSubcommands:
         rows = (out / "stability.csv").read_text().splitlines()[1:]
         assert len(rows) == 1 and rows[0].endswith(",1")
 
+    def test_stability_scans_every_alpha_in_one_call(self, tmp_path,
+                                                     monkeypatch):
+        # the theta grid, the Fourier basis and W_p are built once per scan,
+        # so a run scans all of its alphas in one call
+        import rieszkit.cli as cli
+
+        calls, scan = [], cli.stability_scan
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return scan(*args, **kw)
+
+        monkeypatch.setattr(cli, "stability_scan", counting)
+        cfg = _write(tmp_path,
+                     "[stability]\nscheme = order4\nalpha = 0.2, 0.5, 0.8\n"
+                     "h = 0.1, 1\ntau = 0.1\ntheta_grid = 1024\n")
+        out = tmp_path / "out"
+        assert _run(["stability", "--config", cfg, "--out", str(out)]) == 0
+        assert [args[1] for args in calls] == [[0.2, 0.5, 0.8]]
+        rows = (out / "stability.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1:3] for r in rows] == [
+            [f"{a:.16e}", f"{h:.16e}"] for a in (0.2, 0.5, 0.8) for h in (0.1, 1)]
+
     @pytest.mark.parametrize("args, key, expected", [
         (["--out", "D"], "out = E\n", "D"),
         ([], "out = E\n", "E"),

@@ -40,6 +40,15 @@ class TestCheckCount:
         with pytest.raises(ValueError, match=r"^n must be an integer in 2\.\.5, got "):
             check_count("n", value, 2, 5)
 
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000)],
+                             ids=["positive", "negative"])
+    def test_huge_int_named_by_bit_length(self, value):
+        # str() of an int over 4300 digits raised Python's own ValueError,
+        # which did not name the count
+        with pytest.raises(ValueError, match=r"^n must be an integer in 0\.\.5, "
+                                             r"got an integer of 16610 bits$"):
+            check_count("n", value, 0, 5)
+
     # a count that is not an integer, a bool or one past its bound; each
     # call used to raise a bare TypeError, return a value or start the work
     CASES = [
@@ -53,8 +62,8 @@ class TestCheckCount:
         (first_order_sequence, (0.5, MAX_SERIES_LENGTH + 1), "length"),
         (check_symbol_nonnegativity, (2, 0.5, 1024.5), "grid_size"),
         (check_symbol_nonnegativity, (2, 0.5, MAX_GRID + 1), "grid_size"),
-        (stability_scan, ("order2", 0.5, [0.1], [0.1], 1, 1, 1, 1024.5), "grid_size"),
-        (stability_scan, ("order2", 0.5, [0.1], [0.1], 1, 1, 1, MAX_GRID + 1),
+        (stability_scan, ("order2", [0.5], [0.1], [0.1], 1, 1, 1, 1024.5), "grid_size"),
+        (stability_scan, ("order2", [0.5], [0.1], [0.1], 1, 1, 1, MAX_GRID + 1),
          "grid_size"),
         (evaluate_bounds, ("first-tail", 0.5, 3, 10.5), "ell_max"),
         (evaluate_bounds, ("first-tail", 0.5, 3, True), "ell_max"),

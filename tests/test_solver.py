@@ -553,9 +553,23 @@ class TestSolve:
     @pytest.mark.parametrize("M, N, name", [
         (4.5, 4, "M"), (16, 4.5, "N"), (True, 4, "M"), (16, True, "N"),
         (np.float64(16.0), 4, "M"), (3, 4, "M"), (4097, 4, "M"),
-        (16, 0, "N"), (16, 10**6 + 1, "N")])
+        (16, 0, "N"), (16, 10**6 + 1, "N"), (4096, 239, "N"),
+        (2049, 10**6, "N"), (4096, 10**6, "N")])
     def test_counts_must_be_integers(self, M, N, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            solve("order2", builtin_problem("example2", 0.5), M, N)
+
+    @pytest.mark.parametrize("M, N", [(4096, 238), (64, 10**6)])
+    def test_work_bound_admits(self, monkeypatch, M, N):
+        # N (M - 1)**2 up to 4e9 passes the count checks and reaches assembly
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(solver_module, "assemble", reached)
+        with pytest.raises(Reached):
             solve("order2", builtin_problem("example2", 0.5), M, N)
 
     def test_numpy_integer_counts_accepted(self):

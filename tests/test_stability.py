@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from naive_reference import naive_scheme
+from naive_reference import naive_scheme, naive_stability_cells
 from rieszkit import (
     AmplificationQuery,
     amplification_factor,
@@ -119,7 +119,7 @@ class TestScan:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.8])
     @pytest.mark.parametrize("h", GRID)
     def test_order2_unconditional(self, alpha, h):
-        for rep in stability_scan("order2", alpha, [h], GRID, 1, 1, 1, 1024):
+        for rep in stability_scan("order2", [alpha], [h], GRID, 1, 1, 1, 1024):
             assert rep.passed
             # structural identity: the real group's sign decides the bound
             assert rep.min_real_group >= -1e-12
@@ -128,31 +128,31 @@ class TestScan:
     def test_order2_without_fractional_term(self, alpha):
         # d_alpha = 0 is the plain advection-diffusion scheme that solve
         # marches; Re G = (2 d2 / h**2)(1 - cos theta) >= 0 on every cell
-        for rep in stability_scan("order2", alpha, GRID, GRID, 1, 1, 0, 1024):
+        for rep in stability_scan("order2", [alpha], GRID, GRID, 1, 1, 0, 1024):
             assert rep.passed
             assert rep.min_real_group >= 0.0
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_order4_within_limit(self, alpha):
-        for rep in stability_scan("order4", alpha, GRID, GRID, 1, 1, 1, 1024):
+        for rep in stability_scan("order4", [alpha], GRID, GRID, 1, 1, 1, 1024):
             assert rep.passed
 
     @pytest.mark.parametrize("alpha", [0.1, 0.4, 0.7])
     def test_order6_moderate_orders(self, alpha):
-        for rep in stability_scan("order6", alpha, GRID, GRID, 1, 1, 1, 1024):
+        for rep in stability_scan("order6", [alpha], GRID, GRID, 1, 1, 1, 1024):
             assert rep.passed
 
     def test_order6_large_alpha_coarse_mesh_grows(self):
         # the symbol turns negative above alpha ~ 0.555 for the six-point
         # weights; with h = 1 the fractional term dominates and the scan
         # correctly reports growth
-        [rep] = stability_scan("order6", 0.8, [1.0], [0.1], 1, 1, 1, 2048)
+        [rep] = stability_scan("order6", [0.8], [1.0], [0.1], 1, 1, 1, 2048)
         assert not rep.passed
         assert rep.min_real_group < 0.0
 
     def test_cells_h_outer_tau_inner(self):
         hs, taus = [0.5, 0.01], [0.2, 1.0, 0.003]
-        reps = stability_scan("order4", 0.6, hs, taus, 0.3, 2.0, 0.7, 1024)
+        reps = stability_scan("order4", [0.6], hs, taus, 0.3, 2.0, 0.7, 1024)
         assert [(r.h, r.tau) for r in reps] == [(h, t) for h in hs for t in taus]
         for r in reps:
             q = AmplificationQuery("order4", 0.6, r.h, r.tau, 0.3, 2.0, 0.7,
@@ -161,23 +161,25 @@ class TestScan:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            stability_scan("order2", 0.5, [0.1], [0.1], 1, 1, 1, 100)
+            stability_scan("order2", [0.5], [0.1], [0.1], 1, 1, 1, 100)
 
     @pytest.mark.parametrize("args", [
-        ("order3", 0.5, [0.1], [0.1], 1, 1, 1),
-        ("order2", 0.5, [0.1, 0.0], [0.1], 1, 1, 1),
-        ("order2", 0.5, [0.1], [0.1, 0.0], 1, 1, 1),
-        ("order4", 0.5, [0.1], [0.1], 0, 1, 1),
-        ("order4", 0.5, [0.1], [0.1], 1, -1, 1),
-        ("order6", 0.5, [0.1], [0.1], 1, 1, -1),
-        ("order2", 0.5, [math.nan], [0.1], 1, 1, 1),
-        ("order2", 1.5, [0.1], [0.1], 1, 1, 1),
-        ("order2", 0.5, [], [0.1], 1, 1, 1),
-        ("order2", 0.5, [math.inf], [0.1], 1, 1, 1),
-        ("order2", 0.5, [0.1], [math.inf], 1, 1, 1),
-        ("order4", 0.5, [0.1], [0.1], math.inf, 1, 1),
-        ("order4", 0.5, [0.1], [0.1], 1, math.inf, 1),
-        ("order6", 0.5, [0.1], [0.1], 1, 1, math.inf),
+        ("order3", [0.5], [0.1], [0.1], 1, 1, 1),
+        ("order2", [0.5], [0.1, 0.0], [0.1], 1, 1, 1),
+        ("order2", [0.5], [0.1], [0.1, 0.0], 1, 1, 1),
+        ("order4", [0.5], [0.1], [0.1], 0, 1, 1),
+        ("order4", [0.5], [0.1], [0.1], 1, -1, 1),
+        ("order6", [0.5], [0.1], [0.1], 1, 1, -1),
+        ("order2", [0.5], [math.nan], [0.1], 1, 1, 1),
+        ("order2", [1.5], [0.1], [0.1], 1, 1, 1),
+        ("order2", [0.5], [], [0.1], 1, 1, 1),
+        ("order2", [0.5], [math.inf], [0.1], 1, 1, 1),
+        ("order2", [0.5], [0.1], [math.inf], 1, 1, 1),
+        ("order4", [0.5], [0.1], [0.1], math.inf, 1, 1),
+        ("order4", [0.5], [0.1], [0.1], 1, math.inf, 1),
+        ("order6", [0.5], [0.1], [0.1], 1, 1, math.inf),
+        ("order2", [], [0.1], [0.1], 1, 1, 1),
+        ("order2", [0.5, 1.0], [0.1], [0.1], 1, 1, 1),
     ])
     def test_input_validation(self, args):
         with pytest.raises(ValueError):
@@ -185,20 +187,20 @@ class TestScan:
 
     @pytest.mark.parametrize("args", [
         # h**2 underflows to 0
-        ("order4", 0.5, [1e-200], [0.1], 1, 1, 1),
+        ("order4", [0.5], [1e-200], [0.1], 1, 1, 1),
         # 2/tau is inf
-        ("order4", 0.5, [0.1], [1e-310], 1, 1, 1),
+        ("order4", [0.5], [0.1], [1e-310], 1, 1, 1),
         # h**2 or d1**2 is inf
-        ("order2", 0.5, [1e200], [0.1], 1, 1, 1),
-        ("order6", 0.5, [0.1], [0.1], 1e200, 1, 1),
+        ("order2", [0.5], [1e200], [0.1], 1, 1, 1),
+        ("order6", [0.5], [0.1], [0.1], 1e200, 1, 1),
     ], ids=["tiny-h", "tiny-tau", "huge-h", "huge-d1"])
     def test_derived_quantity_out_of_range(self, args):
         with pytest.raises(ValueError, match="out of double range"):
             stability_scan(*args, 1024)
 
     @pytest.mark.parametrize("args", [
-        ("order6", 0.4, [1e-160], [0.1], 1, 1, 1),
-        ("order4", 0.4, [0.1], [0.1], 1, 1e-310, 1),
+        ("order6", [0.4], [1e-160], [0.1], 1, 1, 1),
+        ("order4", [0.4], [0.1], [0.1], 1, 1e-310, 1),
     ], ids=["d2-over-h-squared", "d1-squared-over-d2"])
     def test_growth_factor_overflow_is_value_error(self, args):
         with warnings.catch_warnings():
@@ -210,8 +212,46 @@ class TestScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="growth factor overflows"):
-                stability_scan("order4", 0.5, [1e-160], [1e-307], 1, 1e-300, 1,
+                stability_scan("order4", [0.5], [1e-160], [1e-307], 1, 1e-300, 1,
                                1024)
+
+
+STEPS = [1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0]
+
+
+def _cells(reports):
+    return [(r.h, r.tau, r.max_abs.hex(), r.theta_at_max.hex(),
+             r.min_real_group.hex()) for r in reports]
+
+
+class TestScanMatchesPerAlphaOracle:
+    # d2 = 0.01 gives unstable cells for the order4 weights at alpha = 0.99
+    # and for the order6 weights and the consistent schemes from alpha = 0.9;
+    # the odd grid holds theta = 0 exactly
+    ALPHAS = [0.37, 0.9, 0.99]
+
+    @pytest.mark.parametrize("grid_size", [1024, 1025])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_bit_identical(self, scheme, grid_size):
+        reps = stability_scan(scheme, self.ALPHAS, STEPS, STEPS, 2.0, 0.01, 1.0,
+                              grid_size)
+        want = []
+        for alpha in self.ALPHAS:
+            want += [(h, tau, *(v.hex() for v in values)) for h, tau, *values
+                     in naive_stability_cells(scheme, alpha, STEPS, STEPS, 2.0,
+                                              0.01, 1.0, grid_size)]
+        assert [r.alpha for r in reps] == [a for a in self.ALPHAS
+                                           for _ in range(len(STEPS) ** 2)]
+        assert _cells(reps) == want
+        if scheme != "order2":
+            assert not all(r.passed for r in reps)
+
+    def test_several_alphas_concatenate_single_scans(self):
+        args = (STEPS, STEPS, 2.0, 0.01, 1.0, 1025)
+        joined = stability_scan("order6", self.ALPHAS, *args)
+        single = [r for a in self.ALPHAS
+                  for r in stability_scan("order6", [a], *args)]
+        assert joined == single
 
 
 # (scheme, alpha, h, tau, d1, d2, d_alpha, von Neumann stable)
@@ -259,8 +299,8 @@ class TestPeriodicCompanionSpectrum:
         eigs = np.linalg.eigvals(np.linalg.solve(A, B))
         thetas = 2 * math.pi * np.arange(M) / M
         thetas = np.where(thetas > math.pi, thetas - 2 * math.pi, thetas)
-        [(_, _, xi, _)] = growth_factors(naive_scheme(scheme, reflect_right),
-                                         alpha, [h], [tau], d1, d2, da, thetas)
+        [(*_, xi, _)] = growth_factors(naive_scheme(scheme, reflect_right),
+                                       [alpha], [h], [tau], d1, d2, da, thetas)
         got = np.sort(np.abs(eigs))
         ref = np.sort(np.abs(xi))
         assert np.max(np.abs(got - ref)) < 1e-6
