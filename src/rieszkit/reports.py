@@ -6,6 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -85,23 +86,40 @@ CONVERGENCE_HEADER = ["study", "problem", "alpha", "norm",
                       "h", "tau", "error", "temporal_order", "spatial_order"]
 
 
-def write_csv(path, header: list[str], rows: list[list[str]]) -> None:
-    r"""Header and rows as CSV with "\n" line ends, quoted as the csv
-    module's minimal quoting does.
+def write_csv(path, header: list[str], columns) -> None:
+    r"""Header and columns of text as CSV with "\n" line ends, quoted as the
+    csv module's minimal quoting does.
 
-    A table with no ',', '"', '\r' or '\n' inside a field, and no row of
-    fewer than two fields, needs no quoting, so its rows are joined
-    directly.  Comparing character counts of the joined text with the
-    field and row counts finds every other table, and csv.writer writes
-    it.  A '\r' goes that way too, so how csv quotes it is csv's choice.
+    ``columns`` has one entry per header field: a sequence of the column's
+    texts, every one of the same length, or a str, which is that value on
+    every row.  The rows are as many as the sequences' length, none if
+    every column is a str.  Columns of unequal length, or a count other
+    than ``len(header)``, raise ValueError.
+
+    A table with no ',', '"', '\r' or '\n' inside a field, and at least two
+    columns, needs no quoting, so its lines are joined directly in one
+    pass; zip reuses its tuple, so no object per row outlives the join.
+    Comparing character counts of the joined text with the field and row
+    counts finds every other table, and csv.writer writes it.  A '\r' goes
+    that way too, so how csv quotes it is csv's choice.
     """
-    table = [header, *rows]
-    text = "\n".join([",".join(row) for row in table]) + "\n"
-    if (min(map(len, table)) < 2
-            or text.count(",") != sum(map(len, table)) - len(table)
-            or text.count("\n") != len(table) or '"' in text or "\r" in text):
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header fields")
+    lengths = {len(c) for c in columns if not isinstance(c, str)}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
+
+    def rows():
+        return zip(*(repeat(c, n) if isinstance(c, str) else c for c in columns))
+
+    text = "\n".join([",".join(header), *map(",".join, rows())]) + "\n"
+    if (len(header) < 2 or text.count(",") != (len(header) - 1) * (n + 1)
+            or text.count("\n") != n + 1 or '"' in text or "\r" in text):
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(table)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows())
         text = buf.getvalue()
     with open(path, "w", newline="") as fh:
         fh.write(text)

@@ -157,6 +157,31 @@ class TestSubcommands:
         assert [r.split(",")[1:3] for r in rows] == [
             [f"{a:.16e}", f"{h:.16e}"] for a in (0.2, 0.5, 0.8) for h in (0.1, 1)]
 
+    def test_symbol_table_leaves_no_object_per_row(self, tmp_path, capsys):
+        # write_csv joins the lines straight from the columns: a row tuple
+        # kept per CSV line (12 317 objects here) set off a full collection
+        import gc
+
+        import rieszkit.cli as cli
+        from rieszkit.config import load_config, section
+
+        sec = section(load_config(_write(
+            tmp_path, "[symbol]\np = 6\nalpha = 0.2, 0.5, 0.8\ntheta_grid = 4096\n")),
+            "symbol")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            outputs = cli._cmd_symbol(sec)
+            cli._write_outputs(tmp_path / "out", "symbol", *outputs)
+            net = gc.get_count()[0] - before
+        finally:
+            if enabled:
+                gc.enable()
+        rows = (tmp_path / "out" / "symbol.csv").read_text().count("\n") - 1
+        assert rows == 3 * 4096
+        assert net < 0.01 * rows
+
     @pytest.mark.parametrize("args, key, expected", [
         (["--out", "D"], "out = E\n", "D"),
         ([], "out = E\n", "E"),
@@ -271,26 +296,34 @@ class TestErrors:
         assert _run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command, target, keys", [
+    @pytest.mark.parametrize("command, target, keys, exc, err", [
         ("coeffs", "expand_generating_function",
-         "p = 2\nalpha = 0.5\nlength = 1000000000000\n"),
+         "p = 2\nalpha = 0.5\nlength = 400000\n",
+         MemoryError("Unable to allocate 7.28 TiB"),
+         "error: out of memory: Unable to allocate 7.28 TiB\n"),
         ("solve", "solve",
-         "scheme = order2\nproblem = example2\nalpha = 0.5\nM = 1000000\nN = 10\n"),
-    ], ids=["coeffs", "solve"])
+         "scheme = order2\nproblem = example2\nalpha = 0.5\nM = 1000000\nN = 10\n",
+         MemoryError("Unable to allocate 7.28 TiB"),
+         "error: out of memory: Unable to allocate 7.28 TiB\n"),
+        # Python's own allocations, such as a list growing, raise it with no
+        # message, and the line names the command instead
+        ("symbol", "symbol_values", "p = 2\nalpha = 0.5\n", MemoryError(),
+         "error: out of memory in symbol\n"),
+    ], ids=["coeffs", "solve", "bare"])
     def test_out_of_memory_is_error(self, tmp_path, monkeypatch, capsys,
-                                    command, target, keys):
-        # the failing allocation is simulated: the count checks refuse these
-        # sizes first, and what they let through fails only on a small machine
+                                    command, target, keys, exc, err):
+        # the failing allocation is simulated: the checks refuse a count or
+        # table too large first, and what they let through fails only on a
+        # small machine
         import rieszkit.cli as cli
 
         def alloc(*args, **kwargs):
-            raise MemoryError("Unable to allocate 7.28 TiB")
+            raise exc
 
         monkeypatch.setattr(cli, target, alloc)
         cfg = _write(tmp_path, f"[{command}]\n{keys}")
         assert _run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == (
-            "error: out of memory: Unable to allocate 7.28 TiB\n")
+        assert capsys.readouterr().err == err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("out", ["file", "file/below"])
@@ -503,7 +536,9 @@ class TestOversizedCounts:
     child whose address space is capped at 1.5 GB, under a timeout, so a
     missing check fails the test instead of exhausting the machine (before
     the checks, coeffs ran 29 s under such a cap and a bounds call grew a
-    list until it was killed)."""
+    list until it was killed; before the table bounds, the stability case
+    below ran past 20 s and the symbol case ended in "out of memory" after
+    8 s)."""
 
     @staticmethod
     def _capped(code, cwd):
@@ -514,17 +549,39 @@ class TestOversizedCounts:
         return subprocess.run([sys.executable, "-c", prelude + code], cwd=cwd,
                               env=env, capture_output=True, text=True, timeout=60)
 
-    def test_coeffs_length_refused_at_once(self, tmp_path):
-        _write(tmp_path, "[coeffs]\np = 2\nalpha = 0.5\nlength = 1000000000\n")
-        run = self._capped(
+    def _cli_capped(self, tmp_path, command, keys):
+        """Run the command in a capped child; its stdout is the seconds that
+        main took."""
+        _write(tmp_path, f"[{command}]\n{keys}")
+        return self._capped(
             "from rieszkit.cli import main\n"
             "t0 = time.perf_counter()\n"
-            "code = main(['coeffs', '--config', 'run.cfg', '--out', 'o'])\n"
+            f"code = main(['{command}', '--config', 'run.cfg', '--out', 'o'])\n"
             "print(time.perf_counter() - t0)\n"
             "sys.exit(code)\n", tmp_path)
+
+    def test_coeffs_length_refused_at_once(self, tmp_path):
+        run = self._cli_capped(tmp_path, "coeffs",
+                               "p = 2\nalpha = 0.5\nlength = 1000000000\n")
         assert run.returncode == 1, run.stderr
         assert float(run.stdout) < 1.0
         assert run.stderr.startswith("error: length must be an integer in 0..")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, keys, message", [
+        ("stability", "scheme = order6\nalpha = 0.5\n"
+                      "h = 0.00001:1:0.00001\ntau = 0.00001:1:0.00001\n",
+         "error: scan points (alphas x hs x taus x grid_size = "
+         "1 x 100000 x 100000 x 4096) must be an integer in 0.."),
+        ("symbol", "p = 6\nalpha = 0.001:0.999:0.001\ntheta_grid = 1000000\n",
+         "error: table rows (alphas x rows per alpha = 999 x 1000000) "
+         "must be an integer in 0.."),
+    ], ids=["stability-cells", "symbol-rows"])
+    def test_table_refused_at_once(self, tmp_path, command, keys, message):
+        run = self._cli_capped(tmp_path, command, keys)
+        assert run.returncode == 1, run.stderr
+        assert float(run.stdout) < 1.0
+        assert run.stderr.startswith(message)
         assert not (tmp_path / "o").exists()
 
     def test_bound_index_refused_at_once(self, tmp_path):

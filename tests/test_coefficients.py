@@ -78,6 +78,9 @@ class TestCheckCount:
         (pointwise_lower_crossing, (10**400,), "ell"),
         (operator_convergence, (2, 0.5, [2.0 ** -17]),
          "h_list step 7.62939453125e-06: M = 1/h"),
+        (stability_scan, ("order2", [0.5] * 10, [0.1] * 100, [0.1] * 100, 1, 1,
+                          1, 1024),
+         "scan points (alphas x hs x taus x grid_size = 10 x 100 x 100 x 1024)"),
     ]
 
     @pytest.mark.filterwarnings("error")

@@ -34,8 +34,9 @@ _fields = st.tuples(_text, _text, st.floats(), _text,
 
 
 def _csv_bytes(reports, path):
-    write_csv(path, CONVERGENCE_HEADER,
-              [row for rep in reports for row in rep.csv_rows()])
+    rows = [row for rep in reports for row in rep.csv_rows()]
+    columns = list(zip(*rows)) or [[]] * len(CONVERGENCE_HEADER)
+    write_csv(path, CONVERGENCE_HEADER, columns)
     return path.read_bytes()
 
 
@@ -55,8 +56,9 @@ def test_csv_round_trip_is_byte_exact(fields):
 
 
 # Tables of plain fields, which write_csv joins directly, and the same with
-# one field or one row that csv.writer treats apart: a field holding a CSV
-# metacharacter (the lone '\r' included), or a row of one field or none.
+# one field that csv.writer treats apart: a CSV metacharacter (the lone '\r'
+# included) or an empty field in a one-column table.  A column is a list of
+# texts or a str, which repeats its value on every row.
 _plain = st.text(st.characters(max_codepoint=127, blacklist_characters=',"\r\n'),
                  max_size=6)
 _special = st.one_of(st.sampled_from(["", ",", '"', "\r", "\n", "\r\n"]), _text)
@@ -64,29 +66,54 @@ _special = st.one_of(st.sampled_from(["", ",", '"', "\r", "\n", "\r\n"]), _text)
 
 @st.composite
 def _table(draw):
-    rows = draw(st.lists(st.lists(_plain, min_size=2, max_size=4),
-                         min_size=1, max_size=6))
-    kind = draw(st.sampled_from(["plain", "field", "row"]))
-    if kind == "field":
-        row = rows[draw(st.integers(0, len(rows) - 1))]
-        row[draw(st.integers(0, len(row) - 1))] = draw(_special)
-    elif kind == "row":
-        rows.insert(draw(st.integers(0, len(rows))),
-                    draw(st.lists(_special | _plain, max_size=1)))
-    return rows[0], rows[1:]
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    header = draw(st.lists(_plain, min_size=width, max_size=width))
+    columns = [draw(_plain) if draw(st.booleans())
+               else draw(st.lists(_plain, min_size=n, max_size=n))
+               for _ in range(width)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, width - 1))
+        if isinstance(columns[j], str) or not columns[j] or draw(st.booleans()):
+            columns[j] = draw(_special)
+        else:
+            columns[j][draw(st.integers(0, n - 1))] = draw(_special)
+    if all(isinstance(c, str) for c in columns):
+        n = 0
+    return header, columns, n
+
+
+def _rows(columns, n):
+    return [[c if isinstance(c, str) else c[i] for c in columns] for i in range(n)]
 
 
 @given(_table())
-@example((["a", "b"], [["1", "2"], [""]]))
-@example(([""], [["1", "2"]]))
-@example((["a", "b"], [[], ["x"]]))
+@example((["a", "b"], [["1", ""], ["2", "x"]], 2))
+@example(([""], [["1", "2"]], 2))
+@example((["a"], [["x", ""]], 2))
+@example((["a", "b"], [",", ["1", "2"]], 2))
+@example((["a", "b"], [["x", 'y"'], ["1", "2"]], 2))
+@example((["a", "b"], ["x", "y"], 0))
 def test_write_csv_matches_csv_writer(table):
-    header, rows = table
+    header, columns, n = table
     with tempfile.TemporaryDirectory() as tmp:
-        write_csv(Path(tmp) / "fast.csv", header, rows)
-        naive_write_csv(Path(tmp) / "naive.csv", header, rows)
+        write_csv(Path(tmp) / "fast.csv", header, columns)
+        naive_write_csv(Path(tmp) / "naive.csv", header, _rows(columns, n))
         assert ((Path(tmp) / "fast.csv").read_bytes()
                 == (Path(tmp) / "naive.csv").read_bytes())
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [["1", "2"], ["3"]]),
+    (["a", "b", "c"], ["x", ["1"], ["2", "3"]]),
+    (["a", "b"], [["1"]]),
+    (["a"], [["1"], ["2"]]),
+    ([], [["1"]]),
+], ids=["unequal", "unequal-after-str", "too-few", "too-many", "no-header"])
+def test_write_csv_rejects_ragged_columns(tmp_path, header, columns):
+    with pytest.raises(ValueError, match="columns"):
+        write_csv(tmp_path / "t.csv", header, columns)
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_fmt_column_matches_fmt():

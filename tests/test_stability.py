@@ -254,6 +254,31 @@ class TestScanMatchesPerAlphaOracle:
         assert joined == single
 
 
+class TestVerdictIsTauFree:
+    # stability_scan's docstring: the group is (2/tau) Re[C conj(G)] and G
+    # does not contain tau, so the verdict of an (alpha, h) does not change
+    # along tau.  Unstable cells on this grid, which the test pins so that
+    # it cannot pass vacuously.  STEPS are the benchmark's sweeps steps.
+    UNSTABLE = {"order2": 0, "order4": 63, "order4-consistent": 168,
+                "order6": 189, "order6-consistent": 287}
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_passed_equal_along_tau(self, scheme):
+        unstable = 0
+        for d in ((1.0, 1.0, 1.0), (2.0, 0.01, 1.0), (1.0, 0.01, 1.0)):
+            reps = stability_scan(scheme, [0.37, 0.8, 0.9, 0.99], STEPS, STEPS,
+                                  *d, 4096)
+            groups = {}
+            for r in reps:
+                groups.setdefault((r.alpha, r.h), []).append(r.passed)
+            assert len(groups) == 4 * len(STEPS)
+            for key, passed in groups.items():
+                assert len(passed) == len(STEPS)
+                assert len(set(passed)) == 1, (d, key, passed)
+            unstable += sum(not r.passed for r in reps)
+        assert unstable == self.UNSTABLE[scheme]
+
+
 # (scheme, alpha, h, tau, d1, d2, d_alpha, von Neumann stable)
 COMPANION_CASES = {
     "order2": ("order2", 0.8, 0.1, 0.1, 1.0, 1.0, 1.0, True),
