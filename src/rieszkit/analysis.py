@@ -283,13 +283,12 @@ def pointwise_lower_crossing(ell: int) -> float:
     """Alpha where the plain and damped pointwise lower bounds swap order.
 
     Bisection on the sign of (plain - damped); the regime split is
-    analytically 12*ln(ell/2)/(2*pi**2 - 15) - 1 for ell = 3, 4.
+    analytically 12*ln(ell/2)/(2*pi**2 - 15) - 1, which lies in (0, 1)
+    only for 2.97 < ell < 4.41, so ell is 3 or 4.
     """
-    check_count("ell", ell, 3, _MAX_ELL)
+    check_count("ell", ell, 3, 4)
     f = lambda a: _b1_lower(a, ell) - _b1_lower_damped(a, ell)
     lo, hi = 1e-9, 1.0 - 1e-9
-    if f(lo) * f(hi) > 0:
-        raise ValueError(f"no crossing for ell={ell} in (0, 1)")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(lo) * f(mid) <= 0:

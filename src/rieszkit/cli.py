@@ -57,9 +57,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Most rows of a coeffs, symbol or bounds table, all alphas together.  A
-# bounds row, the costliest with a record and a text line each, takes
-# 1.4 KB and 20 us: 0.7 GB and 10 s at the bound.
+# Most rows of a coeffs, symbol, bounds or solve table, all alphas
+# together.  A bounds row, the costliest with a record and a text line
+# each, takes 1.4 KB and 20 us: 0.7 GB and 10 s at the bound.
 _MAX_TABLE_ROWS = 5 * 10**5
 
 
@@ -189,6 +189,7 @@ def _cmd_solve(sec):
     alphas = parse_float_list(sec.get("alpha", ""), "alpha")
     M = parse_int(sec.get("m", ""), "M")
     N = parse_int(sec.get("n", ""), "N")
+    _check_rows(alphas, max(M + 1, 0))
     specs = [builtin_problem(problem, a) for a in alphas]  # all before any solve
     alpha_col, xs, us, exact, text_rows = [], [], [], [], []
     for a, spec in zip(alphas, specs):

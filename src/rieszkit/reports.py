@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -68,11 +66,6 @@ class ConvergenceReport:
     norm: str
     rows: tuple[ConvergenceRow, ...]
 
-    def __post_init__(self):
-        # write_csv leaves a bare "\r" unquoted; it would read back as a row end
-        if any("\r" in text for text in (self.study, self.problem, self.norm)):
-            raise ValueError("carriage return in a report text field")
-
     def csv_rows(self) -> list[list[str]]:
         out = []
         for r in self.rows:
@@ -87,64 +80,68 @@ CONVERGENCE_HEADER = ["study", "problem", "alpha", "norm",
 
 
 def write_csv(path, header: list[str], columns) -> None:
-    r"""Header and columns of text as CSV with "\n" line ends, quoted as the
-    csv module's minimal quoting does.
+    r"""Header and columns of text as CSV with "\n" line ends and no quoted
+    field.
 
     ``columns`` has one entry per header field: a sequence of the column's
     texts, every one of the same length, or a str, which is that value on
     every row.  The rows are as many as the sequences' length, none if
-    every column is a str.  Columns of unequal length, or a count other
-    than ``len(header)``, raise ValueError.
+    every column is a str.  The lines are joined in one pass; zip reuses
+    its tuple, so no object per row outlives the join.
 
-    A table with no ',', '"', '\r' or '\n' inside a field, and at least two
-    columns, needs no quoting, so its lines are joined directly in one
-    pass; zip reuses its tuple, so no object per row outlives the join.
-    Comparing character counts of the joined text with the field and row
-    counts finds every other table, and csv.writer writes it.  A '\r' goes
-    that way too, so how csv quotes it is csv's choice.
+    ValueError, raised before the file is opened: columns of unequal
+    length, a count other than ``len(header)``, fewer than two columns
+    (where an empty field would need quoting) or a ',', '"', '\r' or '\n'
+    inside a field, found by comparing the joined text's character counts
+    with the field and row counts.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for {len(header)} header fields")
+    if len(header) < 2:
+        raise ValueError(f"a CSV table needs two columns or more, got {len(header)}")
     lengths = {len(c) for c in columns if not isinstance(c, str)}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
-
-    def rows():
-        return zip(*(repeat(c, n) if isinstance(c, str) else c for c in columns))
-
-    text = "\n".join([",".join(header), *map(",".join, rows())]) + "\n"
-    if (len(header) < 2 or text.count(",") != (len(header) - 1) * (n + 1)
+    rows = zip(*(repeat(c, n) if isinstance(c, str) else c for c in columns))
+    text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+    if (text.count(",") != (len(header) - 1) * (n + 1)
             or text.count("\n") != n + 1 or '"' in text or "\r" in text):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows())
-        text = buf.getvalue()
+        raise ValueError("a CSV field holds ',', '\"', '\\r' or '\\n'; "
+                         "fields are never quoted")
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
 
+def _fields(number: int, line: str) -> list[str]:
+    if '"' in line or "\r" in line:
+        raise ValueError(f"line {number}: a '\"' or '\\r'; fields are never "
+                         "quoted and lines end in '\\n'")
+    return line.removesuffix("\n").split(",")
+
+
 def read_convergence_csv(path) -> list[ConvergenceReport]:
-    """Rebuild reports from a CSV written by the CLI; exact round-trip."""
+    r"""Rebuild reports from a CSV written by the CLI; exact round-trip.
+
+    Each line is split on ','.  A line holding '"' or '\r' (a CRLF file
+    included), a header other than CONVERGENCE_HEADER and a row of another
+    field count raise ValueError naming the line number.
+    """
+    groups: dict[tuple, list[ConvergenceRow]] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = _fields(1, fh.readline())
         if header != CONVERGENCE_HEADER:
-            raise ValueError(f"unexpected CSV header: {header}")
-        groups: dict[tuple, list[ConvergenceRow]] = {}
-        order: list[tuple] = []
-        for rec in reader:
-            key = (rec[0], rec[1], rec[2], rec[3])
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(ConvergenceRow(
-                h=parse(rec[4]), tau=parse(rec[5]), error=parse(rec[6]),
-                temporal_order=parse(rec[7]), spatial_order=parse(rec[8])))
+            raise ValueError(f"line 1: unexpected CSV header: {header}")
+        for number, line in enumerate(fh, 2):
+            fields = _fields(number, line)
+            if len(fields) != len(header):
+                raise ValueError(f"line {number}: {len(fields)} fields, "
+                                 f"expected {len(header)}")
+            groups.setdefault(tuple(fields[:4]), []).append(
+                ConvergenceRow(*map(parse, fields[4:])))
     return [ConvergenceReport(study=k[0], problem=k[1], alpha=float(k[2]),
-                              norm=k[3], rows=tuple(groups[k]))
-            for k in order]
+                              norm=k[3], rows=tuple(rows))
+            for k, rows in groups.items()]
 
 
 def text_table(title: str, header: list[str], rows: list[list[str]]) -> str:

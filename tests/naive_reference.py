@@ -29,9 +29,11 @@ the scalar weight recurrences of `rieszkit.coefficients` as they ran on
 NumPy scalars, writing each term into a preallocated array.  The
 production loops run on Python floats and must give the same bits.
 
-`naive_write_csv` is `rieszkit.reports.write_csv` as it was before it
-joined unquoted tables directly: every table goes through `csv.writer`.
-The production function must write the same bytes.
+`naive_write_csv` writes every table through `csv.writer`, as
+`rieszkit.reports.write_csv` did before it joined the lines directly.  For
+a plain table, of two or more columns with no ',', '"', '\r' or '\n' in a
+field, which is the only kind the production function writes, both must
+give the same bytes.
 
 `naive_stability_cells` is one von Neumann scan of a single alpha as it
 ran before one scan served every alpha of a run: the Fourier basis and

@@ -81,6 +81,8 @@ class TestCheckCount:
         (stability_scan, ("order2", [0.5] * 10, [0.1] * 100, [0.1] * 100, 1, 1,
                           1, 1024),
          "scan points (alphas x hs x taus x grid_size = 10 x 100 x 100 x 1024)"),
+        # the bounds cross inside (0, 1) only for ell 3 and 4
+        (pointwise_lower_crossing, (5,), "ell"),
     ]
 
     @pytest.mark.filterwarnings("error")

@@ -40,28 +40,57 @@ def _csv_bytes(reports, path):
     return path.read_bytes()
 
 
+def _special(text):
+    return any(c in text for c in ',"\r\n')
+
+
 @given(st.lists(_fields, max_size=4,
                 unique_by=lambda f: (f[0], f[1], fmt(f[2]), f[3])))
 def test_csv_round_trip_is_byte_exact(fields):
-    if any("\r" in text for f in fields for text in (f[0], f[1], f[3])):
-        with pytest.raises(ValueError, match="carriage return"):
-            [ConvergenceReport(*f) for f in fields]
-        return
     reports = [ConvergenceReport(*f) for f in fields]
     with tempfile.TemporaryDirectory() as tmp:
+        if any(_special(text) for f in fields for text in (f[0], f[1], f[3])):
+            # fields are never quoted, so write_csv refuses the table
+            with pytest.raises(ValueError, match="never quoted"):
+                _csv_bytes(reports, Path(tmp) / "a.csv")
+            assert not (Path(tmp) / "a.csv").exists()
+            return
         first = _csv_bytes(reports, Path(tmp) / "a.csv")
         again = _csv_bytes(read_convergence_csv(Path(tmp) / "a.csv"),
                            Path(tmp) / "b.csv")
     assert again == first
 
 
-# Tables of plain fields, which write_csv joins directly, and the same with
-# one field that csv.writer treats apart: a CSV metacharacter (the lone '\r'
-# included) or an empty field in a one-column table.  A column is a list of
-# texts or a str, which repeats its value on every row.
+_HEAD = ",".join(CONVERGENCE_HEADER) + "\n"
+_ROW = "riesz-p2,x^2(1-x)^2,5e-01,abs,0.5,,1e-3,,\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    (_HEAD + "riesz-p2,x,5e-01,abs\n", 2),
+    (_HEAD + _ROW + _ROW[:-1] + ",1\n", 3),
+    (_HEAD + '"riesz,p2",x,5e-01,abs,0.5,,1e-3,,\n', 2),
+    (_HEAD + _ROW[:-1] + "\r\n", 2),
+    (_HEAD[:-1] + "\r\n" + _ROW, 1),
+    (",".join(CONVERGENCE_HEADER[:-1]) + "\n" + _ROW, 1),
+    ("", 1),
+], ids=["short-row", "long-row", "quoted-field", "crlf-row", "crlf-file",
+        "wrong-header", "empty-file"])
+def test_read_convergence_csv_refuses_malformed_lines(tmp_path, text, line):
+    # every malformed line is refused by its number, never an IndexError
+    # or a quoted field read through another dialect
+    (tmp_path / "c.csv").write_bytes(text.encode())
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        read_convergence_csv(tmp_path / "c.csv")
+
+
+# Tables of plain fields, which write_csv writes as csv.writer does, and the
+# same with one field that would need quoting: a CSV metacharacter (the
+# lone '\r' included), or any field of a one-column table.  A column is a
+# list of texts or a str, which repeats its value on every row.
 _plain = st.text(st.characters(max_codepoint=127, blacklist_characters=',"\r\n'),
                  max_size=6)
-_special = st.one_of(st.sampled_from(["", ",", '"', "\r", "\n", "\r\n"]), _text)
+_metachar = st.one_of(st.sampled_from([",", '"', "\r", "\n", "\r\n"]),
+                      _text.filter(_special))
 
 
 @st.composite
@@ -74,10 +103,12 @@ def _table(draw):
                for _ in range(width)]
     if draw(st.booleans()):
         j = draw(st.integers(0, width - 1))
-        if isinstance(columns[j], str) or not columns[j] or draw(st.booleans()):
-            columns[j] = draw(_special)
+        if draw(st.booleans()):
+            header[j] = draw(_metachar)
+        elif isinstance(columns[j], str) or not columns[j] or draw(st.booleans()):
+            columns[j] = draw(_metachar)
         else:
-            columns[j][draw(st.integers(0, n - 1))] = draw(_special)
+            columns[j][draw(st.integers(0, n - 1))] = draw(_metachar)
     if all(isinstance(c, str) for c in columns):
         n = 0
     return header, columns, n
@@ -89,18 +120,27 @@ def _rows(columns, n):
 
 @given(_table())
 @example((["a", "b"], [["1", ""], ["2", "x"]], 2))
+@example((["", ""], [["", ""], ["", ""]], 2))
 @example(([""], [["1", "2"]], 2))
 @example((["a"], [["x", ""]], 2))
 @example((["a", "b"], [",", ["1", "2"]], 2))
 @example((["a", "b"], [["x", 'y"'], ["1", "2"]], 2))
+@example((["a", "b"], [["x", "y\r"], ["1", "2"]], 2))
+@example((["a", "b\n"], [["x", "y"], ["1", "2"]], 2))
 @example((["a", "b"], ["x", "y"], 0))
 def test_write_csv_matches_csv_writer(table):
     header, columns, n = table
     with tempfile.TemporaryDirectory() as tmp:
-        write_csv(Path(tmp) / "fast.csv", header, columns)
-        naive_write_csv(Path(tmp) / "naive.csv", header, _rows(columns, n))
-        assert ((Path(tmp) / "fast.csv").read_bytes()
-                == (Path(tmp) / "naive.csv").read_bytes())
+        fast, naive = Path(tmp) / "fast.csv", Path(tmp) / "naive.csv"
+        written = header + [f for row in _rows(columns, n) for f in row]
+        if len(header) < 2 or any(map(_special, written)):
+            with pytest.raises(ValueError):
+                write_csv(fast, header, columns)
+            assert not fast.exists()
+            return
+        write_csv(fast, header, columns)
+        naive_write_csv(naive, header, _rows(columns, n))
+        assert fast.read_bytes() == naive.read_bytes()
 
 
 @pytest.mark.parametrize("header, columns", [

@@ -201,6 +201,13 @@ class TestPointApproximation:
         with pytest.raises(ValueError, match="must be positive and finite"):
             point_approximation(table, h)
 
+    @pytest.mark.parametrize("length, h", [(10, 0.05), (0, 0.25)])
+    def test_short_table_rejected(self, length, h):
+        # the samples reach ceil(1 / (2 h)) + 1 weights out from x = 1/2
+        table = expand_generating_function(2, 0.5, length)
+        with pytest.raises(ValueError, match="coefficient table too short"):
+            point_approximation(table, h)
+
     def test_profile_vanishes_outside_unit_interval(self):
         assert poly_profile(3, -0.2) == 0.0
         assert poly_profile(3, 1.2) == 0.0

@@ -316,6 +316,16 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             dataclasses.replace(builtin_problem("example3", 0.4), **{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("b", 0.0, "domain requires b > a"),
+        ("b", -1.0, "domain requires b > a"),
+        ("T", 0.0, "horizon must be positive"),
+        ("T", -1.0, "horizon must be positive"),
+    ])
+    def test_empty_domain_or_horizon_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(builtin_problem("example3", 0.4), **{field: value})
+
 
 class TestStepOracle:
     @pytest.mark.parametrize("scheme,problem,M", [("order2", "example2", 12),

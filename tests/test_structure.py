@@ -5,8 +5,9 @@ tests a scheme by its name, the stability scans do not reach into the
 solver, no module borrows a sibling's private helpers, every module-level
 import is used, the Fraction oracle of the nested sums reads nothing of
 the production nested-sum route, one solver kernel alone marches a
-time level, one helper alone decides what a count is, and every public
-function and class has a user outside the unit tests.
+time level, one helper alone decides what a count is, no module imports
+`csv` or `io`, and every public function and class has a user outside the
+unit tests.
 """
 
 import ast
@@ -125,6 +126,16 @@ def test_fraction_oracle_is_independent_of_the_nested_sum_route():
                for alias in node.names}
     reached |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert reached & NESTED_SUM_ROUTE == set(), reached & NESTED_SUM_ROUTE
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_csv_or_io(path):
+    # reports.write_csv is the one writer of the unquoted dialect, and
+    # read_convergence_csv its one reader; csv or io would bring back a
+    # second, quoting path
+    found = [module for module, _ in _imports(path)
+             if module.split(".")[0] in ("csv", "io")]
+    assert found == [], f"{path.stem} imports {found}"
 
 
 def _unused_imports(path):
