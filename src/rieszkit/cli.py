@@ -5,6 +5,11 @@
 Subcommands: coeffs, symbol, bounds, monotonicity, riesz, solve,
 convergence, stability.  Exit codes: 0 success, 1 usage or configuration
 error, 2 numerical failure.
+
+The config is flat `key = value` text under [section] headers, one
+section per subcommand.  `_COMMANDS` declares each subcommand's keys;
+`main` alone reads the section, refuses any other key but `out`, and
+calls the command with the parsed values.
 """
 
 from __future__ import annotations
@@ -13,43 +18,114 @@ import argparse
 import configparser
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    evaluate_bounds,
-    monotonicity_scan,
-    symbol_scan,
-    symbol_values,
-)
-from .coefficients import (
-    MAX_GRID,
-    MAX_SERIES_LENGTH,
-    check_count,
-    expand_generating_function,
-)
-from .config import (
-    UsageError,
-    load_config,
-    parse_float,
-    parse_float_list,
-    parse_int,
-    parse_ladder,
-    section,
-)
-from .reports import (
-    CONVERGENCE_HEADER,
-    convergence_text,
-    fmt,
-    fmt_column,
-    text_table,
-    write_csv,
-)
+from .analysis import evaluate_bounds, monotonicity_scan, symbol_scan, symbol_values
+from .coefficients import (MAX_GRID, MAX_SERIES_LENGTH, check_count,
+                           expand_generating_function)
+from .reports import (CONVERGENCE_HEADER, convergence_text, fmt, fmt_column,
+                      text_table, write_csv)
 from .riesz import operator_convergence
-from .solver import SolverError, builtin_problem, convergence_study, solve
+from .solver import MAX_WORK, SolverError, builtin_problem, convergence_study, solve
 from .stability import stability_scan
+
+
+class UsageError(Exception):
+    """Invalid command line, configuration or parameter combination."""
+
+
+def load_config(path) -> configparser.ConfigParser:
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        with open(path) as fh:
+            cp.read_file(fh, source=str(path))
+    except FileNotFoundError:
+        raise UsageError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}")
+    except configparser.Error as exc:
+        raise UsageError(f"config parse error: {exc}")
+    return cp
+
+
+def section(cp: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
+    if not cp.has_section(name):
+        raise UsageError(f"missing [{name}] section in config")
+    return cp[name]
+
+
+def parse_word(text: str, key: str) -> str:
+    return text.strip()
+
+
+def parse_float(text: str, key: str) -> float:
+    try:
+        if "/" in text:
+            return float(Fraction(text.strip()))
+        return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"invalid number for '{key}': {text!r}")
+
+
+def parse_int(text: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"invalid integer for '{key}': {text!r}")
+
+
+# Largest number of values one 'a:b:step' range may expand to.
+_MAX_RANGE_VALUES = 100_000
+
+
+def parse_float_list(text: str, key: str) -> list[float]:
+    """Comma list of numbers; 'a:b:step' expands to an inclusive range of
+    at most _MAX_RANGE_VALUES values."""
+    items: list[float] = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if chunk.count(":") == 2:
+            lo_s, hi_s, st_s = chunk.split(":")
+            lo = parse_float(lo_s, key)
+            hi = parse_float(hi_s, key)
+            st = parse_float(st_s, key)
+            span = (hi - lo) / st if st > 0 else math.nan
+            if not (lo <= hi and 0.0 <= span < _MAX_RANGE_VALUES):
+                raise UsageError(
+                    f"invalid range for '{key}': {chunk!r} (finite bounds, "
+                    f"positive step, at most {_MAX_RANGE_VALUES} values)")
+            n = int(round(span))
+            items.extend(lo + i * st for i in range(n + 1))
+        else:
+            items.append(parse_float(chunk, key))
+    if not items:
+        raise UsageError(f"'{key}' must contain at least one value")
+    return items
+
+
+def parse_ladder(text: str, key: str) -> list[tuple[int, int]]:
+    """Comma list of M:N pairs, strictly refining in both directions."""
+    pairs: list[tuple[int, int]] = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = chunk.split(":")
+        if len(parts) != 2:
+            raise UsageError(f"invalid ladder entry for '{key}': {chunk!r}")
+        pairs.append((parse_int(parts[0], key), parse_int(parts[1], key)))
+    if not pairs:
+        raise UsageError(f"'{key}' must contain at least one M:N pair")
+    for (m0, n0), (m1, n1) in zip(pairs, pairs[1:]):
+        if m1 <= m0 or n1 <= n0:
+            raise UsageError(f"'{key}' must be strictly refining, got {pairs}")
+    return pairs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,8 +134,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Most rows of a coeffs, symbol, bounds or solve table, all alphas
-# together.  A bounds row, the costliest with a record and a text line
-# each, takes 1.4 KB and 20 us: 0.7 GB and 10 s at the bound.
+# together.  A first-order bounds row, with a record and a text line each,
+# takes 1.4 KB: 0.7 GB and 7 to 15 s at the bound (README "Counts").
 _MAX_TABLE_ROWS = 5 * 10**5
 
 
@@ -67,6 +143,14 @@ def _check_rows(alphas, rows_per_alpha: int) -> None:
     check_count(f"table rows (alphas x rows per alpha = {len(alphas)} x "
                 f"{rows_per_alpha})", len(alphas) * rows_per_alpha, 0,
                 _MAX_TABLE_ROWS)
+
+
+def _check_work(alphas, ladder) -> None:
+    """Bound the work of every solve of a run together, each alpha's
+    sum of N (M - 1)**2 over its (M, N) pairs, by solve's own bound."""
+    work = sum(max(N, 0) * (M - 1) ** 2 for M, N in ladder)
+    check_count(f"solve work (alphas x work per alpha = {len(alphas)} x {work})",
+                len(alphas) * work, 0, MAX_WORK)
 
 
 def _write_outputs(out: Path, name: str, header, columns, text: str,
@@ -87,10 +171,7 @@ def _convergence_outputs(reports, params):
     return CONVERGENCE_HEADER, list(zip(*rows)), convergence_text(reports), params
 
 
-def _cmd_coeffs(sec):
-    p = parse_int(sec.get("p", ""), "p")
-    alphas = parse_float_list(sec.get("alpha", ""), "alpha")
-    length = parse_int(sec.get("length", "200"), "length")
+def _cmd_coeffs(p, alphas, length):
     check_count("length", length, 0, MAX_SERIES_LENGTH)
     _check_rows(alphas, length + 1)
     alpha_col, values, text_rows = [], [], []
@@ -106,10 +187,7 @@ def _cmd_coeffs(sec):
             [f"p = {p}", f"alpha = {alphas}", f"length = {length}"])
 
 
-def _cmd_symbol(sec):
-    p = parse_int(sec.get("p", ""), "p")
-    alphas = parse_float_list(sec.get("alpha", ""), "alpha")
-    grid = parse_int(sec.get("theta_grid", "4096"), "theta_grid")
+def _cmd_symbol(p, alphas, grid):
     check_count("theta_grid", grid, 1024, MAX_GRID)
     _check_rows(alphas, grid)
     thetas = np.linspace(-math.pi, math.pi, grid)
@@ -130,11 +208,7 @@ def _cmd_symbol(sec):
             [f"p = {p}", f"alpha = {alphas}", f"theta_grid = {grid}"])
 
 
-def _cmd_bounds(sec):
-    family = sec.get("family", "").strip()
-    alphas = parse_float_list(sec.get("alpha", ""), "alpha")
-    ell_min = parse_int(sec.get("ell_min", "3"), "ell_min")
-    ell_max = parse_int(sec.get("ell_max", "100"), "ell_max")
+def _cmd_bounds(family, alphas, ell_min, ell_max):
     _check_rows(alphas, max(ell_max - ell_min + 1, 0))
     records, alpha_col = [], []
     for a in alphas:
@@ -157,10 +231,7 @@ def _cmd_bounds(sec):
                          f"ell = {ell_min}..{ell_max}"])
 
 
-def _cmd_monotonicity(sec):
-    p = parse_int(sec.get("p", ""), "p")
-    alphas = parse_float_list(sec.get("alpha", ""), "alpha")
-    length = parse_int(sec.get("length", "500"), "length")
+def _cmd_monotonicity(p, alphas, length):
     starts = [monotonicity_scan(p, a, length) for a in alphas]
     text = text_table(f"monotone tail start p={p}",
                       ["p", "alpha", "scan length", "tail start"],
@@ -173,24 +244,16 @@ def _cmd_monotonicity(sec):
             [f"p = {p}", f"alpha = {alphas}", f"length = {length}"])
 
 
-def _cmd_riesz(sec):
-    p = parse_int(sec.get("p", ""), "p")
-    alphas = parse_float_list(sec.get("alpha", ""), "alpha")
-    hs = parse_float_list(sec.get("h", ""), "h")
-    metric = sec.get("metric", "midpoint").strip()
+def _cmd_riesz(p, alphas, hs, metric):
     return _convergence_outputs(
         [operator_convergence(p, a, hs, metric=metric) for a in alphas],
         [f"p = {p}", f"alpha = {alphas}", f"h = {hs}", f"metric = {metric}"])
 
 
-def _cmd_solve(sec):
-    scheme = sec.get("scheme", "").strip()
-    problem = sec.get("problem", "").strip()
-    alphas = parse_float_list(sec.get("alpha", ""), "alpha")
-    M = parse_int(sec.get("m", ""), "M")
-    N = parse_int(sec.get("n", ""), "N")
+def _cmd_solve(scheme, problem, alphas, M, N):
     _check_rows(alphas, max(M + 1, 0))
     specs = [builtin_problem(problem, a) for a in alphas]  # all before any solve
+    _check_work(alphas, [(M, N)])
     alpha_col, xs, us, exact, text_rows = [], [], [], [], []
     for a, spec in zip(alphas, specs):
         grid = solve(scheme, spec, M, N)
@@ -210,27 +273,16 @@ def _cmd_solve(sec):
                          f"alpha = {alphas}", f"M = {M}", f"N = {N}"])
 
 
-def _cmd_convergence(sec):
-    scheme = sec.get("scheme", "").strip()
-    problem = sec.get("problem", "").strip()
-    alphas = parse_float_list(sec.get("alpha", ""), "alpha")
-    ladder = parse_ladder(sec.get("ladder", ""))
+def _cmd_convergence(scheme, problem, alphas, ladder):
     specs = [builtin_problem(problem, a) for a in alphas]  # all before any study
+    _check_work(alphas, ladder)
     return _convergence_outputs(
         [convergence_study(scheme, problem, s.alpha, ladder) for s in specs],
         [f"scheme = {scheme}", f"problem = {problem}", f"alpha = {alphas}",
          f"ladder = {ladder}"])
 
 
-def _cmd_stability(sec):
-    scheme = sec.get("scheme", "").strip()
-    alphas = parse_float_list(sec.get("alpha", ""), "alpha")
-    hs = parse_float_list(sec.get("h", "0.001, 0.01, 0.1, 1"), "h")
-    taus = parse_float_list(sec.get("tau", "0.001, 0.01, 0.1, 1"), "tau")
-    d1 = parse_float(sec.get("d1", "1"), "d1")
-    d2 = parse_float(sec.get("d2", "1"), "d2")
-    d_alpha = parse_float(sec.get("d_alpha", "1"), "d_alpha")
-    grid = parse_int(sec.get("theta_grid", "4096"), "theta_grid")
+def _cmd_stability(scheme, alphas, hs, taus, d1, d2, d_alpha, grid):
     scans = stability_scan(scheme, alphas, hs, taus, d1, d2, d_alpha, grid)
     columns = [scheme, fmt_column([s.alpha for s in scans]),
                fmt_column([s.h for s in scans]),
@@ -250,17 +302,29 @@ def _cmd_stability(sec):
                             f"theta_grid = {grid}"])
 
 
-# Each command parses its config section and returns the CSV header, the
-# CSV columns, the text table and the manifest's parameter lines.
+# Each subcommand's function and its config keys in parse order, each as
+# (key, parser, default); the function takes the parsed values in that
+# order and returns the CSV header, the CSV columns, the text table and
+# the manifest's parameter lines.  An empty default makes the key required.
+_P, _ALPHA = ("p", parse_int, ""), ("alpha", parse_float_list, "")
+_SCHEME, _PROBLEM = ("scheme", parse_word, ""), ("problem", parse_word, "")
+_GRID, _STEPS = ("theta_grid", parse_int, "4096"), "0.001, 0.01, 0.1, 1"
 _COMMANDS = {
-    "coeffs": _cmd_coeffs,
-    "symbol": _cmd_symbol,
-    "bounds": _cmd_bounds,
-    "monotonicity": _cmd_monotonicity,
-    "riesz": _cmd_riesz,
-    "solve": _cmd_solve,
-    "convergence": _cmd_convergence,
-    "stability": _cmd_stability,
+    "coeffs": (_cmd_coeffs, [_P, _ALPHA, ("length", parse_int, "200")]),
+    "symbol": (_cmd_symbol, [_P, _ALPHA, _GRID]),
+    "bounds": (_cmd_bounds, [("family", parse_word, ""), _ALPHA,
+                             ("ell_min", parse_int, "3"), ("ell_max", parse_int, "100")]),
+    "monotonicity": (_cmd_monotonicity, [_P, _ALPHA, ("length", parse_int, "500")]),
+    "riesz": (_cmd_riesz, [_P, _ALPHA, ("h", parse_float_list, ""),
+                           ("metric", parse_word, "midpoint")]),
+    "solve": (_cmd_solve, [_SCHEME, _PROBLEM, _ALPHA, ("M", parse_int, ""),
+                           ("N", parse_int, "")]),
+    "convergence": (_cmd_convergence, [_SCHEME, _PROBLEM, _ALPHA,
+                                       ("ladder", parse_ladder, "")]),
+    "stability": (_cmd_stability, [
+        _SCHEME, _ALPHA, ("h", parse_float_list, _STEPS),
+        ("tau", parse_float_list, _STEPS), ("d1", parse_float, "1"),
+        ("d2", parse_float, "1"), ("d_alpha", parse_float, "1"), _GRID]),
 }
 
 
@@ -271,9 +335,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     try:
         args = parser.parse_args(argv)
+        command, keys = _COMMANDS[args.command]
         sec = section(load_config(args.config), args.command)
+        names = [key for key, _, _ in keys] + ["out"]
+        # configparser keeps keys lower case, and a section holds the keys
+        # of [DEFAULT] too: one rule for both
+        for key in sec:
+            if key not in map(str.lower, names):
+                raise UsageError(f"unknown key '{key}' in [{args.command}], "
+                                 f"which takes {', '.join(names)}")
         out = sec.get("out") if args.out is None else args.out
-        outputs = _COMMANDS[args.command](sec)
+        outputs = command(*[parse(sec.get(key, default), key)
+                            for key, parse, default in keys])
         _write_outputs(Path(out or "rieszkit-out"), args.command, *outputs)
     except (SolverError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

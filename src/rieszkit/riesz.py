@@ -25,10 +25,13 @@ def riesz_apply(table: CoefficientTable, values, h: float) -> np.ndarray:
 
     Boundary rows are returned as zero under the homogeneous-condition
     contract; out-of-range samples are treated as zero.  The samples must
-    be finite.
+    be a 1-D array of finite values, and finite samples whose result leaves
+    double range raise ValueError.
     """
     _check_step(h)
     v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"values must be a 1-D array, got shape {v.shape}")
     M = len(v) - 1
     if M < 2:
         raise ValueError(f"values must hold at least three samples, got {M + 1}")
@@ -40,9 +43,13 @@ def riesz_apply(table: CoefficientTable, values, h: float) -> np.ndarray:
     w = table.values[:M + 1]
     left = np.convolve(w, v)[:M + 1]
     right = np.convolve(w, v[::-1])[:M + 1][::-1]
-    out = pref * (left + right)
+    with np.errstate(over="ignore"):  # a result past double range is refused below
+        out = pref * (left + right)
     out[0] = 0.0
     out[M] = 0.0
+    if not np.isfinite(out).all():
+        raise ValueError("finite values gave a non-finite result: the samples "
+                         "or the weights are too large for double range")
     return out
 
 

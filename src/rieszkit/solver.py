@@ -37,7 +37,7 @@ _MAX_M = 4096  # largest mesh: assemble's three dense arrays take 400 MB
 _MAX_N = 10**6  # most levels: memory does not grow with N, 5 s at M = 64
 # most N (M - 1)**2 of a solve, the work of its dense level updates: 5 to
 # 10 s on 2 cores, N <= 238 at M = 4096 and the whole _MAX_N up to M = 64
-_MAX_WORK = 4 * 10**9
+MAX_WORK = 4 * 10**9
 
 
 class SolverError(RuntimeError):
@@ -368,7 +368,7 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     as by _MAX_N.
     """
     _check_mesh(scheme, M)
-    check_count("N", N, 1, min(_MAX_N, _MAX_WORK // (M - 1) ** 2))
+    check_count("N", N, 1, min(_MAX_N, MAX_WORK // (M - 1) ** 2))
     tau = spec.T / N
     mats = assemble(scheme, spec, M, tau)
     x = spec.a + mats.h * np.arange(M + 1)
@@ -437,10 +437,22 @@ def _per_time(fn, t):
     """``fn`` of each time value: a float for a float t, else an array of
     t's shape.  Each value goes through the scalar ``math`` function, which
     rounds differently from its NumPy counterpart on some arguments, so a
-    column of times gives bitwise the values of one call per time."""
-    if np.ndim(t) == 0:
-        return fn(t)
-    return np.array([fn(v) for v in np.ravel(t).tolist()]).reshape(np.shape(t))
+    column of times gives bitwise the values of one call per time.  A value
+    past double range is inf, as NumPy's gives it, where ``math.exp``
+    raises OverflowError; so solve names the time of such a source."""
+    times = np.ravel(t).tolist()
+    try:
+        values = [fn(v) for v in times]
+    except OverflowError:
+        values = [_inf_past_range(fn, v) for v in times]
+    return values[0] if np.ndim(t) == 0 else np.array(values).reshape(np.shape(t))
+
+
+def _inf_past_range(fn, v):
+    try:
+        return fn(v)
+    except OverflowError:
+        return math.inf
 
 
 def builtin_problem(name: str, alpha: float) -> ProblemSpec:

@@ -163,16 +163,12 @@ class TestSubcommands:
         import gc
 
         import rieszkit.cli as cli
-        from rieszkit.config import load_config, section
 
-        sec = section(load_config(_write(
-            tmp_path, "[symbol]\np = 6\nalpha = 0.2, 0.5, 0.8\ntheta_grid = 4096\n")),
-            "symbol")
         enabled = gc.isenabled()
         gc.disable()
         try:
             before = gc.get_count()[0]
-            outputs = cli._cmd_symbol(sec)
+            outputs = cli._cmd_symbol(6, [0.2, 0.5, 0.8], 4096)
             cli._write_outputs(tmp_path / "out", "symbol", *outputs)
             net = gc.get_count()[0] - before
         finally:
@@ -325,6 +321,27 @@ class TestErrors:
         assert _run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("[symbol]\np = 2\nalpha = 0.5\ntheta_gird = 8192\n", "theta_gird"),
+        ("[symbol]\np = 2\nalpha = 0.5\nlength = 300\n", "length"),
+        ("[DEFAULT]\nscheme = order2\n[symbol]\np = 2\nalpha = 0.5\n", "scheme"),
+    ], ids=["misspelled", "other-subcommand", "from-default"])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, text, key):
+        # a misspelled theta_gird was dropped, and the run went on at the
+        # default theta_grid = 4096 and exited 0
+        cfg = _write(tmp_path, text)
+        assert _run(["symbol", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown key '{key}' in [symbol], which takes p, alpha, "
+            "theta_grid, out\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_out_key_from_default_is_taken(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path, "[DEFAULT]\nout = E\n[coeffs]\np = 2\nalpha = 0.5\n")
+        assert _run(["coeffs", "--config", "run.cfg"]) == 0
+        assert (tmp_path / "E" / "coeffs.csv").is_file()
 
     @pytest.mark.parametrize("out", ["file", "file/below"])
     def test_out_path_through_a_file_is_error(self, tmp_path, capsys, out):
@@ -538,7 +555,9 @@ class TestOversizedCounts:
     the checks, coeffs ran 29 s under such a cap and a bounds call grew a
     list until it was killed; before the table bounds, the stability case
     below ran past 20 s, the symbol case ended in "out of memory" after
-    8 s, and the solve case marched all 999 alphas, 20 of them in 3.8 s)."""
+    8 s, and the solve case marched all 999 alphas, 20 of them in 3.8 s;
+    before the bound on a run's solve work, the work cases marched every
+    solve, and two solves at M = 4096, N = 238 took 12.3 s)."""
 
     @staticmethod
     def _capped(code, cwd):
@@ -580,7 +599,17 @@ class TestOversizedCounts:
                   "alpha = 0.001:0.999:0.001\nM = 2048\nN = 1\n",
          "error: table rows (alphas x rows per alpha = 999 x 2049) "
          "must be an integer in 0.."),
-    ], ids=["stability-cells", "symbol-rows", "solve-rows"])
+        # the solve work of a run: each solve alone is within solve's bound
+        ("solve", "scheme = order2\nproblem = example2\n"
+                  "alpha = 0.1:0.9:0.1\nM = 4096\nN = 238\n",
+         "error: solve work (alphas x work per alpha = 9 x 3991027950) "
+         "must be an integer in 0..4000000000, got 35919251550\n"),
+        ("convergence", "scheme = order2\nproblem = example2\nalpha = 0.5\n"
+                        "ladder = 2048:200, 4096:238\n",
+         "error: solve work (alphas x work per alpha = 1 x 4829069750) "
+         "must be an integer in 0..4000000000, got 4829069750\n"),
+    ], ids=["stability-cells", "symbol-rows", "solve-rows", "solve-work",
+            "convergence-work"])
     def test_table_refused_at_once(self, tmp_path, command, keys, message):
         run = self._cli_capped(tmp_path, command, keys)
         assert run.returncode == 1, run.stderr

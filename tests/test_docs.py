@@ -1,5 +1,6 @@
 """The README's examples run as written: the library quick start, and each
-section of the example configuration through the CLI."""
+section of the example configuration through the CLI.  The config key
+tables of docs/formats.md are those that the CLI declares."""
 
 import configparser
 import re
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from rieszkit.cli import main
+from rieszkit.cli import _COMMANDS, main
 
-README = (Path(__file__).parent.parent / "README.md").read_text()
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text()
+FORMATS = (ROOT / "docs" / "formats.md").read_text()
 
 
 def _block(language, after):
@@ -40,3 +43,19 @@ def test_example_config_section_runs(tmp_path, command):
         warnings.simplefilter("error")
         assert main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 0
+
+
+def _key_tables():
+    """{subcommand: [(key, default)]} from the tables under "## Config keys";
+    a required key has the default ""."""
+    text = FORMATS[FORMATS.index("## Config keys"):]
+    return {command: [(key, default) for key, default in
+                      re.findall(r"^\| `(\w+)` \| (?:`([^`]*)`|required) \|", body, re.M)]
+            for command, body in re.findall(r"^### (\w+)\n(.*?)(?=^#|\Z)", text,
+                                            re.S | re.M)}
+
+
+def test_config_key_tables_match_the_cli():
+    declared = {command: [(key, default) for key, _, default in keys]
+                for command, (_, keys) in _COMMANDS.items()}
+    assert _key_tables() == declared

@@ -105,6 +105,26 @@ class TestRieszApply:
         with pytest.raises(ValueError, match="values must be finite"):
             riesz_apply(table, [1.0, 2.0, bad], 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p, alpha", [(2, 1.5), (1, 1.5)],
+                             ids=["inf-convolution", "overflowing-product"])
+    def test_finite_samples_with_non_finite_result_rejected(self, p, alpha):
+        # np.full(9, 1e308) gave [0, inf, ..., inf, 0] with no error; the
+        # sums leave double range inside np.convolve at p = 2 and in the
+        # prefactor's product at p = 1
+        table = expand_generating_function(p, alpha, 10)
+        with pytest.raises(ValueError, match="finite values gave a non-finite result"):
+            riesz_apply(table, np.full(9, 1e308), 0.1)
+
+    @pytest.mark.parametrize("values", [np.ones((3, 3)), [[1.0, 2.0, 3.0]], 1.0],
+                             ids=["2-d", "nested-list", "0-d"])
+    def test_values_must_be_one_dimensional(self, values):
+        # a 2-D array raised NumPy's "object too deep for desired array",
+        # and a scalar "len() of unsized object"
+        table = expand_generating_function(2, 0.5, 10)
+        with pytest.raises(ValueError, match=r"values must be a 1-D array, got shape"):
+            riesz_apply(table, values, 0.1)
+
 
 class TestReference:
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])

@@ -695,6 +695,16 @@ class TestSolve:
         with pytest.raises(SolverError, match=r"end node .* t=0\.5005$"):
             solve("order2", spec, 8, 1000)
 
+    @pytest.mark.parametrize("T, N, time", [(1e300, 4, r"1\.25e\+299"),
+                                             (2000.0, 8, "875")],
+                             ids=["T=1e300", "T=2000"])
+    def test_source_past_double_range_names_its_time(self, T, N, time):
+        # math.exp(t) overflows from t = 709.78: the example2 source raised a
+        # bare OverflowError; it is inf now, refused at the first such time
+        spec = dataclasses.replace(builtin_problem("example2", 0.5), T=T)
+        with pytest.raises(SolverError, match=rf"end node .* t={time}$"):
+            solve("order2", spec, 16, N)
+
     def test_nan_exact_level_makes_max_error_nan(self):
         # a nan in the exact solution at one level leaves the all-level
         # error undefined; it is not dropped from the maximum

@@ -6,17 +6,20 @@ solver, no module borrows a sibling's private helpers, every module-level
 import is used, the Fraction oracle of the nested sums reads nothing of
 the production nested-sum route, one solver kernel alone marches a
 time level, one helper alone decides what a count is, no module imports
-`csv` or `io`, and every public function and class has a user outside the
-unit tests.
+`csv` or `io`, the CLI alone reads the config and its commands take parsed
+values, and every public function and class has a user outside the unit
+tests.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import rieszkit
+from rieszkit import cli
 from rieszkit.schemes import SCHEMES
 
 PACKAGE = Path(rieszkit.__file__).parent
@@ -136,6 +139,28 @@ def test_no_module_imports_csv_or_io(path):
     found = [module for module, _ in _imports(path)
              if module.split(".")[0] in ("csv", "io")]
     assert found == [], f"{path.stem} imports {found}"
+
+
+# what reads a config file or section: configparser, cli's loaders and
+# value parsers, and a section's get methods
+CONFIG_NAMES = {"configparser", "load_config", "section", "parse_word", "parse_int",
+                "parse_float", "parse_float_list", "parse_ladder"}
+SECTION_READS = {"get", "getint", "getfloat", "getboolean", "has_option"}
+
+
+def test_only_cli_reads_the_config():
+    # cli declares each subcommand's keys once and main alone parses them:
+    # a command that read its section again could take a key that the
+    # declarations, the unknown-key check and the docs do not know
+    importers = {path.stem for path in MODULES for module, _ in _imports(path)
+                 if module.split(".")[0] == "configparser"}
+    assert importers == {"cli"}, importers
+    readers = _functions_reading(PACKAGE / "cli.py", CONFIG_NAMES, SECTION_READS)
+    assert {name for name in readers if name.startswith("_cmd_")} == set(), readers
+    commands = {fn.__name__: len(keys) for fn, keys in cli._COMMANDS.values()}
+    assert {name: len(inspect.signature(fn).parameters)
+            for name, fn in vars(cli).items()
+            if name.startswith("_cmd_")} == commands
 
 
 def _unused_imports(path):
