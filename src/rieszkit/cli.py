@@ -30,7 +30,8 @@ from .coefficients import (MAX_GRID, MAX_SERIES_LENGTH, check_count,
 from .reports import (CONVERGENCE_HEADER, convergence_text, fmt, fmt_column,
                       text_table, write_csv)
 from .riesz import operator_convergence
-from .solver import MAX_WORK, SolverError, builtin_problem, convergence_study, solve
+from .solver import (MAX_WORK, SolverError, builtin_problem, check_solve,
+                     convergence_study, solve)
 from .stability import stability_scan
 
 
@@ -52,21 +53,13 @@ def load_config(path) -> configparser.ConfigParser:
     return cp
 
 
-def section(cp: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
-    if not cp.has_section(name):
-        raise UsageError(f"missing [{name}] section in config")
-    return cp[name]
-
-
 def parse_word(text: str, key: str) -> str:
     return text.strip()
 
 
 def parse_float(text: str, key: str) -> float:
     try:
-        if "/" in text:
-            return float(Fraction(text.strip()))
-        return float(text)
+        return float(Fraction(text.strip())) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"invalid number for '{key}': {text!r}")
 
@@ -91,10 +84,7 @@ def parse_float_list(text: str, key: str) -> list[float]:
         if not chunk:
             continue
         if chunk.count(":") == 2:
-            lo_s, hi_s, st_s = chunk.split(":")
-            lo = parse_float(lo_s, key)
-            hi = parse_float(hi_s, key)
-            st = parse_float(st_s, key)
+            lo, hi, st = (parse_float(part, key) for part in chunk.split(":"))
             span = (hi - lo) / st if st > 0 else math.nan
             if not (lo <= hi and 0.0 <= span < _MAX_RANGE_VALUES):
                 raise UsageError(
@@ -145,10 +135,13 @@ def _check_rows(alphas, rows_per_alpha: int) -> None:
                 _MAX_TABLE_ROWS)
 
 
-def _check_work(alphas, ladder) -> None:
-    """Bound the work of every solve of a run together, each alpha's
-    sum of N (M - 1)**2 over its (M, N) pairs, by solve's own bound."""
-    work = sum(max(N, 0) * (M - 1) ** 2 for M, N in ladder)
+def _check_work(scheme, alphas, ladder) -> None:
+    """Check each (M, N) pair as solve does, then bound the work of every
+    solve of a run together, each alpha's sum of N (M - 1)**2 over its
+    pairs, by solve's own bound."""
+    for M, N in ladder:
+        check_solve(scheme, M, N)
+    work = sum(N * (M - 1) ** 2 for M, N in ladder)
     check_count(f"solve work (alphas x work per alpha = {len(alphas)} x {work})",
                 len(alphas) * work, 0, MAX_WORK)
 
@@ -253,7 +246,7 @@ def _cmd_riesz(p, alphas, hs, metric):
 def _cmd_solve(scheme, problem, alphas, M, N):
     _check_rows(alphas, max(M + 1, 0))
     specs = [builtin_problem(problem, a) for a in alphas]  # all before any solve
-    _check_work(alphas, [(M, N)])
+    _check_work(scheme, alphas, [(M, N)])
     alpha_col, xs, us, exact, text_rows = [], [], [], [], []
     for a, spec in zip(alphas, specs):
         grid = solve(scheme, spec, M, N)
@@ -275,7 +268,7 @@ def _cmd_solve(scheme, problem, alphas, M, N):
 
 def _cmd_convergence(scheme, problem, alphas, ladder):
     specs = [builtin_problem(problem, a) for a in alphas]  # all before any study
-    _check_work(alphas, ladder)
+    _check_work(scheme, alphas, ladder)
     return _convergence_outputs(
         [convergence_study(scheme, problem, s.alpha, ladder) for s in specs],
         [f"scheme = {scheme}", f"problem = {problem}", f"alpha = {alphas}",
@@ -306,25 +299,50 @@ def _cmd_stability(scheme, alphas, hs, taus, d1, d2, d_alpha, grid):
 # (key, parser, default); the function takes the parsed values in that
 # order and returns the CSV header, the CSV columns, the text table and
 # the manifest's parameter lines.  An empty default makes the key required.
-_P, _ALPHA = ("p", parse_int, ""), ("alpha", parse_float_list, "")
-_SCHEME, _PROBLEM = ("scheme", parse_word, ""), ("problem", parse_word, "")
-_GRID, _STEPS = ("theta_grid", parse_int, "4096"), "0.001, 0.01, 0.1, 1"
+_STEPS = "0.001, 0.01, 0.1, 1"
 _COMMANDS = {
-    "coeffs": (_cmd_coeffs, [_P, _ALPHA, ("length", parse_int, "200")]),
-    "symbol": (_cmd_symbol, [_P, _ALPHA, _GRID]),
-    "bounds": (_cmd_bounds, [("family", parse_word, ""), _ALPHA,
-                             ("ell_min", parse_int, "3"), ("ell_max", parse_int, "100")]),
-    "monotonicity": (_cmd_monotonicity, [_P, _ALPHA, ("length", parse_int, "500")]),
-    "riesz": (_cmd_riesz, [_P, _ALPHA, ("h", parse_float_list, ""),
-                           ("metric", parse_word, "midpoint")]),
-    "solve": (_cmd_solve, [_SCHEME, _PROBLEM, _ALPHA, ("M", parse_int, ""),
-                           ("N", parse_int, "")]),
-    "convergence": (_cmd_convergence, [_SCHEME, _PROBLEM, _ALPHA,
-                                       ("ladder", parse_ladder, "")]),
+    "coeffs": (_cmd_coeffs, [
+        ("p", parse_int, ""),
+        ("alpha", parse_float_list, ""),
+        ("length", parse_int, "200")]),
+    "symbol": (_cmd_symbol, [
+        ("p", parse_int, ""),
+        ("alpha", parse_float_list, ""),
+        ("theta_grid", parse_int, "4096")]),
+    "bounds": (_cmd_bounds, [
+        ("family", parse_word, ""),
+        ("alpha", parse_float_list, ""),
+        ("ell_min", parse_int, "3"),
+        ("ell_max", parse_int, "100")]),
+    "monotonicity": (_cmd_monotonicity, [
+        ("p", parse_int, ""),
+        ("alpha", parse_float_list, ""),
+        ("length", parse_int, "500")]),
+    "riesz": (_cmd_riesz, [
+        ("p", parse_int, ""),
+        ("alpha", parse_float_list, ""),
+        ("h", parse_float_list, ""),
+        ("metric", parse_word, "midpoint")]),
+    "solve": (_cmd_solve, [
+        ("scheme", parse_word, ""),
+        ("problem", parse_word, ""),
+        ("alpha", parse_float_list, ""),
+        ("M", parse_int, ""),
+        ("N", parse_int, "")]),
+    "convergence": (_cmd_convergence, [
+        ("scheme", parse_word, ""),
+        ("problem", parse_word, ""),
+        ("alpha", parse_float_list, ""),
+        ("ladder", parse_ladder, "")]),
     "stability": (_cmd_stability, [
-        _SCHEME, _ALPHA, ("h", parse_float_list, _STEPS),
-        ("tau", parse_float_list, _STEPS), ("d1", parse_float, "1"),
-        ("d2", parse_float, "1"), ("d_alpha", parse_float, "1"), _GRID]),
+        ("scheme", parse_word, ""),
+        ("alpha", parse_float_list, ""),
+        ("h", parse_float_list, _STEPS),
+        ("tau", parse_float_list, _STEPS),
+        ("d1", parse_float, "1"),
+        ("d2", parse_float, "1"),
+        ("d_alpha", parse_float, "1"),
+        ("theta_grid", parse_int, "4096")]),
 }
 
 
@@ -336,7 +354,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         command, keys = _COMMANDS[args.command]
-        sec = section(load_config(args.config), args.command)
+        cp = load_config(args.config)
+        if not cp.has_section(args.command):
+            raise UsageError(f"missing [{args.command}] section in config")
+        sec = cp[args.command]
         names = [key for key, _, _ in keys] + ["out"]
         # configparser keeps keys lower case, and a section holds the keys
         # of [DEFAULT] too: one rule for both

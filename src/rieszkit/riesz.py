@@ -43,7 +43,8 @@ def riesz_apply(table: CoefficientTable, values, h: float) -> np.ndarray:
     w = table.values[:M + 1]
     left = np.convolve(w, v)[:M + 1]
     right = np.convolve(w, v[::-1])[:M + 1][::-1]
-    with np.errstate(over="ignore"):  # a result past double range is refused below
+    # a result past double range, inf or inf - inf, is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         out = pref * (left + right)
     out[0] = 0.0
     out[M] = 0.0

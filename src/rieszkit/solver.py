@@ -198,6 +198,13 @@ def _check_mesh(scheme: str, M: int) -> int:
     return p
 
 
+def check_solve(scheme: str, M: int, N: int) -> None:
+    """Check the scheme and M against its range, then N against _MAX_N and
+    the work N (M - 1)**2 against MAX_WORK, as :func:`solve` does."""
+    _check_mesh(scheme, M)
+    check_count("N", N, 1, min(_MAX_N, MAX_WORK // (M - 1) ** 2))
+
+
 def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatrices:
     """Build the implicit/explicit matrices A u^{k+1} = B u^k + S s^{k+1/2}.
 
@@ -364,11 +371,9 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     tables use the all-level maximum.  A nan in the exact solution at any
     level makes that maximum nan.
 
-    M is checked first, and N is bounded by the work N (M - 1)**2 as well
-    as by _MAX_N.
+    M and N are checked first, by :func:`check_solve`.
     """
-    _check_mesh(scheme, M)
-    check_count("N", N, 1, min(_MAX_N, MAX_WORK // (M - 1) ** 2))
+    check_solve(scheme, M, N)
     tau = spec.T / N
     mats = assemble(scheme, spec, M, tau)
     x = spec.a + mats.h * np.arange(M + 1)
@@ -440,19 +445,13 @@ def _per_time(fn, t):
     column of times gives bitwise the values of one call per time.  A value
     past double range is inf, as NumPy's gives it, where ``math.exp``
     raises OverflowError; so solve names the time of such a source."""
-    times = np.ravel(t).tolist()
-    try:
-        values = [fn(v) for v in times]
-    except OverflowError:
-        values = [_inf_past_range(fn, v) for v in times]
+    values = []
+    for v in np.ravel(t).tolist():
+        try:
+            values.append(fn(v))
+        except OverflowError:
+            values.append(math.inf)
     return values[0] if np.ndim(t) == 0 else np.array(values).reshape(np.shape(t))
-
-
-def _inf_past_range(fn, v):
-    try:
-        return fn(v)
-    except OverflowError:
-        return math.inf
 
 
 def builtin_problem(name: str, alpha: float) -> ProblemSpec:

@@ -608,8 +608,15 @@ class TestOversizedCounts:
                         "ladder = 2048:200, 4096:238\n",
          "error: solve work (alphas x work per alpha = 1 x 4829069750) "
          "must be an integer in 0..4000000000, got 4829069750\n"),
+        # an M out of range is named before the run's work is summed
+        ("solve", "scheme = order2\nproblem = example2\nalpha = 0.5\n"
+                  "M = 70000\nN = 1\n",
+         "error: M must be an integer in 4..4096, got 70000\n"),
+        ("convergence", "scheme = order2\nproblem = example2\nalpha = 0.5\n"
+                        "ladder = 64:10, 100000:20\n",
+         "error: M must be an integer in 4..4096, got 100000\n"),
     ], ids=["stability-cells", "symbol-rows", "solve-rows", "solve-work",
-            "convergence-work"])
+            "convergence-work", "solve-mesh", "convergence-mesh"])
     def test_table_refused_at_once(self, tmp_path, command, keys, message):
         run = self._cli_capped(tmp_path, command, keys)
         assert run.returncode == 1, run.stderr

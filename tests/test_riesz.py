@@ -106,15 +106,19 @@ class TestRieszApply:
             riesz_apply(table, [1.0, 2.0, bad], 0.5)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("p, alpha", [(2, 1.5), (1, 1.5)],
-                             ids=["inf-convolution", "overflowing-product"])
-    def test_finite_samples_with_non_finite_result_rejected(self, p, alpha):
+    @pytest.mark.parametrize("p, alpha, values", [
+        (2, 1.5, np.full(9, 1e308)), (1, 1.5, np.full(9, 1e308)),
+        (6, 0.5, np.r_[np.full(4, 1e308), 0.0, np.full(4, -1e308)])],
+        ids=["inf-convolution", "overflowing-product", "inf-minus-inf"])
+    def test_finite_samples_with_non_finite_result_rejected(self, p, alpha, values):
         # np.full(9, 1e308) gave [0, inf, ..., inf, 0] with no error; the
         # sums leave double range inside np.convolve at p = 2 and in the
-        # prefactor's product at p = 1
+        # prefactor's product at p = 1.  Opposite signs on the two sides of
+        # a node make its left sum inf and its right sum -inf at p = 6,
+        # whose sum is nan, not an "invalid value" warning
         table = expand_generating_function(p, alpha, 10)
         with pytest.raises(ValueError, match="finite values gave a non-finite result"):
-            riesz_apply(table, np.full(9, 1e308), 0.1)
+            riesz_apply(table, values, 0.1)
 
     @pytest.mark.parametrize("values", [np.ones((3, 3)), [[1.0, 2.0, 3.0]], 1.0],
                              ids=["2-d", "nested-list", "0-d"])

@@ -143,7 +143,7 @@ def test_no_module_imports_csv_or_io(path):
 
 # what reads a config file or section: configparser, cli's loaders and
 # value parsers, and a section's get methods
-CONFIG_NAMES = {"configparser", "load_config", "section", "parse_word", "parse_int",
+CONFIG_NAMES = {"configparser", "load_config", "parse_word", "parse_int",
                 "parse_float", "parse_float_list", "parse_ladder"}
 SECTION_READS = {"get", "getint", "getfloat", "getboolean", "has_option"}
 
