@@ -2,7 +2,7 @@
 Crank-Nicolson schemes for the fractional turbulent diffusion equation."""
 
 from .analysis import (
-    BoundCheckRecord,
+    BoundTable,
     SymbolScan,
     alpha_limit_order4,
     bound_families,
@@ -38,11 +38,6 @@ from .solver import (
     solve,
     step,
 )
-from .stability import (
-    AmplificationQuery,
-    StabilityReport,
-    amplification_factor,
-    stability_scan,
-)
+from .stability import StabilityReport, stability_scan
 
 __version__ = "0.1.0"

@@ -31,15 +31,17 @@ class SymbolScan:
     nonnegative: bool
 
 
-@dataclass(frozen=True)
-class BoundCheckRecord:
+@dataclass(frozen=True, eq=False)
+class BoundTable:
+    """The sandwich lower < observed < upper of one family and alpha: one
+    array entry per index ``ell``, and ``holds`` where it holds."""
     family: str
     alpha: float
-    ell: int
-    lower: float
-    observed: float
-    upper: float
-    holds: bool
+    ell: np.ndarray
+    lower: np.ndarray
+    observed: np.ndarray
+    upper: np.ndarray
+    holds: np.ndarray
 
 
 def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
@@ -242,15 +244,15 @@ def bound_families() -> tuple[str, ...]:
 
 
 def evaluate_bounds(family: str, alpha: float, ell_min: int,
-                    ell_max: int) -> list[BoundCheckRecord]:
+                    ell_max: int) -> BoundTable:
     """Evaluate the lower < observed < upper sandwich for ell_min..ell_max.
 
     Families cover the first-order weights (plain and exponentially damped
     lower bounds, pointwise and tail), the order-(1+alpha) variants, and
     the second-order weights at orders alpha and 1+alpha.  `alpha` is the
     fractional part in (0, 1) throughout.  The weights depend on alpha
-    only, so one sequence of length ell_max serves every index; the records
-    come in ell order.
+    only, so one sequence of length ell_max serves every index; the bounds
+    are scalar formulas, one call per index.
     """
     if family not in _BOUND_FAMILIES:
         raise ValueError(f"unknown bound family {family!r}; choose from "
@@ -267,16 +269,19 @@ def evaluate_bounds(family: str, alpha: float, ell_min: int,
         w = closed_form_table(2, order, ell_max)
     else:
         w = first_order_sequence(order, ell_max)
-    tail_sign = 1.0 if order < 1.0 else -1.0  # of the zero-sum identity
-    records = []
-    for ell in range(ell_min, ell_max + 1):
-        lo, up = bounds(alpha, ell)
-        # one sum per tail, not a cumsum, which rounds differently
-        obs = tail_sign * float(w[:ell].sum()) if observed == "tail" else abs(w[ell])
-        records.append(BoundCheckRecord(family=family, alpha=alpha, ell=ell,
-                                        lower=lo, observed=obs, upper=up,
-                                        holds=bool(lo < obs < up)))
-    return records
+    ells = range(ell_min, ell_max + 1)
+    lower, upper = np.empty(len(ells)), np.empty(len(ells))
+    for i, ell in enumerate(ells):
+        lower[i], upper[i] = bounds(alpha, ell)
+    if observed == "tail":
+        # one sum per tail, not a cumsum, which rounds differently, and the
+        # sign of the zero-sum identity
+        obs = (1.0 if order < 1.0 else -1.0) * np.fromiter(
+            (w[:ell].sum() for ell in ells), float, len(ells))
+    else:
+        obs = np.abs(w[ell_min:ell_max + 1])
+    return BoundTable(family, alpha, np.arange(ell_min, ell_max + 1), lower,
+                      obs, upper, (lower < obs) & (obs < upper))
 
 
 def pointwise_lower_crossing(ell: int) -> float:

@@ -124,9 +124,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Most rows of a coeffs, symbol, bounds or solve table, all alphas
-# together.  A first-order bounds row, with a record and a text line each,
-# takes 1.4 KB: 0.7 GB and 7 to 15 s at the bound (README "Counts").
+# together.  A first-order bounds row, with its CSV and text fields, takes
+# about 0.9 KB: 0.47 GB and 3 to 12 s at the bound (README "Counts").
 _MAX_TABLE_ROWS = 5 * 10**5
+
+# Most exact-weight work of a second-order bounds table, len(alphas) x
+# ell_max**3: the nested sums of one alpha take 3.0 to 5.2 ns x
+# ell_max**3, so a table at the bound takes about 10 s.
+_MAX_EXACT_WORK = 2 * 10**9
 
 
 def _check_rows(alphas, rows_per_alpha: int) -> None:
@@ -167,16 +172,17 @@ def _convergence_outputs(reports, params):
 def _cmd_coeffs(p, alphas, length):
     check_count("length", length, 0, MAX_SERIES_LENGTH)
     _check_rows(alphas, length + 1)
-    alpha_col, values, text_rows = [], [], []
+    values, last = [], []
     for a in alphas:
-        table = expand_generating_function(p, a, length)
-        alpha_col += [fmt(a)] * (length + 1)
-        values += fmt_column(table.values)
-        text_rows.append([str(p), f"{a:g}", str(length), f"{table.values[-1]:.6e}"])
+        w = expand_generating_function(p, a, length).values
+        values += fmt_column(w)
+        last.append(f"{w[-1]:.6e}")
     text = text_table(f"weights p={p}", ["p", "alpha", "length", "last value"],
-                      text_rows)
+                      [str(p), [f"{a:g}" for a in alphas], str(length), last])
     ells = list(map(str, range(length + 1))) * len(alphas)
-    return (["p", "alpha", "ell", "value"], [str(p), alpha_col, ells, values], text,
+    columns = [str(p), [s for a in alphas for s in [fmt(a)] * (length + 1)],
+               ells, values]
+    return (["p", "alpha", "ell", "value"], columns, text,
             [f"p = {p}", f"alpha = {alphas}", f"length = {length}"])
 
 
@@ -184,41 +190,43 @@ def _cmd_symbol(p, alphas, grid):
     check_count("theta_grid", grid, 1024, MAX_GRID)
     _check_rows(alphas, grid)
     thetas = np.linspace(-math.pi, math.pi, grid)
-    alpha_col, values, summary = [], [], []
+    values, scans = [], []
     for a in alphas:
         vals = symbol_values(p, a, thetas)
-        alpha_col += [fmt(a)] * grid
         values += fmt_column(vals)
-        scan = symbol_scan(p, a, thetas, vals)
-        summary.append([str(p), f"{a:g}", f"{scan.min_value:.6e}",
-                        f"{scan.theta_at_min:.6f}",
-                        "yes" if scan.nonnegative else "no"])
+        scans.append(symbol_scan(p, a, thetas, vals))
     text = text_table(f"symbol minima p={p}",
                       ["p", "alpha", "min value", "theta at min", "nonnegative"],
-                      summary)
-    columns = [str(p), alpha_col, fmt_column(thetas) * len(alphas), values]
+                      [str(p), [f"{a:g}" for a in alphas],
+                       [f"{s.min_value:.6e}" for s in scans],
+                       [f"{s.theta_at_min:.6f}" for s in scans],
+                       ["yes" if s.nonnegative else "no" for s in scans]])
+    columns = [str(p), [s for a in alphas for s in [fmt(a)] * grid],
+               fmt_column(thetas) * len(alphas), values]
     return (["p", "alpha", "theta", "value"], columns, text,
             [f"p = {p}", f"alpha = {alphas}", f"theta_grid = {grid}"])
 
 
 def _cmd_bounds(family, alphas, ell_min, ell_max):
     _check_rows(alphas, max(ell_max - ell_min + 1, 0))
-    records, alpha_col = [], []
-    for a in alphas:
-        recs = evaluate_bounds(family, a, ell_min, ell_max)
-        records += recs
-        alpha_col += [fmt(a)] * len(recs)
-    columns = [family, alpha_col, [str(r.ell) for r in records],
-               fmt_column([r.lower for r in records]),
-               fmt_column([r.observed for r in records]),
-               fmt_column([r.upper for r in records]),
-               ["1" if r.holds else "0" for r in records]]
-    fails = [r for r in records if not r.holds]
+    if family.startswith("second-"):  # the exact weights, once per alpha
+        check_count(f"exact-weight work (alphas x ell_max**3 = {len(alphas)} "
+                    f"x {ell_max}**3)", len(alphas) * max(ell_max, 0) ** 3, 0,
+                    _MAX_EXACT_WORK)
+    tables = [evaluate_bounds(family, a, ell_min, ell_max) for a in alphas]
+    lower, observed, upper, holds = (np.concatenate(c) for c in zip(
+        *[(t.lower, t.observed, t.upper, t.holds) for t in tables]))
+    holds, n = holds.tolist(), len(tables[0].ell)
+    ells = list(map(str, tables[0].ell.tolist())) * len(alphas)
+    columns = [family, [s for a in alphas for s in [fmt(a)] * n], ells,
+               fmt_column(lower), fmt_column(observed), fmt_column(upper),
+               ["1" if h else "0" for h in holds]]
     text = text_table(
-        f"bound family {family}: {len(records) - len(fails)}/{len(records)} hold",
+        f"bound family {family}: {sum(holds)}/{len(holds)} hold",
         ["alpha", "ell", "lower", "observed", "upper", "holds"],
-        [[f"{r.alpha:g}", str(r.ell), f"{r.lower:.6e}", f"{r.observed:.6e}",
-          f"{r.upper:.6e}", "yes" if r.holds else "NO"] for r in records])
+        [[s for a in alphas for s in [f"{a:g}"] * n], ells,
+         fmt_column(lower, ".6e"), fmt_column(observed, ".6e"),
+         fmt_column(upper, ".6e"), ["yes" if h else "NO" for h in holds]])
     return (["family", "alpha", "ell", "lower", "observed", "upper", "holds"],
             columns, text, [f"family = {family}", f"alpha = {alphas}",
                          f"ell = {ell_min}..{ell_max}"])
@@ -228,9 +236,9 @@ def _cmd_monotonicity(p, alphas, length):
     starts = [monotonicity_scan(p, a, length) for a in alphas]
     text = text_table(f"monotone tail start p={p}",
                       ["p", "alpha", "scan length", "tail start"],
-                      [[str(p), f"{a:g}", str(length),
-                        "none" if start is None else str(start)]
-                       for a, start in zip(alphas, starts)])
+                      [str(p), [f"{a:g}" for a in alphas], str(length),
+                       ["none" if start is None else str(start)
+                        for start in starts]])
     columns = [str(p), [fmt(a) for a in alphas], str(length),
                ["" if start is None else str(start) for start in starts]]
     return (["p", "alpha", "length", "tail_start"], columns, text,
@@ -247,20 +255,22 @@ def _cmd_solve(scheme, problem, alphas, M, N):
     _check_rows(alphas, max(M + 1, 0))
     specs = [builtin_problem(problem, a) for a in alphas]  # all before any solve
     _check_work(scheme, alphas, [(M, N)])
-    alpha_col, xs, us, exact, text_rows = [], [], [], [], []
-    for a, spec in zip(alphas, specs):
+    xs, us, exact, max_errors, final_errors = [], [], [], [], []
+    for spec in specs:
         grid = solve(scheme, spec, M, N)
         x = spec.a + grid.h * np.arange(M + 1)
-        alpha_col += [fmt(a)] * (M + 1)
         xs += fmt_column(x)
         us += fmt_column(grid.final)
         exact += fmt_column(spec.exact(x, spec.T))
-        text_rows.append([scheme, problem, f"{a:g}", str(M), str(N),
-                          f"{grid.max_error:.6e}", f"{grid.final_error:.6e}"])
+        max_errors.append(f"{grid.max_error:.6e}")
+        final_errors.append(f"{grid.final_error:.6e}")
     text = text_table("final-time solution errors",
                       ["scheme", "problem", "alpha", "M", "N",
-                       "max error (all levels)", "final-time error"], text_rows)
-    columns = [scheme, problem, alpha_col, str(M), str(N), xs, us, exact]
+                       "max error (all levels)", "final-time error"],
+                      [scheme, problem, [f"{a:g}" for a in alphas], str(M),
+                       str(N), max_errors, final_errors])
+    columns = [scheme, problem, [s for a in alphas for s in [fmt(a)] * (M + 1)],
+               str(M), str(N), xs, us, exact]
     return (["scheme", "problem", "alpha", "M", "N", "x", "u", "u_exact"],
             columns, text, [f"scheme = {scheme}", f"problem = {problem}",
                          f"alpha = {alphas}", f"M = {M}", f"N = {N}"])
@@ -276,18 +286,18 @@ def _cmd_convergence(scheme, problem, alphas, ladder):
 
 
 def _cmd_stability(scheme, alphas, hs, taus, d1, d2, d_alpha, grid):
-    scans = stability_scan(scheme, alphas, hs, taus, d1, d2, d_alpha, grid)
-    columns = [scheme, fmt_column([s.alpha for s in scans]),
-               fmt_column([s.h for s in scans]),
-               fmt_column([s.tau for s in scans]),
-               fmt_column([s.max_abs for s in scans]),
-               fmt_column([s.theta_at_max for s in scans]),
-               ["1" if s.passed else "0" for s in scans]]
+    scan = stability_scan(scheme, alphas, hs, taus, d1, d2, d_alpha, grid)
+    passed = scan.passed.tolist()
+    columns = [scheme, fmt_column(scan.alpha), fmt_column(scan.h),
+               fmt_column(scan.tau), fmt_column(scan.max_abs),
+               fmt_column(scan.theta_at_max), ["1" if p else "0" for p in passed]]
     text = text_table(
-        f"stability scan {scheme}: {sum(s.passed for s in scans)}/{len(scans)} pass",
+        f"stability scan {scheme}: {sum(passed)}/{len(passed)} pass",
         ["alpha", "h", "tau", "max |xi|", "theta at max", "pass"],
-        [[f"{s.alpha:g}", f"{s.h:g}", f"{s.tau:g}", f"{s.max_abs:.15f}",
-          f"{s.theta_at_max:.6f}", "yes" if s.passed else "NO"] for s in scans])
+        [fmt_column(scan.alpha, "g"), fmt_column(scan.h, "g"),
+         fmt_column(scan.tau, "g"), fmt_column(scan.max_abs, ".15f"),
+         fmt_column(scan.theta_at_max, ".6f"),
+         ["yes" if p else "NO" for p in passed]])
     return (["scheme", "alpha", "h", "tau", "max_abs_xi", "theta_at_max", "pass"],
             columns, text, [f"scheme = {scheme}", f"alpha = {alphas}",
                             f"h = {hs}", f"tau = {taus}",

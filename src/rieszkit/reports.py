@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -14,13 +13,14 @@ def fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.16e}"
 
 
-def fmt_column(values) -> list[str]:
-    """:func:`fmt` of every value of a float array or sequence.
+def fmt_column(values, spec: str = ".16e") -> list[str]:
+    """Every value of a float array or sequence in the format ``spec``, by
+    default that of :func:`fmt`.
 
     Python floats format to the same text as ``np.float64`` scalars, in
     about a third of the time, so the column is converted once up front.
     """
-    return [f"{v:.16e}" for v in np.asarray(values, dtype=float).tolist()]
+    return [f"{v:{spec}}" for v in np.asarray(values, dtype=float).tolist()]
 
 
 def parse(field: str) -> float | None:
@@ -79,32 +79,38 @@ CONVERGENCE_HEADER = ["study", "problem", "alpha", "norm",
                       "h", "tau", "error", "temporal_order", "spatial_order"]
 
 
-def write_csv(path, header: list[str], columns) -> None:
-    r"""Header and columns of text as CSV with "\n" line ends and no quoted
-    field.
-
-    ``columns`` has one entry per header field: a sequence of the column's
-    texts, every one of the same length, or a str, which is that value on
-    every row.  The rows are as many as the sequences' length, none if
-    every column is a str.  The lines are joined in one pass; zip reuses
-    its tuple, so no object per row outlives the join.
-
-    ValueError, raised before the file is opened: columns of unequal
-    length, a count other than ``len(header)``, fewer than two columns
-    (where an empty field would need quoting) or a ',', '"', '\r' or '\n'
-    inside a field, found by comparing the joined text's character counts
-    with the field and row counts.
-    """
+def _table(header: list[str], columns) -> tuple[int, list]:
+    """Row count and columns of a table that both writers take: one entry
+    per header field, a sequence of texts, all of one length, or a str,
+    which comes back as that value on every row (no rows if every column
+    is a str).  ValueError: unequal lengths or a count other than
+    ``len(header)``."""
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for {len(header)} header fields")
-    if len(header) < 2:
-        raise ValueError(f"a CSV table needs two columns or more, got {len(header)}")
     lengths = {len(c) for c in columns if not isinstance(c, str)}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
-    rows = zip(*(repeat(c, n) if isinstance(c, str) else c for c in columns))
-    text = "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+    return n, [[c] * n if isinstance(c, str) else c for c in columns]
+
+
+def write_csv(path, header: list[str], columns) -> None:
+    r"""Header and columns of text as CSV with "\n" line ends and no quoted
+    field.
+
+    ``columns`` are as :func:`_table` takes them.  The lines are joined in
+    one pass; zip reuses its tuple, so no object per row outlives the join.
+
+    ValueError, raised before the file is opened: the column errors of
+    :func:`_table`, fewer than two columns (where an empty field would
+    need quoting) or a ',', '"', '\r' or '\n' inside a field, found by
+    comparing the joined text's character counts with the field and row
+    counts.
+    """
+    n, columns = _table(header, columns)
+    if len(header) < 2:
+        raise ValueError(f"a CSV table needs two columns or more, got {len(header)}")
+    text = "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
     if (text.count(",") != (len(header) - 1) * (n + 1)
             or text.count("\n") != n + 1 or '"' in text or "\r" in text):
         raise ValueError("a CSV field holds ',', '\"', '\\r' or '\\n'; "
@@ -144,30 +150,39 @@ def read_convergence_csv(path) -> list[ConvergenceReport]:
             for k, rows in groups.items()]
 
 
-def text_table(title: str, header: list[str], rows: list[list[str]]) -> str:
-    """Fixed-width table for eyeball comparison against published layouts."""
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
+def text_table(title: str, header: list[str], columns) -> str:
+    """Fixed-width table for eyeball comparison against published layouts;
+    ``columns`` are as :func:`write_csv` takes them."""
+    _, columns = _table(header, columns)
+    widths = [max(len(h), max(map(len, c), default=0))
+              for h, c in zip(header, columns)]
     line = "  ".join(f"{{:<{w}}}" for w in widths).format
-    lines = [title, line(*header), "  ".join("-" * w for w in widths)]
-    lines += [line(*row) for row in rows]
+    lines = [title, line(*header), "  ".join("-" * w for w in widths),
+             *map(line, *columns)]
     return "\n".join(lines) + "\n"
+
+
+def _step_text(x: float) -> str:
+    """1/n for the reciprocal of an integer n, else %g."""
+    if x and abs(1 / x - round(1 / x)) < 1e-9:
+        return f"1/{round(1 / x)}"
+    return f"{x:g}"
+
+
+def _order_text(order: float | None) -> str:
+    return "---" if order is None else f"{order:.4f}"
 
 
 def convergence_text(reports: list[ConvergenceReport]) -> str:
     chunks = []
     for rep in reports:
-        head = ["h", "tau", "error", "temporal order", "spatial order"]
-        rows = []
-        for r in rep.rows:
-            rows.append([
-                f"1/{round(1 / r.h)}" if r.h and abs(1 / r.h - round(1 / r.h)) < 1e-9 else f"{r.h:g}",
-                "" if r.tau is None else (
-                    f"1/{round(1 / r.tau)}" if abs(1 / r.tau - round(1 / r.tau)) < 1e-9 else f"{r.tau:g}"),
-                f"{r.error:.6e}",
-                "---" if r.temporal_order is None else f"{r.temporal_order:.4f}",
-                "---" if r.spatial_order is None else f"{r.spatial_order:.4f}",
-            ])
         title = (f"{rep.study} | problem {rep.problem} | alpha = {rep.alpha:g} "
                  f"| norm = {rep.norm}")
-        chunks.append(text_table(title, head, rows))
+        chunks.append(text_table(
+            title, ["h", "tau", "error", "temporal order", "spatial order"],
+            [[_step_text(r.h) for r in rep.rows],
+             ["" if r.tau is None else _step_text(r.tau) for r in rep.rows],
+             [f"{r.error:.6e}" for r in rep.rows],
+             [_order_text(r.temporal_order) for r in rep.rows],
+             [_order_text(r.spatial_order) for r in rep.rows]]))
     return "\n".join(chunks)

@@ -1,12 +1,11 @@
-"""Von Neumann stability of the schemes: single growth factors and
-scans of their maximum over the phase angle.  The factors come from
+"""Von Neumann stability of the schemes: scans of the maximum growth
+factor over the phase angle.  The factors come from
 :func:`rieszkit.schemes.growth_factors`, which reads the stencils that
 :func:`rieszkit.solver.assemble` uses; :func:`rieszkit.schemes.check_step`
 decides their domain, and a factor that overflows is a ValueError."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -16,67 +15,30 @@ from .coefficients import MAX_GRID, check_count
 from .schemes import check_step, growth_factors
 
 
-@dataclass(frozen=True)
-class AmplificationQuery:
-    scheme: str
-    alpha: float
-    h: float
-    tau: float
-    d1: float
-    d2: float
-    d_alpha: float
-    theta: float
-
-    def __post_init__(self):
-        check_step(self.scheme, self.alpha, self.h, self.tau, self.d1, self.d2,
-                   self.d_alpha)
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
+    """One scan: one array entry per (alpha, h, tau) cell, alpha outer and
+    tau inner, each the maximum |xi| over grid_size angles, its angle, the
+    least real group and whether the maximum is at most 1 + 1e-12."""
     scheme: str
-    alpha: float
-    h: float
-    tau: float
+    alpha: np.ndarray
+    h: np.ndarray
+    tau: np.ndarray
     grid_size: int
-    max_abs: float
-    theta_at_max: float
-    min_real_group: float
-    passed: bool
+    max_abs: np.ndarray
+    theta_at_max: np.ndarray
+    min_real_group: np.ndarray
+    passed: np.ndarray
 
 
-# Most (alpha, h, tau, theta) points of one scan, about 40 ns each plus a
-# report per cell: a CLI run at the bound (97 344 cells of 1024 theta)
-# takes 3 s and 0.19 GB.
+# Most (alpha, h, tau, theta) points of one scan, about 30 ns each: a CLI
+# run at the bound (97 344 cells of 1024 theta) takes 3 s and 0.17 GB.
 _MAX_SCAN_POINTS = 10**8
-
-# Finite inputs that pass check_step can still overflow on the way to xi.
-# The callers evaluate growth_factors under this error state and raise
-# _overflow for a non-finite xi, instead of NumPy warnings and a nan row.
-_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
-
-
-def _overflow(h: float, tau: float) -> ValueError:
-    return ValueError(f"growth factor overflows double precision at "
-                      f"h = {h}, tau = {tau}")
-
-
-def amplification_factor(q: AmplificationQuery) -> complex:
-    with np.errstate(**_QUIET):
-        [(*_, xi, _)] = growth_factors(q.scheme, [q.alpha], [q.h], [q.tau],
-                                       q.d1, q.d2, q.d_alpha,
-                                       np.array([q.theta]))
-    value = complex(xi[0])
-    if not cmath.isfinite(value):
-        raise _overflow(q.h, q.tau)
-    return value
 
 
 def stability_scan(scheme: str, alphas, hs, taus,
                    d1: float, d2: float, d_alpha: float,
-                   grid_size: int) -> list[StabilityReport]:
+                   grid_size: int) -> StabilityReport:
     """Maximum growth factor over a uniform theta grid on [-pi, pi], for
     every (alpha, h, tau) in alphas x hs x taus: alpha outer, then h, then
     tau.
@@ -88,8 +50,8 @@ def stability_scan(scheme: str, alphas, hs, taus,
     array work.  The theta grid, the Fourier basis and W_p(e^{-i theta}) are
     evaluated once per call, the weight symbol Z = W_p**alpha once per
     alpha, the stencil symbols and G once per (alpha, h), and only s C, xi
-    and the real group per tau; memory is O(grid_size) whatever the
-    lengths of the lists.
+    and the real group per tau; memory is O(grid_size) for the work and
+    seven numbers per cell for the report.
 
     The group is (2/tau) Re[C conj(G)] and G does not contain tau, so on
     each theta its sign, and with it the verdict, does not depend on tau.
@@ -108,17 +70,19 @@ def stability_scan(scheme: str, alphas, hs, taus,
             for tau in taus:
                 check_step(scheme, alpha, h, tau, d1, d2, d_alpha)
     thetas = np.linspace(-math.pi, math.pi, grid_size)
-    reports = []
-    with np.errstate(**_QUIET):
-        for alpha, h, tau, xi, group in growth_factors(
-                scheme, alphas, hs, taus, d1, d2, d_alpha, thetas):
+    cells = np.empty((6, len(alphas) * len(hs) * len(taus)))
+    # finite inputs that pass check_step can still overflow on the way to
+    # xi: a non-finite xi is a ValueError, not NumPy warnings and a nan cell
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, (alpha, h, tau, xi, group) in enumerate(growth_factors(
+                scheme, alphas, hs, taus, d1, d2, d_alpha, thetas)):
             mags = np.abs(xi)
             k = int(mags.argmax())  # the first nan if there is one
             if not math.isfinite(mags[k]):
-                raise _overflow(h, tau)
-            reports.append(StabilityReport(
-                scheme=scheme, alpha=alpha, h=h, tau=tau, grid_size=grid_size,
-                max_abs=float(mags[k]), theta_at_max=float(thetas[k]),
-                min_real_group=float(group.min()),
-                passed=bool(mags[k] <= 1.0 + 1e-12)))
-    return reports
+                raise ValueError(f"growth factor overflows double precision "
+                                 f"at h = {h}, tau = {tau}")
+            cells[:, i] = alpha, h, tau, mags[k], thetas[k], group.min()
+    alpha_col, h_col, tau_col, max_abs, theta_at_max, min_group = cells
+    return StabilityReport(scheme, alpha_col, h_col, tau_col, grid_size,
+                           max_abs, theta_at_max, min_group,
+                           max_abs <= 1.0 + 1e-12)

@@ -27,7 +27,7 @@ import pytest
 
 from naive_reference import NAIVE_STEPS, naive_scheme
 from rieszkit import (
-    BoundCheckRecord,
+    BoundTable,
     alpha_limit_order4,
     assemble,
     builtin_problem,
@@ -47,6 +47,7 @@ from rieszkit.analysis import (
     symbol_nonnegativity_threshold,
     truncated_symbol,
 )
+from rieszkit.schemes import growth_factors
 
 # --- operator benchmarks: absolute error at x = 1/2, order columns -------
 
@@ -418,11 +419,11 @@ def test_criterion_09_symbols_and_bounds():
     for family in bound_families():
         ell_min = 4 if ("shifted" in family or family.startswith("second")) else 3
         for alpha in ALPHA_GRID_19:
-            for rec in evaluate_bounds(family, alpha, ell_min, 100):
-                if not rec.holds:
-                    bad.append(f"{family} a={alpha} ell={rec.ell}: "
-                               f"{rec.lower:.3e} !< {rec.observed:.3e} "
-                               f"!< {rec.upper:.3e}")
+            table = evaluate_bounds(family, alpha, ell_min, 100)
+            for k in np.flatnonzero(~table.holds):
+                bad.append(f"{family} a={alpha} ell={table.ell[k]}: "
+                           f"{table.lower[k]:.3e} !< {table.observed[k]:.3e} "
+                           f"!< {table.upper[k]:.3e}")
     for ell, ref in ((3, 0.0267), (4, 0.7551)):
         got = pointwise_lower_crossing(ell)
         if abs(got - ref) > 1e-3:
@@ -435,7 +436,8 @@ def test_criterion_09_names_a_failing_bound(monkeypatch, capsys):
     # UnboundLocalError on `ell` instead of a report of the violation
     def evaluate_one_failing(family, alpha, ell_min, ell_max):
         holds = not (family == "first-tail" and alpha == 0.5)
-        return [BoundCheckRecord(family, alpha, 7, 1.0, 2.0, 3.0, holds)]
+        return BoundTable(family, alpha, np.array([7]), np.array([1.0]),
+                          np.array([2.0]), np.array([3.0]), np.array([holds]))
 
     monkeypatch.setitem(globals(), "evaluate_bounds", evaluate_one_failing)
     with pytest.raises(AssertionError, match=r"first-tail a=0\.5 ell=7: "):
@@ -453,19 +455,21 @@ def test_criterion_10_stability():
               "order6": SYMBOL_LIMIT[6]}
     for scheme in ("order2", "order4", "order6"):
         for alpha in alphas:
-            for rep in stability_scan(scheme, [alpha], grid, grid, 1.0, 1.0,
-                                      1.0, 4096):
-                h, tau = rep.h, rep.tau
-                if rep.passed != (rep.min_real_group >= 0.0):
+            rep = stability_scan(scheme, [alpha], grid, grid, 1.0, 1.0, 1.0,
+                                 4096)
+            for h, tau, passed, min_real_group, max_abs in zip(
+                    rep.h.tolist(), rep.tau.tolist(), rep.passed.tolist(),
+                    rep.min_real_group.tolist(), rep.max_abs.tolist()):
+                if passed != (min_real_group >= 0.0):
                     bad.append(f"{scheme} a={alpha} h={h} tau={tau}: "
-                               f"passed={rep.passed} but real group "
-                               f"min {rep.min_real_group:.3e}")
-                if alpha <= limits[scheme] and not rep.passed:
+                               f"passed={passed} but real group "
+                               f"min {min_real_group:.3e}")
+                if alpha <= limits[scheme] and not passed:
                     bad.append(f"{scheme} a={alpha} h={h} tau={tau}: "
-                               f"max|xi|={rep.max_abs:.6f}")
-        from rieszkit import AmplificationQuery, amplification_factor
-        q = AmplificationQuery(scheme, 0.5, 0.1, 0.1, 1.0, 1.0, 1.0, 0.0)
-        if amplification_factor(q) != 1.0 + 0.0j:
+                               f"max|xi|={max_abs:.6f}")
+        [(*_, xi, _)] = growth_factors(scheme, [0.5], [0.1], [0.1], 1.0, 1.0,
+                                       1.0, np.array([0.0]))
+        if xi[0] != 1.0 + 0.0j:
             bad.append(f"{scheme}: growth factor at zero angle not exactly 1")
     _report(10, "von Neumann scans over the (alpha, h, tau) grid", bad)
 

@@ -22,7 +22,7 @@ def _symbol_at(p, alpha, theta):
 
 
 def _lower(family, alpha, ell):
-    return evaluate_bounds(family, alpha, ell, ell)[0].lower
+    return evaluate_bounds(family, alpha, ell, ell).lower[0]
 
 
 class TestSymbol:
@@ -174,30 +174,34 @@ class TestLemmaInequalities:
 
 class TestBounds:
     def test_frozen_example(self):
-        [rec] = evaluate_bounds("first-pointwise", 0.5, 4, 4)
-        assert abs(rec.lower - 0.015625) < 1e-12
-        assert abs(rec.observed - 0.0390625) < 1e-12
-        assert abs(rec.upper - 0.126491) < 1e-6
-        assert rec.holds
+        table = evaluate_bounds("first-pointwise", 0.5, 4, 4)
+        assert table.ell.tolist() == [4]
+        assert abs(table.lower[0] - 0.015625) < 1e-12
+        assert abs(table.observed[0] - 0.0390625) < 1e-12
+        assert abs(table.upper[0] - 0.126491) < 1e-6
+        assert table.holds[0]
 
     def test_tail_family_holds_across_indices(self):
-        records = evaluate_bounds("first-tail", 0.5, 3, 100)
-        assert [r.ell for r in records] == list(range(3, 101))
-        assert all(r.holds for r in records)
+        table = evaluate_bounds("first-tail", 0.5, 3, 100)
+        assert table.ell.tolist() == list(range(3, 101))
+        assert table.holds.all()
 
     def test_second_order_family(self):
-        assert evaluate_bounds("second-pointwise", 0.3, 4, 4)[0].holds
+        assert evaluate_bounds("second-pointwise", 0.3, 4, 4).holds[0]
 
     @pytest.mark.parametrize("family", bound_families())
     def test_range_equals_single_index(self, family):
-        # one weight sequence per alpha gives the records of per-index
+        # one weight sequence per alpha gives the entries of per-index
         # evaluation, across the old 128-entry table block
         lo = 4 if ("shifted" in family or family.startswith("second")) else 3
+        fields = ("ell", "lower", "observed", "upper", "holds")
         for alpha in (0.05, 0.37, 0.91):
-            records = evaluate_bounds(family, alpha, lo, 140)
-            assert [r.ell for r in records] == list(range(lo, 141))
+            table = evaluate_bounds(family, alpha, lo, 140)
+            assert table.ell.tolist() == list(range(lo, 141))
             for ell in (lo, lo + 1, 60, 127, 128, 129, 140):
-                assert records[ell - lo] == evaluate_bounds(family, alpha, ell, ell)[0]
+                one = evaluate_bounds(family, alpha, ell, ell)
+                assert ([getattr(table, f)[ell - lo] for f in fields]
+                        == [getattr(one, f)[0] for f in fields])
 
     def test_second_order_table_once_per_alpha(self, monkeypatch):
         import rieszkit.analysis as analysis
@@ -215,9 +219,9 @@ class TestBounds:
     @pytest.mark.parametrize("family", bound_families())
     def test_each_family_spot(self, family):
         ell = 5
-        [rec] = evaluate_bounds(family, 0.45, ell, ell)
-        assert rec.lower < rec.upper
-        assert rec.holds
+        table = evaluate_bounds(family, 0.45, ell, ell)
+        assert table.lower[0] < table.upper[0]
+        assert table.holds[0]
 
     def test_tail_identity_against_brute_force(self):
         # zero-sum identity vs a long explicit summation; the truncation
@@ -227,10 +231,10 @@ class TestBounds:
         K = 400_000
         for alpha in (0.2, 0.6):
             w = first_order_sequence(alpha, K)
-            records = evaluate_bounds("first-tail", alpha, 3, 50)
+            table = evaluate_bounds("first-tail", alpha, 3, 50)
             for ell in (3, 10, 50):
                 brute = float(np.sum(np.abs(w[ell:])))
-                ident = records[ell - 3].observed
+                ident = table.observed[ell - 3]
                 remainder = ident - brute
                 assert 0.0 < remainder < 2.0 * (2.0 / (K + ell)) ** alpha
 
@@ -254,7 +258,7 @@ class TestBounds:
 
 class TestLowerBoundComparison:
     # the plain and damped lower bounds of one observed quantity, compared
-    # through the bound records
+    # through the bound tables
     def test_small_alpha_small_index(self):
         assert (_lower("first-pointwise", 0.02, 3)
                 < _lower("first-pointwise-damped", 0.02, 3))

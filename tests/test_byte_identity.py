@@ -17,8 +17,11 @@ operator study; it was taken before `riesz_apply` moved from grid wrapper
 types to plain arrays.  The `stability-order6-consistent-odd-grid` digest
 runs a theta grid that holds theta = 0 exactly, with unstable cells
 (d2 = 0.01, alpha = 0.95); it was taken before one scan served every
-alpha of a run.  A change that moves one bit of a solution, an
-error or a formatted figure fails here; one that is meant to do so
+alpha of a run.  The `first-pointwise-damped` and
+`first-shifted-pointwise` digests pin the pointwise bound path (the
+absolute weight at each index, plain and order-shifted); they were taken
+before the bound tables became arrays.  A change that moves one bit of a
+solution, an error or a formatted figure fails here; one that is meant to do so
 records the old and new values and replaces the digests.
 The figures come from IEEE double arithmetic through NumPy and LAPACK, so
 another BLAS/LAPACK build can round differently."""
@@ -82,6 +85,18 @@ CASES = {
         {"bounds.csv": "5a70bbdc330ce4c1a52fd63c43ff84fef996485fef9d087ebb258d69f1ee35ac",
          "bounds.txt": "9a58a39568e854d80f3433bd9a3387383b8f91dcbcaf067f62be3b807f62545f",
          "manifest.txt": "ef65f3580f418082a7f900cb54627cd128f5064eb11649c99a3ddf5ef77163ab"}),
+    "bounds-first-pointwise-damped": (
+        "bounds",
+        "family = first-pointwise-damped\nalpha = 0.37, 0.81\nell_min = 3\nell_max = 700\n",
+        {"bounds.csv": "b6112542a8607943faedc1af6efdb3ef3a1daddf5f5950d481ca218ad3ba3306",
+         "bounds.txt": "3a452a8689a49cd5629b847df8d397b5100d26089b0103b3b7956068fc42577f",
+         "manifest.txt": "14b819af0828ca97c3ccb7735a0956955fcb226a99b7d6df762596a940b4b0b3"}),
+    "bounds-first-shifted-pointwise": (
+        "bounds",
+        "family = first-shifted-pointwise\nalpha = 0.37, 0.81\nell_min = 4\nell_max = 700\n",
+        {"bounds.csv": "ddce4b4a34b7c174cf9723bb6c2f84ccffb2cffd53e3cf76c017835671eb7d49",
+         "bounds.txt": "48d874142e2d0514f7236fc954b0b4ad050414a432d12bc80ccc79ee2d3305df",
+         "manifest.txt": "f018e9f384bbfd3b4b3c2d3579590754b3836c6eb03dda59e790dbe8006af947"}),
     "bounds-second-pointwise": (
         "bounds",
         "family = second-pointwise\nalpha = 0.37, 0.5\nell_min = 4\nell_max = 60\n",

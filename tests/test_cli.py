@@ -178,6 +178,61 @@ class TestSubcommands:
         assert rows == 3 * 4096
         assert net < 0.01 * rows
 
+    @staticmethod
+    def _live_objects(tmp_path, monkeypatch, name, command):
+        """Most GC-tracked objects alive, net of those before, when the
+        command calls text_table (its tables and columns are alive then)
+        and after its outputs are written; and the CSV rows.  The objects
+        are counted, not allocations, which free lists blur."""
+        import gc
+
+        import rieszkit.cli as cli
+
+        seen, text_table = [], cli.text_table
+
+        def sampling(*args):
+            seen.append(len(gc.get_objects()) - before)
+            return text_table(*args)
+
+        monkeypatch.setattr(cli, "text_table", sampling)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            cli._write_outputs(tmp_path / "out", name, *command())
+            seen.append(len(gc.get_objects()) - before)
+        finally:
+            if enabled:
+                gc.enable()
+        rows = (tmp_path / "out" / f"{name}.csv").read_text().count("\n") - 1
+        return max(seen), rows
+
+    def test_bounds_table_leaves_no_object_per_row(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # a bound table is arrays per alpha, formatted by column: a record
+        # and a text row per index were alive at the text table
+        import rieszkit.cli as cli
+
+        live, rows = self._live_objects(
+            tmp_path, monkeypatch, "bounds",
+            lambda: cli._cmd_bounds("first-pointwise", [0.2, 0.5, 0.8], 3, 4098))
+        assert rows == 3 * 4096
+        assert live < 0.01 * rows
+
+    def test_stability_table_leaves_no_object_per_row(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # a scan is one report of arrays over its cells: a report and a
+        # text row per cell were alive at the text table
+        import rieszkit.cli as cli
+
+        steps = [0.001 * k for k in range(1, 51)]
+        live, rows = self._live_objects(
+            tmp_path, monkeypatch, "stability",
+            lambda: cli._cmd_stability("order6", [0.3, 0.9], steps, steps,
+                                       1.0, 1.0, 1.0, 1024))
+        assert rows == 2 * 50 * 50
+        assert live < 0.01 * rows
+
     @pytest.mark.parametrize("args, key, expected", [
         (["--out", "D"], "out = E\n", "D"),
         ([], "out = E\n", "E"),
@@ -557,7 +612,9 @@ class TestOversizedCounts:
     below ran past 20 s, the symbol case ended in "out of memory" after
     8 s, and the solve case marched all 999 alphas, 20 of them in 3.8 s;
     before the bound on a run's solve work, the work cases marched every
-    solve, and two solves at M = 4096, N = 238 took 12.3 s)."""
+    solve, and two solves at M = 4096, N = 238 took 12.3 s; before the
+    bound on a bounds table's exact-weight work, 50 second-order alphas at
+    ell_max = 500 took 28.5 s)."""
 
     @staticmethod
     def _capped(code, cwd):
@@ -615,8 +672,14 @@ class TestOversizedCounts:
         ("convergence", "scheme = order2\nproblem = example2\nalpha = 0.5\n"
                         "ladder = 64:10, 100000:20\n",
          "error: M must be an integer in 4..4096, got 100000\n"),
+        # the exact weights of a second-order bounds table, once per alpha
+        ("bounds", "family = second-pointwise\nalpha = 0.01:0.5:0.01\n"
+                   "ell_min = 4\nell_max = 500\n",
+         "error: exact-weight work (alphas x ell_max**3 = 50 x 500**3) "
+         "must be an integer in 0..2000000000, got 6250000000\n"),
     ], ids=["stability-cells", "symbol-rows", "solve-rows", "solve-work",
-            "convergence-work", "solve-mesh", "convergence-mesh"])
+            "convergence-work", "solve-mesh", "convergence-mesh",
+            "bounds-exact-work"])
     def test_table_refused_at_once(self, tmp_path, command, keys, message):
         run = self._cli_capped(tmp_path, command, keys)
         assert run.returncode == 1, run.stderr

@@ -17,6 +17,7 @@ from rieszkit.reports import (
     fmt,
     fmt_column,
     read_convergence_csv,
+    text_table,
     write_csv,
 )
 
@@ -154,6 +155,9 @@ def test_write_csv_rejects_ragged_columns(tmp_path, header, columns):
     with pytest.raises(ValueError, match="columns"):
         write_csv(tmp_path / "t.csv", header, columns)
     assert not (tmp_path / "t.csv").exists()
+    # the text table takes the same columns, and refuses them alike
+    with pytest.raises(ValueError, match="columns"):
+        text_table("t", header, columns)
 
 
 def test_fmt_column_matches_fmt():

@@ -21,7 +21,6 @@ from naive_reference import (
     naive_scheme,
 )
 from rieszkit import (
-    AmplificationQuery,
     ProblemSpec,
     SolverError,
     assemble,
@@ -34,7 +33,8 @@ from rieszkit import (
 )
 from rieszkit import solver as solver_module
 from rieszkit.reports import convergence_rows
-from rieszkit.schemes import SCHEMES, fractional_coefficient, stencils
+from rieszkit.schemes import (SCHEMES, check_step, fractional_coefficient,
+                              stencils)
 
 LADDER_T6 = [(10, 10), (20, 20), (40, 40), (80, 80)]
 # powers of ten over the double range, subnormals included
@@ -134,8 +134,9 @@ class TestAssemble:
            d_alpha=st.one_of(st.just(0.0), _LOG_UNIFORM))
     def test_domain_agrees_with_stability(self, scheme, alpha, h, tau, d1, d2,
                                           d_alpha):
-        # one parameter domain: a step the stability query rejects, assemble
-        # rejects too, and no input ends in an arithmetic exception
+        # one parameter domain: a step that check_step, the domain of the
+        # stability scan, rejects, assemble rejects too, and no input ends
+        # in an arithmetic exception
         M = 8
         assume(h * M < math.inf)
         spec = dataclasses.replace(_zero_problem(), d1=d1, d2=d2,
@@ -143,8 +144,7 @@ class TestAssemble:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                AmplificationQuery(scheme, alpha, spec.b / M, tau, d1, d2,
-                                   d_alpha, 1.0)
+                check_step(scheme, alpha, spec.b / M, tau, d1, d2, d_alpha)
                 rejected = False
             except ValueError:
                 rejected = True

@@ -9,65 +9,47 @@ import numpy as np
 import pytest
 
 from naive_reference import naive_scheme, naive_stability_cells
-from rieszkit import (
-    AmplificationQuery,
-    amplification_factor,
-    expand_generating_function,
-    stability_scan,
-)
+from rieszkit import expand_generating_function, stability_scan
 from rieszkit.coefficients import generator_on_circle
-from rieszkit.schemes import (SCHEMES, fractional_coefficient, growth_factors,
-                              right_compact, stencils, weight_order)
+from rieszkit.schemes import (SCHEMES, check_step, fractional_coefficient,
+                              growth_factors, right_compact, stencils,
+                              weight_order)
 
 GRID = [1e-3, 1e-2, 1e-1, 1.0]
+
+
+def _factors(scheme, alpha, h, tau, d1, d2, d_alpha, thetas):
+    """Growth factors of one (alpha, h, tau) cell at the angles thetas."""
+    [(*_, xi, _)] = growth_factors(scheme, [alpha], [h], [tau], d1, d2,
+                                   d_alpha, np.array(thetas, dtype=float))
+    return xi
 
 
 class TestAmplificationFactor:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_unity_at_zero_angle(self, scheme):
-        q = AmplificationQuery(scheme, 0.5, 0.1, 0.05, 1.0, 1.0, 1.0, 0.0)
-        assert amplification_factor(q) == 1.0 + 0.0j
+        [xi] = _factors(scheme, 0.5, 0.1, 0.05, 1.0, 1.0, 1.0, [0.0])
+        assert xi == 1.0 + 0.0j
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_conjugate_symmetry(self, scheme):
         for theta in (0.3, 1.1, 2.9):
-            qp = AmplificationQuery(scheme, 0.4, 0.2, 0.1, 1.0, 1.0, 1.0, theta)
-            qm = AmplificationQuery(scheme, 0.4, 0.2, 0.1, 1.0, 1.0, 1.0, -theta)
-            zp, zm = amplification_factor(qp), amplification_factor(qm)
+            zp, zm = _factors(scheme, 0.4, 0.2, 0.1, 1.0, 1.0, 1.0,
+                              [theta, -theta])
             assert abs(zp - zm.conjugate()) < 1e-14
 
     def test_order2_bounded_at_pi(self):
-        q = AmplificationQuery("order2", 0.5, 0.1, 0.1, 1.0, 1.0, 1.0, math.pi)
-        assert abs(amplification_factor(q)) <= 1.0
+        [xi] = _factors("order2", 0.5, 0.1, 0.1, 1.0, 1.0, 1.0, [math.pi])
+        assert abs(xi) <= 1.0
 
     def test_validation(self):
+        # the domain of every growth factor, which the scan checks per cell
         with pytest.raises(ValueError):
-            AmplificationQuery("order3", 0.5, 0.1, 0.1, 1, 1, 1, 0.0)
+            check_step("order3", 0.5, 0.1, 0.1, 1, 1, 1)
         with pytest.raises(ValueError):
-            AmplificationQuery("order2", 0.5, -0.1, 0.1, 1, 1, 1, 0.0)
+            check_step("order2", 0.5, -0.1, 0.1, 1, 1, 1)
         with pytest.raises(ValueError):
-            AmplificationQuery("order2", 1.5, 0.1, 0.1, 1, 1, 1, 0.0)
-
-    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
-    def test_non_finite_theta_rejected(self, theta):
-        with pytest.raises(ValueError, match="theta"):
-            AmplificationQuery("order4", 0.5, 0.1, 0.1, 1, 1, 1, theta)
-
-    def test_growth_factor_overflow_is_value_error(self):
-        # d2 / h**2 overflows although h**2 itself is positive
-        q = AmplificationQuery("order6", 0.4, 1e-160, 0.1, 1, 1, 1, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows double precision"):
-                amplification_factor(q)
-
-    def test_overflow_of_the_factor_itself(self):
-        # every stencil weight and nu is finite; (2/tau) C overflows
-        q = AmplificationQuery("order4", 0.5, 1e-160, 1e-307, 1, 1e-300, 1, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="growth factor overflows"):
-                amplification_factor(q)
+            check_step("order2", 1.5, 0.1, 0.1, 1, 1, 1)
 
 
 # scheme -> (spatial order with d1 = 0, with d1 != 0), and the mesh widths
@@ -119,45 +101,46 @@ class TestScan:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.8])
     @pytest.mark.parametrize("h", GRID)
     def test_order2_unconditional(self, alpha, h):
-        for rep in stability_scan("order2", [alpha], [h], GRID, 1, 1, 1, 1024):
-            assert rep.passed
-            # structural identity: the real group's sign decides the bound
-            assert rep.min_real_group >= -1e-12
+        rep = stability_scan("order2", [alpha], [h], GRID, 1, 1, 1, 1024)
+        assert rep.passed.all()
+        # structural identity: the real group's sign decides the bound
+        assert (rep.min_real_group >= -1e-12).all()
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_order2_without_fractional_term(self, alpha):
         # d_alpha = 0 is the plain advection-diffusion scheme that solve
         # marches; Re G = (2 d2 / h**2)(1 - cos theta) >= 0 on every cell
-        for rep in stability_scan("order2", [alpha], GRID, GRID, 1, 1, 0, 1024):
-            assert rep.passed
-            assert rep.min_real_group >= 0.0
+        rep = stability_scan("order2", [alpha], GRID, GRID, 1, 1, 0, 1024)
+        assert rep.passed.all()
+        assert (rep.min_real_group >= 0.0).all()
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_order4_within_limit(self, alpha):
-        for rep in stability_scan("order4", [alpha], GRID, GRID, 1, 1, 1, 1024):
-            assert rep.passed
+        assert stability_scan("order4", [alpha], GRID, GRID, 1, 1, 1,
+                              1024).passed.all()
 
     @pytest.mark.parametrize("alpha", [0.1, 0.4, 0.7])
     def test_order6_moderate_orders(self, alpha):
-        for rep in stability_scan("order6", [alpha], GRID, GRID, 1, 1, 1, 1024):
-            assert rep.passed
+        assert stability_scan("order6", [alpha], GRID, GRID, 1, 1, 1,
+                              1024).passed.all()
 
     def test_order6_large_alpha_coarse_mesh_grows(self):
         # the symbol turns negative above alpha ~ 0.555 for the six-point
         # weights; with h = 1 the fractional term dominates and the scan
         # correctly reports growth
-        [rep] = stability_scan("order6", [0.8], [1.0], [0.1], 1, 1, 1, 2048)
-        assert not rep.passed
-        assert rep.min_real_group < 0.0
+        rep = stability_scan("order6", [0.8], [1.0], [0.1], 1, 1, 1, 2048)
+        assert rep.passed.tolist() == [False]
+        assert rep.min_real_group[0] < 0.0
 
     def test_cells_h_outer_tau_inner(self):
         hs, taus = [0.5, 0.01], [0.2, 1.0, 0.003]
-        reps = stability_scan("order4", [0.6], hs, taus, 0.3, 2.0, 0.7, 1024)
-        assert [(r.h, r.tau) for r in reps] == [(h, t) for h in hs for t in taus]
-        for r in reps:
-            q = AmplificationQuery("order4", 0.6, r.h, r.tau, 0.3, 2.0, 0.7,
-                                   r.theta_at_max)
-            assert abs(abs(amplification_factor(q)) - r.max_abs) < 1e-14
+        rep = stability_scan("order4", [0.6], hs, taus, 0.3, 2.0, 0.7, 1024)
+        cells = list(zip(rep.h.tolist(), rep.tau.tolist()))
+        assert cells == [(h, t) for h in hs for t in taus]
+        for (h, tau), theta, max_abs in zip(cells, rep.theta_at_max.tolist(),
+                                            rep.max_abs.tolist()):
+            [xi] = _factors("order4", 0.6, h, tau, 0.3, 2.0, 0.7, [theta])
+            assert abs(abs(xi) - max_abs) < 1e-14
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -219,9 +202,10 @@ class TestScan:
 STEPS = [1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0]
 
 
-def _cells(reports):
-    return [(r.h, r.tau, r.max_abs.hex(), r.theta_at_max.hex(),
-             r.min_real_group.hex()) for r in reports]
+def _cells(rep):
+    return [(h, tau, *(v.hex() for v in values)) for h, tau, *values
+            in zip(rep.h.tolist(), rep.tau.tolist(), rep.max_abs.tolist(),
+                   rep.theta_at_max.tolist(), rep.min_real_group.tolist())]
 
 
 class TestScanMatchesPerAlphaOracle:
@@ -233,25 +217,27 @@ class TestScanMatchesPerAlphaOracle:
     @pytest.mark.parametrize("grid_size", [1024, 1025])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_bit_identical(self, scheme, grid_size):
-        reps = stability_scan(scheme, self.ALPHAS, STEPS, STEPS, 2.0, 0.01, 1.0,
-                              grid_size)
+        rep = stability_scan(scheme, self.ALPHAS, STEPS, STEPS, 2.0, 0.01, 1.0,
+                             grid_size)
         want = []
         for alpha in self.ALPHAS:
             want += [(h, tau, *(v.hex() for v in values)) for h, tau, *values
                      in naive_stability_cells(scheme, alpha, STEPS, STEPS, 2.0,
                                               0.01, 1.0, grid_size)]
-        assert [r.alpha for r in reps] == [a for a in self.ALPHAS
-                                           for _ in range(len(STEPS) ** 2)]
-        assert _cells(reps) == want
+        assert rep.alpha.tolist() == [a for a in self.ALPHAS
+                                      for _ in range(len(STEPS) ** 2)]
+        assert _cells(rep) == want
         if scheme != "order2":
-            assert not all(r.passed for r in reps)
+            assert not rep.passed.all()
 
     def test_several_alphas_concatenate_single_scans(self):
         args = (STEPS, STEPS, 2.0, 0.01, 1.0, 1025)
         joined = stability_scan("order6", self.ALPHAS, *args)
-        single = [r for a in self.ALPHAS
-                  for r in stability_scan("order6", [a], *args)]
-        assert joined == single
+        single = [stability_scan("order6", [a], *args) for a in self.ALPHAS]
+        for field in ("alpha", "h", "tau", "max_abs", "theta_at_max",
+                      "min_real_group", "passed"):
+            assert np.array_equal(getattr(joined, field), np.concatenate(
+                [getattr(s, field) for s in single]))
 
 
 class TestVerdictIsTauFree:
@@ -266,16 +252,17 @@ class TestVerdictIsTauFree:
     def test_passed_equal_along_tau(self, scheme):
         unstable = 0
         for d in ((1.0, 1.0, 1.0), (2.0, 0.01, 1.0), (1.0, 0.01, 1.0)):
-            reps = stability_scan(scheme, [0.37, 0.8, 0.9, 0.99], STEPS, STEPS,
-                                  *d, 4096)
+            rep = stability_scan(scheme, [0.37, 0.8, 0.9, 0.99], STEPS, STEPS,
+                                 *d, 4096)
             groups = {}
-            for r in reps:
-                groups.setdefault((r.alpha, r.h), []).append(r.passed)
+            for alpha, h, passed in zip(rep.alpha.tolist(), rep.h.tolist(),
+                                        rep.passed.tolist()):
+                groups.setdefault((alpha, h), []).append(passed)
             assert len(groups) == 4 * len(STEPS)
             for key, passed in groups.items():
                 assert len(passed) == len(STEPS)
                 assert len(set(passed)) == 1, (d, key, passed)
-            unstable += sum(not r.passed for r in reps)
+            unstable += int((~rep.passed).sum())
         assert unstable == self.UNSTABLE[scheme]
 
 
