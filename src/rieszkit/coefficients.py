@@ -105,13 +105,15 @@ def generator_on_circle(p: int, thetas: np.ndarray) -> np.ndarray:
 
 def first_order_sequence(alpha: float, length: int) -> np.ndarray:
     """Weights w_{1,j} = (-1)^j C(alpha, j), j = 0..length, by the pole-free
-    recurrence w_j = w_{j-1} (1 - (alpha + 1) / j)."""
+    recurrence w_j = w_{j-1} (1 - (alpha + 1) / j).  The running product
+    of ``np.multiply.accumulate`` is sequential, the same operations as
+    the scalar loop."""
     validate_alpha(alpha)
     check_count("length", length, 0, MAX_SERIES_LENGTH)
-    w = [1.0]
-    for j in range(1, length + 1):
-        w.append(w[-1] * (1.0 - (alpha + 1.0) / j))
-    return np.array(w)
+    f = np.empty(length + 1)
+    f[0] = 1.0
+    f[1:] = 1.0 - (alpha + 1.0) / np.arange(1, length + 1)
+    return np.multiply.accumulate(f)
 
 
 def validate_alpha(alpha: float) -> None:

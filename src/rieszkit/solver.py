@@ -132,14 +132,6 @@ class SolutionGrid:
         return self.spec.T / self.N
 
 
-def _diagonal(X: np.ndarray, k: int) -> np.ndarray:
-    """Writable view of the k-th diagonal, X[r, r + k], of a C-contiguous array."""
-    rows, cols = X.shape
-    start = k if k >= 0 else -k * cols
-    count = min(rows + min(k, 0), cols - max(k, 0))
-    return X.reshape(-1)[start::cols + 1][:count]
-
-
 def _convolution_diagonals(M: int, w: np.ndarray, compact, right, nu: float):
     """nu K on its diagonals, for the two-sided weight convolution K with
     the compact stencil ``compact`` on its backward-looking half and
@@ -282,9 +274,10 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
     # nodes beyond [a, b] that the compact stencil of rows 1 and M-1 reaches
     ghost = max(0, compact[-1][0] - 1)
     S = np.zeros((M - 1, M + 1 + 2 * ghost))
+    rows = np.arange(M - 1)
     for off, c in compact:
         # row j samples the source at node j + off, column j + off + ghost
-        _diagonal(S, 1 + off + ghost)[:] = 0.0 + 2.0 * c
+        S[rows, rows + 1 + off + ghost] = 0.0 + 2.0 * c
 
     return SchemeMatrices(scheme=scheme, M=M, tau=tau, h=h,
                           B=_fill(np.empty((n, n)), ab[1]), source_matrix=S,
@@ -292,16 +285,11 @@ def assemble(scheme: str, spec: ProblemSpec, M: int, tau: float) -> SchemeMatric
                           lu=lu, _a_data=a_data)
 
 
-def _non_finite(mats: SchemeMatrices, t: float | None = None) -> SolverError:
-    at = "" if t is None else f", t={t:g}"
-    return SolverError(f"non-finite data in scheme={mats.scheme}, M={mats.M}, "
-                       f"tau={mats.tau}{at}")
-
-
 def _march(mats: SchemeMatrices, u: np.ndarray, s: np.ndarray,
-           levels: np.ndarray) -> float | None:
+           levels: np.ndarray, k0: int | None = None) -> None:
     """March one block of levels A u^{k+1} = B u^k + S s^{k+1/2} from the
-    state u; the only code that advances a level.
+    state u; the only code that advances a level, and the only one that
+    finds a march's faults.
 
     Row i of ``s`` holds the source samples at ``mats.source_x`` for level
     i of the block, whose solution lands in row i of ``levels``.  One
@@ -309,19 +297,22 @@ def _march(mats: SchemeMatrices, u: np.ndarray, s: np.ndarray,
     three in-place calls and no temporaries: ``B.dot`` writes B u into the
     level's row, ``np.add`` adds the source term, and LAPACK ``getrs``
     overwrites the row with the solution, which becomes u; a nonzero
-    ``info`` raises :class:`SolverError`.  The march stops before the first
-    non-finite source term and checks the marched levels after the loop;
-    overflow and inf * 0 show only through these checks, never as a NumPy
-    warning.
+    ``info`` raises :class:`SolverError`.
 
-    Returns None if all is finite, else the first fault's offset in steps
-    from the block's start: i + 1 for a non-finite level in row i, n + 0.5
-    for a non-finite source term in row n.
+    The march stops before the first row with a non-finite end sample,
+    ``s[i, 0]`` or ``s[i, -1]``, or source term, and checks the marched
+    levels after the loop.  The earliest fault raises :class:`SolverError`:
+    a level of row i at time (k0 + i + 1) tau, before a source fault of
+    row n at (k0 + n + 1/2) tau, where an end sample is named before the
+    source term.  ``k0`` is the block's first level; with None the message
+    names no time.  Overflow and inf * 0 show only through these checks,
+    never as a NumPy warning.
     """
     (lu, piv), dot, add, getrs = mats.lu, mats.B.dot, np.add, dgetrs
+    ends = np.isfinite(s[:, 0]) & np.isfinite(s[:, -1])
     with np.errstate(over="ignore", invalid="ignore"):
         src = np.matmul(mats.source_matrix, s[:, :, None])[:, :, 0]
-        good = np.isfinite(src).all(axis=1)
+        good = ends & np.isfinite(src).all(axis=1)
         n = len(src) if good.all() else int(good.argmin())
         for row, f in zip(levels[:n], src):
             dot(u, row)
@@ -332,26 +323,35 @@ def _march(mats: SchemeMatrices, u: np.ndarray, s: np.ndarray,
                 raise SolverError(f"getrs failed with info={info} in scheme="
                                   f"{mats.scheme}, M={mats.M}, tau={mats.tau}")
     finite = np.isfinite(levels[:n]).all(axis=1)
+    what = "non-finite data"
     if not finite.all():
-        return finite.argmin() + 1.0
-    return None if n == len(src) else n + 0.5
+        t = finite.argmin() + 1.0
+    elif n < len(src):
+        t = n + 0.5
+        if not ends[n]:
+            xs = mats.source_x
+            what = f"non-finite source at an end node (x = {xs[0]:g} or {xs[-1]:g})"
+    else:
+        return
+    at = "" if k0 is None else f", t={(k0 + t) * mats.tau:g}"
+    raise SolverError(f"{what} in scheme={mats.scheme}, M={mats.M}, "
+                      f"tau={mats.tau}{at}")
 
 
 def step(mats: SchemeMatrices, u: np.ndarray, s_half: np.ndarray) -> np.ndarray:
     """Advance one time level; s_half holds source samples at mats.source_x
     (the M+1 grid nodes, and for order6 also the ghost nodes a - h and
     b + h, see :func:`assemble`).  The level is a one-row block of
-    :func:`_march`, so a non-finite source term or result raises
-    :class:`SolverError`, never a NumPy warning.  u and s_half are left as
-    they are, and the result shares no memory with them.  A u or s_half
-    of the wrong length raises ValueError.
+    :func:`_march`, so a non-finite end sample, source term or result
+    raises :class:`SolverError`, never a NumPy warning.  u and s_half are
+    left as they are, and the result shares no memory with them.  A u or
+    s_half of the wrong length raises ValueError.
     """
     for name, v, size in (("u", u, mats.M - 1), ("s_half", s_half, len(mats.source_x))):
         if np.shape(v) != (size,):
             raise ValueError(f"{name} must have length {size}, got shape {np.shape(v)}")
     x = np.empty((1, mats.M - 1))
-    if _march(mats, u, np.reshape(s_half, (1, -1)), x) is not None:
-        raise _non_finite(mats)
+    _march(mats, u, np.reshape(s_half, (1, -1)), x)
     return x[0]
 
 
@@ -362,9 +362,10 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     Each block calls ``spec.source`` once, with the column of its
     half-level times (see :class:`ProblemSpec`), and ``spec.exact`` once,
     with the column of its level times.  A non-finite end-node sample,
-    source term or level raises :class:`SolverError` naming the time of
-    the first.  Only one block of levels is held, so memory does not grow
-    with N, and the grid keeps the final level alone.
+    source term or level raises the :class:`SolverError` of
+    :func:`_march`, which names the time of the first fault.  Only one
+    block of levels is held, so memory does not grow with N, and the grid
+    keeps the final level alone.
 
     With an exact solution the grid records both the final-time maximum
     error and the maximum over all time levels; the published benchmark
@@ -385,16 +386,8 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
     worst = 0.0
     for k0 in range(0, N, _BLOCK):
         k = np.arange(k0, min(k0 + _BLOCK, N))[:, None]
-        t_half = (k + 0.5) * tau
-        s = np.broadcast_to(spec.source(xs, t_half), (len(k), len(xs)))
-        ends = np.isfinite(s[:, 0]) & np.isfinite(s[:, -1])
-        if not ends.all():
-            raise SolverError(
-                f"non-finite source at an end node (x = {xs[0]:g} or "
-                f"{xs[-1]:g}) in scheme={scheme}, M={M}, "
-                f"t={t_half[ends.argmin(), 0]:g}")
-        if (bad := _march(mats, u, s, levels)) is not None:
-            raise _non_finite(mats, (k0 + bad) * tau)
+        s = np.broadcast_to(spec.source(xs, (k + 0.5) * tau), (len(k), len(xs)))
+        _march(mats, u, s, levels, k0)
         # row _BLOCK - 1 if a block follows, which writes its row 0 first
         u = levels[len(k) - 1]
         if spec.exact is not None:
@@ -415,19 +408,20 @@ def solve(scheme: str, spec: ProblemSpec, M: int, N: int) -> SolutionGrid:
 # Built-in benchmark problems with manufactured solutions.
 # ---------------------------------------------------------------------------
 
-def _fractional_source_sum(binomials, base_power: int, alpha: float):
+def _fractional_source_sum(n: int, alpha: float):
     """(x_+, (1-x)_+) -> sum_k c_k G_k (x_+^e_k + (1-x)_+^e_k).
 
-    With c_k the coefficients of x^n (1-x)^n = sum_k c_k x^(n+k),
-    G_k = Gamma(n+1+k) / Gamma(n+1+k-alpha) and e_k = n + k - alpha, the
-    two terms are the left- and right-sided fractional derivatives of the
-    profile.  The positive parts y_+ = max(y, 0) drop the side whose
-    support lies beyond x, so the sum stays finite at the ghost nodes.
+    With c_k = (-1)^k C(n, k) the coefficients of x^n (1-x)^n =
+    sum_k c_k x^(n+k), G_k = Gamma(n+1+k) / Gamma(n+1+k-alpha) and
+    e_k = n + k - alpha, the two terms are the left- and right-sided
+    fractional derivatives of the profile.  The positive parts
+    y_+ = max(y, 0) drop the side whose support lies beyond x, so the sum
+    stays finite at the ghost nodes.
     """
-    terms = [(c * (math.gamma(base_power + 1 + k)
-                   / math.gamma(base_power + 1 + k - alpha)),
-              base_power + k - alpha)
-             for k, c in enumerate(binomials)]
+    terms = [((-1) ** k * math.comb(n, k)
+              * (math.gamma(n + 1 + k) / math.gamma(n + 1 + k - alpha)),
+              n + k - alpha)
+             for k in range(n + 1)]
 
     def frac(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(left)
@@ -436,6 +430,12 @@ def _fractional_source_sum(binomials, base_power: int, alpha: float):
         return acc
 
     return frac
+
+
+def _positive_parts(x):
+    """x as a float array, x_+ and (1 - x)_+."""
+    x = np.asarray(x, dtype=float)
+    return x, np.maximum(x, 0.0), np.maximum(1.0 - x, 0.0)
 
 
 def _per_time(fn, t):
@@ -474,56 +474,43 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
     the x-only arrays and applies the t-dependent factors
     (:func:`_per_time`) in the elementwise order of the full closed form,
     so a column of times gives bitwise the values of evaluating it whole,
-    one time value at a time.
+    one time value at a time.  The initial data is the exact solution at
+    t = 0.  example2's exact solution is inf once exp(t) overflows
+    (t > 709.78), even where the true value x^6 (1-x)^6 exp(t) is finite,
+    so the errors of such a run read inf.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     sec = 1.0 / math.cos(math.pi * alpha / 2.0)
     if name == "example2":
-        frac = _fractional_source_sum(
-            [(-1) ** k * math.comb(6, k) for k in range(7)], 6, alpha)
+        n, amplitude, d1, d2, d_alpha = 6, math.exp, 1.0, 1.0, 1.0
 
         def source(x, t):
-            x = np.asarray(x, dtype=float)
-            left, right = np.maximum(x, 0.0), np.maximum(1.0 - x, 0.0)
+            x, left, right = _positive_parts(x)
             poly = (left ** 4 * right ** 4
                     * (x ** 4 + 10.0 * x ** 3 - 149.0 * x ** 2 + 138.0 * x - 30.0))
             return _per_time(math.exp, t) * (poly + 0.5 * sec * frac(left, right))
-
-        def exact(x, t):
-            x = np.asarray(x)
-            return _per_time(math.exp, t) * x ** 6 * (1.0 - x) ** 6
-
-        return ProblemSpec(
-            d1=1.0, d2=1.0, d_alpha=1.0, alpha=alpha, a=0.0, b=1.0, T=1.0,
-            source=source,
-            initial=lambda x: np.asarray(x) ** 6 * (1.0 - np.asarray(x)) ** 6,
-            exact=exact,
-        )
-    if name == "example3":
-        frac = _fractional_source_sum(
-            [(-1) ** k * math.comb(8, k) for k in range(9)], 8, alpha)
+    elif name == "example3":
+        n, amplitude, d1, d2, d_alpha = 8, math.sin, 2.0, 1.0, alpha ** 2
 
         def source(x, t):
-            x = np.asarray(x, dtype=float)
-            left, right = np.maximum(x, 0.0), np.maximum(1.0 - x, 0.0)
+            x, left, right = _positive_parts(x)
             cos_t, sin_t = _per_time(math.cos, t), _per_time(math.sin, t)
             return (left ** 6 * right ** 6
                     * (cos_t * (x ** 4 - 2.0 * x ** 3 + x ** 2)
                        + sin_t * (32.0 * x ** 3 - 288.0 * x ** 2 + 256.0 * x - 56.0))
                     + 0.5 * alpha ** 2 * sin_t * sec * frac(left, right))
+    else:
+        raise ValueError(f"unknown problem '{name}', expected example2 or example3")
+    frac = _fractional_source_sum(n, alpha)
 
-        def exact(x, t):
-            x = np.asarray(x)
-            return _per_time(math.sin, t) * x ** 8 * (1.0 - x) ** 8
+    def exact(x, t):
+        x = np.asarray(x)
+        return _per_time(amplitude, t) * x ** n * (1.0 - x) ** n
 
-        return ProblemSpec(
-            d1=2.0, d2=1.0, d_alpha=alpha ** 2, alpha=alpha, a=0.0, b=1.0, T=1.0,
-            source=source,
-            initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            exact=exact,
-        )
-    raise ValueError(f"unknown problem '{name}', expected example2 or example3")
+    return ProblemSpec(d1=d1, d2=d2, d_alpha=d_alpha, alpha=alpha,
+                       a=0.0, b=1.0, T=1.0, source=source,
+                       initial=lambda x: exact(x, 0.0), exact=exact)
 
 
 def convergence_study(scheme: str, problem: str, alpha: float,

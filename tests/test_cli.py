@@ -157,26 +157,17 @@ class TestSubcommands:
         assert [r.split(",")[1:3] for r in rows] == [
             [f"{a:.16e}", f"{h:.16e}"] for a in (0.2, 0.5, 0.8) for h in (0.1, 1)]
 
-    def test_symbol_table_leaves_no_object_per_row(self, tmp_path, capsys):
+    def test_symbol_table_leaves_no_object_per_row(self, tmp_path, monkeypatch,
+                                                   capsys):
         # write_csv joins the lines straight from the columns: a row tuple
         # kept per CSV line (12 317 objects here) set off a full collection
-        import gc
-
         import rieszkit.cli as cli
 
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            before = gc.get_count()[0]
-            outputs = cli._cmd_symbol(6, [0.2, 0.5, 0.8], 4096)
-            cli._write_outputs(tmp_path / "out", "symbol", *outputs)
-            net = gc.get_count()[0] - before
-        finally:
-            if enabled:
-                gc.enable()
-        rows = (tmp_path / "out" / "symbol.csv").read_text().count("\n") - 1
+        live, rows = self._live_objects(
+            tmp_path, monkeypatch, "symbol",
+            lambda: cli._cmd_symbol(6, [0.2, 0.5, 0.8], 4096))
         assert rows == 3 * 4096
-        assert net < 0.01 * rows
+        assert live < 0.01 * rows
 
     @staticmethod
     def _live_objects(tmp_path, monkeypatch, name, command):

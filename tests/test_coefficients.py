@@ -201,7 +201,8 @@ class TestSeriesExpansion:
 
 
 class TestScalarRecurrenceBits:
-    # the recurrences run on Python floats; the NumPy-scalar loops they
+    # the series recurrence runs on Python floats and the first-order one
+    # as one running product over an array; the NumPy-scalar loops they
     # replaced perform the same IEEE operations, so every bit must agree
     @given(p=st.integers(1, 6),
            alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
@@ -213,6 +214,7 @@ class TestScalarRecurrenceBits:
 
     @given(alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
            length=st.integers(0, 600))
+    @example(alpha=0.37, length=10**5)
     def test_first_order_matches_numpy_scalar_loop(self, alpha, length):
         got = first_order_sequence(alpha, length)
         assert got.dtype == np.float64

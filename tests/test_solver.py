@@ -695,6 +695,25 @@ class TestSolve:
         with pytest.raises(SolverError, match=r"end node .* t=0\.5005$"):
             solve("order2", spec, 8, 1000)
 
+    def test_interior_fault_before_a_bad_end_node_is_named_first(self):
+        # the source term overflows at t = 0.3125 and the sample at x = 0 is
+        # nan from t = 0.6875, in one block: the earlier fault is named
+        def source(x, t):
+            t = np.asarray(t)
+            return np.where((x == 0.0) & (t >= 0.6875), np.nan,
+                            np.where((0.0 < x) & (x < 1.0) & (t >= 0.3125),
+                                     1e308, 0.0))
+
+        spec = ProblemSpec(d1=1.0, d2=1.0, d_alpha=1.0, alpha=0.5,
+                           a=0.0, b=1.0, T=1.0, source=source,
+                           initial=np.zeros_like)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError,
+                               match=r"^non-finite data in scheme=order2, M=8, "
+                                     r"tau=0\.125, t=0\.3125$"):
+                solve("order2", spec, 8, 8)
+
     @pytest.mark.parametrize("T, N, time", [(1e300, 4, r"1\.25e\+299"),
                                              (2000.0, 8, "875")],
                              ids=["T=1e300", "T=2000"])

@@ -5,10 +5,10 @@ tests a scheme by its name, the stability scans do not reach into the
 solver, no module borrows a sibling's private helpers, every module-level
 import is used, the Fraction oracle of the nested sums reads nothing of
 the production nested-sum route, one solver kernel alone marches a
-time level, one helper alone decides what a count is, no module imports
-`csv` or `io`, the CLI alone reads the config and its commands take parsed
-values, and every public function and class has a user outside the unit
-tests.
+time level and raises a march's faults, one helper alone decides what a
+count is, no module imports `csv` or `io`, the CLI alone reads the config
+and its commands take parsed values, and every public function and class
+has a user outside the unit tests.
 """
 
 import ast
@@ -200,6 +200,18 @@ def test_one_kernel_marches_a_level():
     # own: a second level loop would read dgetrs or mats.B
     readers = _functions_reading(PACKAGE / "solver.py", {"dgetrs"}, {"B"})
     assert readers == {"_march"}, readers
+
+
+def test_march_faults_have_one_owner():
+    # a march's faults are found and named in _march alone; assemble
+    # refuses a singular system before any march
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    builders = {top.name for top in tree.body
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "SolverError"}
+    assert builders == {"assemble", "_march"}, builders
 
 
 # where a public name counts as used: the package itself, the benchmark,
