@@ -8,24 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (
-    MAX_EXACT_LENGTH,
-    MAX_GRID,
-    MAX_SERIES_LENGTH,
-    check_count,
-    closed_form_table,
-    expand_generating_function,
-    first_order_sequence,
-    generator_on_circle,
-    validate_alpha,
-)
+from .coefficients import (MAX_EXACT_LENGTH, MAX_ORDER, MAX_SERIES_LENGTH,
+                           check_count, closed_form_table, expand_generating_function,
+                           first_order_sequence, generator_on_circle, theta_grid,
+                           validate_alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolScan:
+    """Symbol values on a theta_grid, their minimum, its angle and verdict."""
     p: int
     alpha: float
-    grid_size: int
+    values: np.ndarray
     min_value: float
     theta_at_min: float
     nonnegative: bool
@@ -50,7 +44,11 @@ def symbol_values(p: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
     Uses the principal branch of the complex power.  theta = 0 maps to 0
     exactly (the generator vanishes at z = 1), avoiding the rounding
     artifact of 0**alpha on a near-zero complex base.  alpha must lie in
-    (0, 2), as for the weights.
+    (0, 2), as for the weights.  Near theta = 0 it inherits the error of
+    :func:`generator_on_circle`: within 1.3e-12 relative of 50-digit
+    arithmetic for |theta| >= 1e-3 and p = 1..6, but 6.7e-10 at 1e-6 and
+    6.7e-8 at 1e-8 (p = 4).  A 4096-angle theta_grid keeps |theta| >= 7.7e-4,
+    one of MAX_GRID angles reaches 3.1e-6.
     """
     validate_alpha(alpha)
     thetas = np.asarray(thetas, dtype=float)
@@ -72,19 +70,12 @@ def truncated_symbol(p: int, alpha: float, theta: float, length: int) -> float:
 
 
 def check_symbol_nonnegativity(p: int, alpha: float, grid_size: int) -> SymbolScan:
-    """Minimum of the symbol over a uniform theta grid on [-pi, pi]."""
-    check_count("grid_size", grid_size, 1024, MAX_GRID)
-    thetas = np.linspace(-math.pi, math.pi, grid_size)
-    return symbol_scan(p, alpha, thetas, symbol_values(p, alpha, thetas))
-
-
-def symbol_scan(p: int, alpha: float, thetas: np.ndarray,
-                 vals: np.ndarray) -> SymbolScan:
-    """Minimum and verdict of symbol values `vals` taken on the grid `thetas`."""
-    check_count("grid_size", len(thetas), 1024, MAX_GRID)
+    """The symbol on the theta_grid of grid_size angles, and its minimum."""
+    thetas = theta_grid(grid_size)
+    vals = symbol_values(p, alpha, thetas)
     k = int(np.argmin(vals))
-    return SymbolScan(p=p, alpha=alpha, grid_size=len(thetas),
-                      min_value=float(vals[k]), theta_at_min=float(thetas[k]),
+    return SymbolScan(p=p, alpha=alpha, values=vals, min_value=float(vals[k]),
+                      theta_at_min=float(thetas[k]),
                       nonnegative=bool(vals[k] >= -1e-12))
 
 
@@ -123,7 +114,7 @@ def monotonicity_scan(p: int, alpha: float, length: int) -> int | None:
     None when no monotone tail exists below `length` (observed for p = 6).
     """
     check_count("length", length, 200, MAX_SERIES_LENGTH)
-    check_count("p", p, 2, 6)
+    check_count("p", p, 2, MAX_ORDER)
     w = expand_generating_function(p, alpha, length).values
     diffs = np.diff(w)
     ok = diffs >= 0.0 if alpha < 1.0 else diffs <= 0.0
@@ -257,8 +248,7 @@ def evaluate_bounds(family: str, alpha: float, ell_min: int,
     if family not in _BOUND_FAMILIES:
         raise ValueError(f"unknown bound family {family!r}; choose from "
                          f"{bound_families()}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    validate_alpha(alpha, top=1.0)
     min_ell, shift, observed, bounds = _BOUND_FAMILIES[family]
     top = MAX_EXACT_LENGTH if observed == "second" else _MAX_ELL
     check_count("ell_min", ell_min, min_ell, top)

@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import evaluate_bounds, monotonicity_scan, symbol_scan, symbol_values
-from .coefficients import (MAX_GRID, MAX_SERIES_LENGTH, check_count,
-                           expand_generating_function)
+from .analysis import check_symbol_nonnegativity, evaluate_bounds, monotonicity_scan
+from .coefficients import (MAX_SERIES_LENGTH, check_count, expand_generating_function,
+                           theta_grid)
 from .reports import (CONVERGENCE_HEADER, convergence_text, fmt, fmt_column,
                       text_table, write_csv)
 from .riesz import operator_convergence
@@ -187,14 +187,9 @@ def _cmd_coeffs(p, alphas, length):
 
 
 def _cmd_symbol(p, alphas, grid):
-    check_count("theta_grid", grid, 1024, MAX_GRID)
+    thetas = theta_grid(grid, "theta_grid")
     _check_rows(alphas, grid)
-    thetas = np.linspace(-math.pi, math.pi, grid)
-    values, scans = [], []
-    for a in alphas:
-        vals = symbol_values(p, a, thetas)
-        values += fmt_column(vals)
-        scans.append(symbol_scan(p, a, thetas, vals))
+    scans = [check_symbol_nonnegativity(p, a, grid) for a in alphas]
     text = text_table(f"symbol minima p={p}",
                       ["p", "alpha", "min value", "theta at min", "nonnegative"],
                       [str(p), [f"{a:g}" for a in alphas],
@@ -202,7 +197,8 @@ def _cmd_symbol(p, alphas, grid):
                        [f"{s.theta_at_min:.6f}" for s in scans],
                        ["yes" if s.nonnegative else "no" for s in scans]])
     columns = [str(p), [s for a in alphas for s in [fmt(a)] * grid],
-               fmt_column(thetas) * len(alphas), values]
+               fmt_column(thetas) * len(alphas),
+               [v for scan in scans for v in fmt_column(scan.values)]]
     return (["p", "alpha", "theta", "value"], columns, text,
             [f"p = {p}", f"alpha = {alphas}", f"theta_grid = {grid}"])
 

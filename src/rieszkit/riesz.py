@@ -11,11 +11,18 @@ from .coefficients import CoefficientTable, check_count, expand_generating_funct
 from .reports import ConvergenceReport, convergence_rows
 from .schemes import fractional_coefficient
 
+_MAX_DEGREE = 64  # of a profile x^p (1-x)^p: p! (2p)! overflows a float beyond it
+
+
+def _check_order(alpha: float) -> None:
+    """The orders of the Riesz derivative: cos(pi alpha / 2) vanishes at 1."""
+    if not (0.0 < alpha < 2.0) or alpha == 1.0:
+        raise ValueError(f"alpha must lie in (0,1) or (1,2), got {alpha}")
+
 
 def riesz_prefactor(alpha: float, h: float) -> float:
     """-1 / (2 cos(pi alpha / 2) h**alpha), minus nu at d_alpha = 1."""
-    if not (0.0 < alpha < 2.0) or alpha == 1.0:
-        raise ValueError(f"alpha must lie in (0,1) or (1,2), got {alpha}")
+    _check_order(alpha)
     return -fractional_coefficient(1.0, alpha, h)
 
 
@@ -56,7 +63,7 @@ def riesz_apply(table: CoefficientTable, values, h: float) -> np.ndarray:
 
 def poly_profile(p: int, x):
     """Profile x^p (1-x)^p on [0, 1], zero outside; integer p in 0..64, x not nan."""
-    check_count("p", p, 0, 64)
+    check_count("p", p, 0, _MAX_DEGREE)
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValueError("x must not be nan")
@@ -77,9 +84,8 @@ def reference_riesz(p: int, alpha: float, x: float) -> float:
     at p = 20, and at p = 32 even the sign is wrong.  Only p <= 64 is
     enforced; the package itself uses p <= 6.
     """
-    check_count("p", p, 0, 64)
-    if not (0.0 < alpha < 2.0) or alpha == 1.0:
-        raise ValueError(f"alpha must lie in (0,1) or (1,2), got {alpha}")
+    check_count("p", p, 0, _MAX_DEGREE)
+    _check_order(alpha)
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
     if p < alpha and x in (0.0, 1.0):

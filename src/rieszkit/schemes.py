@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .coefficients import generator_on_circle
+from .coefficients import generator_on_circle, validate_alpha
 
 # scheme -> (order p of its weights, forward half mirrored; see right_compact)
 SCHEME_TABLE = {"order2": (2, True), "order4": (4, True), "order6": (6, True),
@@ -32,9 +32,10 @@ def check_coefficients(alpha: float, d1: float, d2: float, d_alpha: float):
     for name, value in (("d1", d1), ("d2", d2), ("d_alpha", d_alpha)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if not (d1 > 0 and d2 > 0 and d_alpha >= 0 and 0.0 < alpha < 1.0):
-        raise ValueError(f"need d1, d2 > 0, d_alpha >= 0 and alpha in (0, 1), got "
-                         f"d1 = {d1}, d2 = {d2}, d_alpha = {d_alpha}, alpha = {alpha}")
+    if not (d1 > 0 and d2 > 0 and d_alpha >= 0):
+        raise ValueError(f"need d1, d2 > 0 and d_alpha >= 0, got "
+                         f"d1 = {d1}, d2 = {d2}, d_alpha = {d_alpha}")
+    validate_alpha(alpha, top=1.0)
 
 
 def check_step(scheme: str, alpha: float, h: float, tau: float, d1: float,

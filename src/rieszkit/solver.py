@@ -25,7 +25,7 @@ from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
 from .analysis import alpha_limit_order4
-from .coefficients import check_count, expand_generating_function
+from .coefficients import check_count, expand_generating_function, validate_alpha
 from .reports import ConvergenceReport, convergence_rows
 from .schemes import (check_coefficients, check_step, fractional_coefficient,
                       right_compact, stencils, weight_order)
@@ -479,8 +479,7 @@ def builtin_problem(name: str, alpha: float) -> ProblemSpec:
     (t > 709.78), even where the true value x^6 (1-x)^6 exp(t) is finite,
     so the errors of such a run read inf.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    validate_alpha(alpha, top=1.0)
     sec = 1.0 / math.cos(math.pi * alpha / 2.0)
     if name == "example2":
         n, amplitude, d1, d2, d_alpha = 6, math.exp, 1.0, 1.0, 1.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import MAX_GRID, check_count
+from .coefficients import check_count, theta_grid
 from .schemes import check_step, growth_factors
 
 
@@ -39,7 +39,7 @@ _MAX_SCAN_POINTS = 10**8
 def stability_scan(scheme: str, alphas, hs, taus,
                    d1: float, d2: float, d_alpha: float,
                    grid_size: int) -> StabilityReport:
-    """Maximum growth factor over a uniform theta grid on [-pi, pi], for
+    """Maximum growth factor over the theta_grid of grid_size angles, for
     every (alpha, h, tau) in alphas x hs x taus: alpha outer, then h, then
     tau.
 
@@ -47,7 +47,7 @@ def stability_scan(scheme: str, alphas, hs, taus,
     order6-consistent, in the orientation that ``solve`` marches.  The grid
     size, the number of points len(alphas) x len(hs) x len(taus) x
     grid_size and every cell's :func:`check_step` are checked before any
-    array work.  The theta grid, the Fourier basis and W_p(e^{-i theta}) are
+    growth factor.  The theta grid, the Fourier basis and W_p(e^{-i theta}) are
     evaluated once per call, the weight symbol Z = W_p**alpha once per
     alpha, the stencil symbols and G once per (alpha, h), and only s C, xi
     and the real group per tau; memory is O(grid_size) for the work and
@@ -58,7 +58,7 @@ def stability_scan(scheme: str, alphas, hs, taus,
     Only a group within rounding of 0 can give a tau-dependent verdict,
     through the 1 + 1e-12 tolerance on max |xi|.
     """
-    check_count("grid_size", grid_size, 1024, MAX_GRID)
+    thetas = theta_grid(grid_size)
     if len(alphas) == 0 or len(hs) == 0 or len(taus) == 0:
         raise ValueError("alphas, hs and taus must not be empty")
     check_count(f"scan points (alphas x hs x taus x grid_size = {len(alphas)} "
@@ -69,7 +69,6 @@ def stability_scan(scheme: str, alphas, hs, taus,
         for h in hs:
             for tau in taus:
                 check_step(scheme, alpha, h, tau, d1, d2, d_alpha)
-    thetas = np.linspace(-math.pi, math.pi, grid_size)
     cells = np.empty((6, len(alphas) * len(hs) * len(taus)))
     # finite inputs that pass check_step can still overflow on the way to
     # xi: a non-finite xi is a ValueError, not NumPy warnings and a nan cell

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from rieszkit import (
     symbol_values,
 )
 from rieszkit.analysis import pointwise_lower_crossing, truncated_symbol
+from rieszkit.coefficients import theta_grid
 
 
 def _symbol_at(p, alpha, theta):
@@ -79,8 +81,32 @@ class TestSymbol:
             s = float(np.dot(w, np.cos(ell * theta)))
             assert abs(d - s) < 1e-5
 
+    # W_p vanishes at theta = 0, where Horner's rule on the float
+    # coefficients cancels; from |theta| = 1e-3 on the symbol is within
+    # 1.3e-12 relative of 50-digit arithmetic (symbol_values' docstring)
+    PRECISE_THETAS = np.geomspace(1e-3, math.pi, 16)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
+    def test_relative_accuracy_away_from_origin(self, p, alpha):
+        thetas = np.concatenate([self.PRECISE_THETAS, -self.PRECISE_THETAS])
+        got = symbol_values(p, alpha, thetas)
+        with mpmath.workdps(50):
+            for theta, value in zip(thetas.tolist(), got.tolist()):
+                z = mpmath.expj(theta)
+                exact = (sum((1 - z) ** k / k for k in range(1, p + 1))
+                         ** mpmath.mpf(alpha)).real
+                assert abs(value - exact) <= 1e-11 * abs(exact), theta
+
 
 class TestNonnegativity:
+    def test_scan_holds_the_symbol_on_the_theta_grid(self):
+        scan = check_symbol_nonnegativity(6, 0.7, 4097)
+        thetas = theta_grid(4097)
+        assert np.array_equal(scan.values, symbol_values(6, 0.7, thetas))
+        assert scan.min_value == scan.values.min()
+        assert scan.theta_at_min == thetas[scan.values.argmin()]
+
     @pytest.mark.parametrize("p,alpha", [(2, 0.5), (2, 0.95), (4, 0.8),
                                          (3, 0.9), (5, 0.65), (6, 0.5)])
     def test_passes_below_threshold(self, p, alpha):
@@ -276,7 +302,9 @@ class TestLowerBoundComparison:
     @pytest.mark.parametrize("alpha", [math.nan, 1.5, 1.0, 0.0, -0.2, math.inf])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         for family in bound_families():
-            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            # the refusal names the value; it used to say "(0, 1)" alone
+            with pytest.raises(ValueError, match=rf"^alpha must lie in \(0, 1\), "
+                                                 rf"got {alpha}$"):
                 evaluate_bounds(family, alpha, 5, 5)
 
     @pytest.mark.parametrize("ell", [-1, 0, 1, 2])

@@ -349,7 +349,7 @@ class TestErrors:
          "error: out of memory: Unable to allocate 7.28 TiB\n"),
         # Python's own allocations, such as a list growing, raise it with no
         # message, and the line names the command instead
-        ("symbol", "symbol_values", "p = 2\nalpha = 0.5\n", MemoryError(),
+        ("symbol", "check_symbol_nonnegativity", "p = 2\nalpha = 0.5\n", MemoryError(),
          "error: out of memory in symbol\n"),
     ], ids=["coeffs", "solve", "bare"])
     def test_out_of_memory_is_error(self, tmp_path, monkeypatch, capsys,
@@ -481,7 +481,7 @@ class TestErrors:
                                "h = 0.1\ntau = 0.1\ntheta_grid = 1024\n")
         assert _run(["stability", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
-        assert "alpha = 1.4" in capsys.readouterr().err
+        assert "alpha must lie in (0, 1), got 1.4" in capsys.readouterr().err
 
     def test_unknown_bound_family_lists_the_families(self, tmp_path, capsys):
         from rieszkit import bound_families

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from naive_reference import naive_scheme, naive_stability_cells
-from rieszkit import expand_generating_function, stability_scan
+from rieszkit import ProblemSpec, assemble, expand_generating_function, stability_scan
 from rieszkit.coefficients import generator_on_circle
 from rieszkit.schemes import (SCHEMES, check_step, fractional_coefficient,
                               growth_factors, right_compact, stencils,
@@ -317,3 +317,87 @@ class TestPeriodicCompanionSpectrum:
         ref = np.sort(np.abs(xi))
         assert np.max(np.abs(got - ref)) < 1e-6
         assert (got[-1] <= 1.0 + 1e-10) == stable
+
+
+COMPACT_SCHEMES = ("order4", "order4-consistent", "order6", "order6-consistent")
+
+
+class TestVonNeumannBoundsDirichletSpectrum:
+    # a von Neumann pass over the theta grid must imply that the assembled
+    # Dirichlet step A^-1 B has spectral radius at most 1 + 1e-12; the
+    # converse does not hold: the Dirichlet rows drop the modes that make
+    # some failing cells unstable
+    ALPHAS = [0.5, 0.7, 0.9, 0.99]
+    COEFFICIENTS = [(1.0, 1.0, 1.0), (1.0, 0.01, 1.0), (2.0, 1.0, 10.0)]
+    # the counts pin the grid, so that the test cannot pass vacuously
+    VON_NEUMANN_FAILS = {"order4": 3, "order4-consistent": 7, "order6": 10,
+                         "order6-consistent": 11}
+
+    def test_pass_bounds_spectral_radius(self):
+        zero = lambda x, t=0.0: np.zeros_like(x)
+        fails, contractive_fails = dict.fromkeys(COMPACT_SCHEMES, 0), []
+        for scheme in COMPACT_SCHEMES:
+            for d1, d2, da in self.COEFFICIENTS:
+                for M in (16, 32):
+                    scan = stability_scan(scheme, self.ALPHAS, [1.0 / M], [0.01],
+                                          d1, d2, da, 4096)
+                    for alpha, passed in zip(self.ALPHAS, scan.passed.tolist()):
+                        spec = ProblemSpec(d1=d1, d2=d2, d_alpha=da, alpha=alpha,
+                                           a=0.0, b=1.0, T=1.0, source=zero,
+                                           initial=zero)
+                        with warnings.catch_warnings():  # order4 above its limit
+                            warnings.simplefilter("ignore")
+                            mats = assemble(scheme, spec, M, 0.01)
+                        rho = np.abs(np.linalg.eigvals(
+                            np.linalg.solve(mats.A, mats.B))).max()
+                        cell = (scheme, alpha, d1, d2, da, M, rho)
+                        if passed:
+                            assert rho <= 1.0 + 1e-12, cell
+                        else:
+                            fails[scheme] += 1
+                            if rho < 1.0:
+                                contractive_fails.append(cell)
+        assert fails == self.VON_NEUMANN_FAILS
+        assert len(contractive_fails) == 3, contractive_fails
+
+
+class TestVerdictDependsOnScaledParameters:
+    # with Pe = d1 h / d2 and kappa = d_alpha h**(2 - alpha) / d2, dividing
+    # the group by (2/tau) d2 / h**2 leaves a function of the scheme,
+    # alpha, Pe, kappa and theta: the verdict depends on those alone
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_same_verdict_at_same_peclet_and_kappa(self, scheme):
+        alpha, kappa, tau = 0.9, 0.3, 0.01
+        verdicts, groups = [], []
+        for d1, d2, h in ((1.0, 1.0, 1 / 16), (2.0, 3.0, 3 / 32)):  # Pe = 1/16
+            rep = stability_scan(scheme, [alpha], [h], [tau], d1, d2,
+                                 kappa * d2 / h ** (2 - alpha), 4096)
+            verdicts.append(bool(rep.passed[0]))
+            groups.append(rep.min_real_group[0] / ((2 / tau) * d2 / h ** 2))
+        assert verdicts[0] == verdicts[1]
+        assert abs(groups[0] - groups[1]) <= 2.4e-13 * abs(groups[0])
+
+    # at h = d2 = 1, Pe = d1 and kappa = d_alpha; alpha = 0.01..0.99 by 0.02
+    ALPHAS = [round(0.01 + 0.02 * i, 2) for i in range(50)]
+    PECLET = (0.001, 0.1, 1.0, 4.0)
+    KAPPA = (0.001, 0.1, 1.0, 10.0)
+    # scheme -> (number of (Pe, kappa) with an unstable alpha, first
+    # unstable alpha at (Pe, kappa) = (1, 1))
+    UNSTABLE = {"order2": (0, None), "order4": (9, 0.95), "order6": (12, 0.77),
+                "order4-consistent": (12, 0.93), "order6-consistent": (12, 0.75)}
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_verdict_turns_unstable_at_most_once_along_alpha(self, scheme):
+        first = {}
+        for pe in self.PECLET:
+            for kappa in self.KAPPA:
+                passed = stability_scan(scheme, self.ALPHAS, [1.0], [0.01], pe,
+                                        1.0, kappa, 1024).passed.tolist()
+                k = passed.index(False) if False in passed else len(passed)
+                assert passed == [True] * k + [False] * (len(passed) - k), (pe, kappa)
+                if k < len(passed):
+                    first[pe, kappa] = self.ALPHAS[k]
+        assert (len(first), first.get((1.0, 1.0))) == self.UNSTABLE[scheme]
+        if scheme == "order4":  # stable at the largest Pe and smallest kappa
+            assert all(pe != 4.0 and kappa != 0.001 for pe, kappa in first), first

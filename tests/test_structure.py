@@ -6,9 +6,10 @@ solver, no module borrows a sibling's private helpers, every module-level
 import is used, the Fraction oracle of the nested sums reads nothing of
 the production nested-sum route, one solver kernel alone marches a
 time level and raises a march's faults, one helper alone decides what a
-count is, no module imports `csv` or `io`, the CLI alone reads the config
-and its commands take parsed values, and every public function and class
-has a user outside the unit tests.
+count is, one helper alone builds a theta grid and one alone decides an
+alpha range, no module imports `csv` or `io`, the CLI alone reads the
+config and its commands take parsed values, and every public function and
+class has a user outside the unit tests.
 """
 
 import ast
@@ -112,6 +113,65 @@ def test_only_check_count_decides_what_a_count_is(path):
     # a bool, within bounds; a second copy would drift from it
     lines = _integer_type_tests(path)
     assert lines == [], f"{path.stem} tests integer types on lines {lines}"
+
+
+def _owners(path, found):
+    """``module.function`` of each top-level definition of `path` (or
+    ``module.<module>`` for module-level code) holding a node that
+    ``found(node)`` accepts."""
+    owners = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        if any(found(node) for node in ast.walk(top)):
+            owners.add(f"{path.stem}.{name}")
+    return owners
+
+
+def _named(node, name):
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _builds_theta_grid(node):
+    """A linspace that starts at -pi, or a read of MAX_GRID."""
+    if isinstance(node, ast.Call) and _named(node.func, "linspace") and node.args:
+        start = node.args[0]
+        return (isinstance(start, ast.UnaryOp) and isinstance(start.op, ast.USub)
+                and _named(start.operand, "pi"))
+    return (isinstance(node, ast.Name) and node.id == "MAX_GRID"
+            and isinstance(node.ctx, ast.Load))
+
+
+def test_only_theta_grid_builds_a_theta_grid():
+    # symbol and stability scans take their extremes over one grid with one
+    # bound on its count; the oracle of tests/naive_reference.py keeps its own
+    owners = set().union(*(_owners(path, _builds_theta_grid) for path in MODULES))
+    assert owners == {"coefficients.theta_grid"}, owners
+    oracle = Path(__file__).with_name("naive_reference.py")
+    assert "theta_grid" not in _referenced_names(oracle)
+    assert _owners(oracle, _builds_theta_grid) == {"naive_reference.naive_stability_cells"}
+
+
+def _guards_alpha_range(node):
+    """An ``if`` that raises when `alpha`, a name or an attribute, compares
+    in some way with a number."""
+    if not (isinstance(node, ast.If)
+            and any(isinstance(stmt, ast.Raise) for stmt in node.body)):
+        return False
+    for compare in ast.walk(node.test):
+        if isinstance(compare, ast.Compare):
+            operands = (compare.left, *compare.comparators)
+            if (any(_named(op, "alpha") for op in operands)
+                    and any(isinstance(op, ast.Constant) for op in operands)):
+                return True
+    return False
+
+
+def test_only_validate_alpha_decides_an_alpha_range():
+    # coefficients.validate_alpha(alpha, top) owns the (0, top) rule; riesz
+    # owns the one domain with a hole, (0, 1) and (1, 2), in one helper
+    owners = set().union(*(_owners(path, _guards_alpha_range) for path in MODULES))
+    assert owners == {"coefficients.validate_alpha", "riesz._check_order"}, owners
 
 
 # what production's nested-sum weights are built from
